@@ -4,8 +4,9 @@ from .analysis import (BoundReport, LowRankOnGraphs, SvdTriplet, alignment_energ
                        alignment_ratio, check_recovery_bound, covariance,
                        economic_svd, make_lowrank_on_graphs, rank_estimate,
                        shape_interaction, recovery_gammas)
-from .evalcluster import (ClusterResult, GraphConfig, clustering_error, kmeans,
-                          run_experiment, two_gaussians)
+from .evalcluster import (ClusterResult, GraphConfig, PreparedExperiment,
+                          clustering_error, kmeans, prepare_experiment, run_gamma,
+                          two_gaussians)
 from .frames import FrameSequence, separate_background, synthetic_sequence
 from .graph import (GraphEigs, NeighborList, SparseGraph, build_graph, knn_approx,
                     knn_exact, load_graph_coo, partial_eigs, save_graph_coo,

@@ -205,17 +205,3 @@ def alignment_energy(triplet: SvdTriplet, L1eigs: GraphEigs, L2eigs: GraphEigs,
     e2 = s2 @ ((M2 ** 2) @ L2eigs.values)
     return float(gamma1 * e1 + gamma2 * e2)
 
-
-def save_spectrum_csv(sigma, path) -> None:
-    """Singular values as a two-column CSV (index, sigma)."""
-    with open(path, "w") as fh:
-        fh.write("index,sigma\n")
-        for i, val in enumerate(np.asarray(sigma, dtype=np.float64)):
-            fh.write(f"{i},{val:.17g}\n")
-
-
-def save_bound_report_csv(report: BoundReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("lhs,rhs,holds,lam_ratio,om_ratio\n")
-        fh.write(f"{report.lhs:.17g},{report.rhs:.17g},{int(report.holds)},"
-                 f"{report.lam_ratio:.17g},{report.om_ratio:.17g}\n")

@@ -1,14 +1,25 @@
 """Command-line front end: frpcag graph | solve | background | experiment.
 
 Exit codes: 0 success, 1 io/parse, 2 usage or config, 3 solver divergence,
-4 inconsistent data. Heavy imports happen inside the commands so the
-FRPCAG_THREADS cap can be applied before numpy spins up its thread pools.
+4 inconsistent data.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from typing import List, Optional
+
+import numpy as np
+
+from . import graph as g
+from .config import AutoOrPositive, ConfigError, Floats, auto_or_positive, parse_keyvalue
+from .evalcluster import GraphConfig, prepare_experiment, run_gamma, two_gaussians
+from .frames import (FrameDimensionError, FrameFormatError, load_frames, save_frames,
+                     separate_background)
+from .matrixio import CorruptionSpec, DataMatrix, MatrixFormatError, load_matrix, save_matrix
+from .solver import DivergedError, SolverConfig, fista_solve, save_trace_csv
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -17,31 +28,7 @@ EXIT_DIVERGED = 3
 EXIT_DATA = 4
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("FRPCAG_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = cap
-
-
-def _sigma2_arg(text: str):
-    if text == "auto":
-        return "auto"
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"sigma2 must be a number or 'auto', got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("sigma2 must be positive")
-    return value
-
-
 def cmd_graph(args) -> int:
-    from . import graph as g
-    from .matrixio import load_matrix
-
     X = load_matrix(args.input, args.format)
     points = X.values if args.axis == "samples" else X.values.T
     n = points.shape[1]
@@ -62,25 +49,13 @@ def cmd_graph(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .config import check_keys, parse_keyvalue
-    from .graph import load_graph_coo
-    from .matrixio import DataMatrix, load_matrix, save_matrix
-    from .solver import SolverConfig, fista_solve, save_trace_csv
-
-    options = {}
-    if args.config:
-        options = parse_keyvalue(args.config)
-        check_keys(options, {"loss", "gamma1", "gamma2", "step", "epsilon",
-                             "max_iters"}, source=args.config)
-    for key in ("loss", "gamma1", "gamma2", "step", "epsilon", "max_iters"):
-        flag = getattr(args, key)
-        if flag is not None:
-            options[key] = flag
-    cfg = SolverConfig(**options)
+    cfg = parse_keyvalue(args.config, SolverConfig) if args.config else SolverConfig()
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
     X = load_matrix(args.input, args.format)
-    G1 = load_graph_coo(args.graph1)
-    G2 = load_graph_coo(args.graph2)
+    G1 = g.load_graph_coo(args.graph1)
+    G2 = g.load_graph_coo(args.graph2)
     if G1.vertex_count != X.sample_count or G2.vertex_count != X.feature_count:
         print(f"error: graphs are {G1.vertex_count}/{G2.vertex_count} vertices but the "
               f"matrix is {X.feature_count} x {X.sample_count}", file=sys.stderr)
@@ -95,8 +70,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_background(args) -> int:
-    from .frames import load_frames, save_frames, separate_background
-
     seq, names = load_frames(args.frames_dir)
     background, foreground, result = separate_background(
         seq, K=args.k, gamma1=args.gamma1, gamma2=args.gamma2,
@@ -110,92 +83,94 @@ def cmd_background(args) -> int:
     return EXIT_OK
 
 
-EXPERIMENT_KEYS = {
-    "dataset", "format", "labels", "n", "p", "separation", "data_seed",
-    "corruption", "fraction", "corruption_seed", "corrupt_after_standardize",
-    "image_height", "image_width",
-    "knn_k", "sigma2", "graph_method", "recall_target",
-    "loss", "gamma", "gamma1", "gamma2", "epsilon", "max_iters", "step",
-    "seed", "restarts", "rank_threshold", "cluster_on", "output",
-}
+@dataclasses.dataclass(frozen=True)
+class ExperimentConfig:
+    """The keys of an experiment config file, with their types and defaults."""
+
+    dataset: str = "two-gaussians"  # or a matrix file, which needs labels
+    format: str = "csv"
+    labels: Optional[str] = None
+    n: int = 200
+    p: int = 40
+    separation: float = 10.0
+    data_seed: int = 0
+    corruption: str = "none"
+    fraction: float = 0.25
+    corruption_seed: int = 0
+    corrupt_after_standardize: bool = False
+    image_height: Optional[int] = None
+    image_width: Optional[int] = None
+    knn_k: int = 10
+    sigma2: AutoOrPositive = 1.0
+    graph_method: str = "exact"
+    recall_target: float = 0.9
+    loss: str = "l1"
+    gamma: Optional[Floats] = None  # sets gamma1 = gamma2 = each value in turn
+    gamma1: Optional[float] = None  # 1.0 when unset
+    gamma2: Optional[float] = None  # 1.0 when unset
+    epsilon: float = 1e-6
+    max_iters: int = 1000
+    step: AutoOrPositive = "auto"
+    seed: int = 0
+    restarts: int = 10
+    rank_threshold: float = 0.01
+    cluster_on: str = "u"
+    output: Optional[str] = None
+
+    def __post_init__(self):
+        if self.gamma is not None and (self.gamma1 is not None or self.gamma2 is not None):
+            raise ValueError("use either 'gamma' or 'gamma1'/'gamma2'")
+        self.solver_configs()  # checks the solver settings before any work
+
+    def solver_configs(self) -> List[SolverConfig]:
+        """One solver config per gamma of the sweep."""
+        if self.gamma is not None:
+            pairs = [(gamma, gamma) for gamma in self.gamma]
+        else:
+            pairs = [(1.0 if self.gamma1 is None else self.gamma1,
+                      1.0 if self.gamma2 is None else self.gamma2)]
+        return [SolverConfig(loss=self.loss, gamma1=g1, gamma2=g2, step=self.step,
+                             epsilon=self.epsilon, max_iters=self.max_iters)
+                for g1, g2 in pairs]
 
 
-def _experiment_data(cfg, source):
-    import numpy as np
-
-    from .config import ConfigError
-    from .evalcluster import two_gaussians
-    from .matrixio import DataMatrix, load_matrix
-
-    dataset = cfg.get("dataset", "two-gaussians")
-    if dataset == "two-gaussians":
-        return two_gaussians(n=int(cfg.get("n", 200)), p=int(cfg.get("p", 40)),
-                             separation=float(cfg.get("separation", 10.0)),
-                             seed=int(cfg.get("data_seed", 0)))
-    if "labels" not in cfg:
+def _experiment_data(cfg: ExperimentConfig, source):
+    if cfg.dataset == "two-gaussians":
+        return two_gaussians(n=cfg.n, p=cfg.p, separation=cfg.separation,
+                             seed=cfg.data_seed)
+    if cfg.labels is None:
         raise ConfigError(f"{source}: file datasets need a 'labels' path")
-    X = load_matrix(dataset, cfg.get("format", "csv"))
-    if "image_height" in cfg and "image_width" in cfg:
-        X = DataMatrix(X.values, image_dims=(int(cfg["image_height"]),
-                                             int(cfg["image_width"])))
-    labels = np.loadtxt(cfg["labels"], dtype=np.int64, ndmin=1)
+    X = load_matrix(cfg.dataset, cfg.format)
+    if cfg.image_height is not None and cfg.image_width is not None:
+        X = DataMatrix(X.values, image_dims=(cfg.image_height, cfg.image_width))
+    labels = np.loadtxt(cfg.labels, dtype=np.int64, ndmin=1)
     if labels.size != X.sample_count:
         raise ConfigError(f"{source}: {labels.size} labels for {X.sample_count} samples")
     return X, labels
 
 
-def _experiment_gammas(cfg, source):
-    from .config import ConfigError
-
-    if "gamma" in cfg:
-        if "gamma1" in cfg or "gamma2" in cfg:
-            raise ConfigError(f"{source}: use either 'gamma' or 'gamma1'/'gamma2'")
-        gammas = cfg["gamma"] if isinstance(cfg["gamma"], list) else [cfg["gamma"]]
-        return [(float(g), float(g)) for g in gammas]
-    return [(float(cfg.get("gamma1", 1.0)), float(cfg.get("gamma2", 1.0)))]
-
-
 def cmd_experiment(args) -> int:
-    from .config import check_keys, parse_keyvalue
-    from .evalcluster import GraphConfig, run_experiment
-    from .matrixio import CorruptionSpec
-    from .solver import SolverConfig
-
-    cfg = parse_keyvalue(args.config)
-    check_keys(cfg, EXPERIMENT_KEYS, source=args.config)
+    cfg = parse_keyvalue(args.config, ExperimentConfig)
     X, labels = _experiment_data(cfg, args.config)
+    corruption = None if cfg.corruption == "none" else CorruptionSpec(
+        kind=cfg.corruption, fraction=cfg.fraction, seed=cfg.corruption_seed)
+    graph_cfg = GraphConfig(k=cfg.knn_k, sigma2=cfg.sigma2, method=cfg.graph_method,
+                            recall_target=cfg.recall_target)
+    prepared = prepare_experiment(
+        X, labels, corruption, graph_cfg, seed=cfg.seed, restarts=cfg.restarts,
+        rank_threshold=cfg.rank_threshold, cluster_on=cfg.cluster_on,
+        corrupt_after_standardize=cfg.corrupt_after_standardize)
 
-    corruption = None
-    kind = cfg.get("corruption", "none")
-    if kind != "none":
-        corruption = CorruptionSpec(kind=kind, fraction=float(cfg.get("fraction", 0.25)),
-                                    seed=int(cfg.get("corruption_seed", 0)))
-    graph_cfg = GraphConfig(k=int(cfg.get("knn_k", 10)), sigma2=cfg.get("sigma2", 1.0),
-                            method=cfg.get("graph_method", "exact"),
-                            recall_target=float(cfg.get("recall_target", 0.9)))
     records = []
-    out = open(cfg["output"], "w") if "output" in cfg else None
-    try:
-        for g1, g2 in _experiment_gammas(cfg, args.config):
-            solver_cfg = SolverConfig(loss=cfg.get("loss", "l1"), gamma1=g1, gamma2=g2,
-                                      step=cfg.get("step", "auto"),
-                                      epsilon=float(cfg.get("epsilon", 1e-6)),
-                                      max_iters=int(cfg.get("max_iters", 1000)))
-            record = run_experiment(
-                X, labels, corruption, graph_cfg, solver_cfg,
-                seed=int(cfg.get("seed", 0)),
-                restarts=int(cfg.get("restarts", 10)),
-                rank_threshold=float(cfg.get("rank_threshold", 0.01)),
-                cluster_on=cfg.get("cluster_on", "u"),
-                corrupt_after_standardize=bool(cfg.get("corrupt_after_standardize", False)))
+    with open(cfg.output if cfg.output is not None else os.devnull, "w") as out:
+        for solver_cfg in cfg.solver_configs():
+            record = run_gamma(prepared, solver_cfg)
+            if not records:  # the prepare stages ran once, for the whole sweep
+                record["timings_ms"] = {**prepared.timings_ms, **record["timings_ms"]}
             line = json.dumps(record)
             print(line)
-            if out:
-                out.write(line + "\n")
+            out.write(line + "\n")
             records.append(record)
-    finally:
-        if out:
-            out.close()
 
     print(f"{'gamma1':>8} {'gamma2':>8} {'error':>7} {'raw':>7} {'rank':>5} "
           f"{'s_r':>6} {'iters':>6}")
@@ -217,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "binary-f64"], default="csv")
     p.add_argument("--axis", choices=["samples", "features"], default="samples")
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--sigma2", type=_sigma2_arg, default=1.0)
+    p.add_argument("--sigma2", type=auto_or_positive, default=1.0)
     p.add_argument("--mode", choices=["exact", "approx"], default="exact")
     p.add_argument("--recall", type=float, default=0.9)
     p.add_argument("--seed", type=int, default=0)
@@ -233,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma1", type=float)
     p.add_argument("--gamma2", type=float)
     p.add_argument("--loss", choices=["l1", "frobenius_sq"])
-    p.add_argument("--step", type=_sigma2_arg, metavar="STEP")
+    p.add_argument("--step", type=auto_or_positive, metavar="STEP")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--output-u", required=True, help="recovered U (binary-f64)")
@@ -246,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--gamma1", type=float, default=1.0)
     p.add_argument("--gamma2", type=float, default=1.0)
-    p.add_argument("--sigma2", type=_sigma2_arg, default="auto")
+    p.add_argument("--sigma2", type=auto_or_positive, default="auto")
     p.add_argument("--epsilon", type=float, default=1e-8)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=1000)
     p.set_defaults(func=cmd_background)
@@ -258,16 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
-    from .config import ConfigError
-    from .frames import FrameDimensionError, FrameFormatError
-    from .graph import GraphFormatError
-    from .matrixio import MatrixFormatError
-    from .solver import DivergedError
     try:
         return args.func(args)
-    except (MatrixFormatError, GraphFormatError, FrameFormatError, OSError) as exc:
+    except (MatrixFormatError, g.GraphFormatError, FrameFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DivergedError as exc:

@@ -1,29 +1,52 @@
-"""Key = value configuration files (one assignment per line, # comments)."""
+"""Key = value configuration files (one assignment per line, # comments),
+read against a dataclass that declares each key's type and default."""
 
-from typing import Union
+import math
+import typing
+from typing import Literal, Tuple, Union
 
-Scalar = Union[int, float, bool, str]
+AutoOrPositive = Union[float, Literal["auto"]]  # 'auto' or a positive finite number
+Floats = Tuple[float, ...]  # one finite number or a comma-separated list
 
 
 class ConfigError(ValueError):
     """Raised for unparseable lines, unknown keys or bad values."""
 
 
-def _parse_scalar(text: str) -> Scalar:
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text.strip("\"'")
+def _convert(kind, text: str):
+    if type(None) in typing.get_args(kind):  # Optional[X] reads as X
+        kind = typing.get_args(kind)[0]
+    if kind is bool:
+        if text.lower() not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return text.lower() == "true"
+    if kind is str:
+        return text.strip("\"'")
+    if kind == Floats:
+        return tuple(_convert(float, item) for item in text.split(","))
+    if kind == AutoOrPositive and text == "auto":
+        return text
+    value = int(text) if kind is int else float(text)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    if kind == AutoOrPositive and value <= 0:
+        raise ValueError("expected 'auto' or a positive number")
+    return value
 
 
-def parse_keyvalue_text(text: str, source: str = "<config>") -> dict:
-    """Parse 'key = value' lines; comma-separated values become lists."""
-    out = {}
+def auto_or_positive(text: str):
+    """'auto', or the positive finite number that text spells."""
+    return _convert(AutoOrPositive, text)
+
+
+def parse_keyvalue_text(text: str, schema, source: str = "<config>"):
+    """An instance of the dataclass `schema` from 'key = value' lines (# comments).
+
+    Each key names a field, once; its value is converted by the field's type;
+    fields left out keep their defaults. Errors raise ConfigError naming source.
+    """
+    types = typing.get_type_hints(schema)
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -34,22 +57,20 @@ def parse_keyvalue_text(text: str, source: str = "<config>") -> dict:
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise ConfigError(f"{source}:{lineno}: empty key or value")
-        if key in out:
+        if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        if "," in value:
-            out[key] = [_parse_scalar(v.strip()) for v in value.split(",") if v.strip()]
-        else:
-            out[key] = _parse_scalar(value)
-    return out
+        if key not in types:
+            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _convert(types[key], value)
+        except ValueError as exc:
+            raise ConfigError(f"{source}:{lineno}: {key} = {value}: {exc}") from None
+    try:
+        return schema(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
-def parse_keyvalue(path) -> dict:
+def parse_keyvalue(path, schema):
     with open(path) as fh:
-        return parse_keyvalue_text(fh.read(), source=str(path))
-
-
-def check_keys(cfg: dict, allowed, source: str = "<config>") -> None:
-    """Reject unknown keys by name so typos surface immediately."""
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(f"{source}: unknown key {key!r}")
+        return parse_keyvalue_text(fh.read(), schema, source=str(path))

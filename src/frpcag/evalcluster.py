@@ -2,6 +2,7 @@
 and the corrupt -> solve -> cluster experiment pipeline."""
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
@@ -10,7 +11,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from . import analysis
-from .graph import build_graph, knn_approx, knn_exact, partial_eigs
+from .graph import SparseGraph, build_graph, knn_approx, knn_exact, partial_eigs
 from .matrixio import CorruptionSpec, DataMatrix, corrupt, standardize
 from .solver import SolverConfig, fista_solve
 
@@ -133,88 +134,108 @@ def two_gaussians(n: int = 200, p: int = 40, separation: float = 10.0,
     return DataMatrix(values), labels
 
 
-def run_experiment(X: DataMatrix, truth, corruption: Optional[CorruptionSpec],
-                   graph_cfg: GraphConfig, solver_cfg: SolverConfig,
-                   seed: int = 0, restarts: int = 10,
-                   rank_threshold: float = 0.01, cluster_on: str = "u",
-                   corrupt_after_standardize: bool = False) -> dict:
-    """corrupt -> standardize -> dual graphs -> solve -> k-means -> error.
+@dataclass(frozen=True)
+class PreparedExperiment:
+    """The gamma-independent part of an experiment, shared by every gamma."""
 
-    k-means runs on the recovered U directly by default; cluster_on="w" runs
-    it on the principal components instead, keeping as many as the rank
-    estimate retains. Corruption is applied before standardization unless
-    corrupt_after_standardize is set. Returns a JSON-friendly record with
-    the configuration echo, clustering errors (on the recovered matrix and
-    on raw standardized X), the stationarity ratio of the feature graph, a
-    rank estimate of U and per-stage timings.
-    """
+    Xs: DataMatrix  # corrupted and standardized
+    truth: np.ndarray
+    classes: int
+    G1: SparseGraph  # samples
+    G2: SparseGraph  # features
+    record_head: dict  # n, p, classes, corruption and graph: the first keys of a record
+    seed: int
+    restarts: int
+    rank_threshold: float
+    cluster_on: str
+    error_raw: float
+    s_r: float
+    timings_ms: dict
+
+
+@contextmanager
+def _stage(timings: dict, name: str):
+    t0 = time.perf_counter()
+    yield
+    timings[name] = (time.perf_counter() - t0) * 1e3
+
+
+def prepare_experiment(X: DataMatrix, truth, corruption: Optional[CorruptionSpec],
+                       graph_cfg: GraphConfig, seed: int = 0, restarts: int = 10,
+                       rank_threshold: float = 0.01, cluster_on: str = "u",
+                       corrupt_after_standardize: bool = False) -> PreparedExperiment:
+    """The gamma-independent stages, run once per sweep: corrupt (after
+    standardizing if corrupt_after_standardize) -> standardize -> dual graphs
+    -> k-means on raw X (error_raw) -> stationarity ratio s_r of the feature
+    graph. timings_ms holds one entry per stage."""
     if cluster_on not in ("u", "w"):
         raise ValueError(f"cluster_on must be 'u' or 'w', got {cluster_on!r}")
     truth = np.asarray(truth)
     k = int(np.unique(truth).size)
     timings = {}
 
-    t0 = time.perf_counter()
-    mask_count = 0
-    if corruption is not None and not corrupt_after_standardize:
-        X, mask = corrupt(X, corruption)
-        mask_count = int(mask.sum())
-    timings["corrupt_ms"] = (time.perf_counter() - t0) * 1e3
+    with _stage(timings, "corrupt_ms"):
+        if corruption is not None and not corrupt_after_standardize:
+            X, mask = corrupt(X, corruption)
+    with _stage(timings, "standardize_ms"):
+        Xs = standardize(X)
+        if corruption is not None and corrupt_after_standardize:
+            Xs, mask = corrupt(Xs, corruption)
+    with _stage(timings, "graphs_ms"):
+        G1 = build_graph(graph_cfg.neighbors(Xs.values), graph_cfg.sigma2)
+        G2 = build_graph(graph_cfg.neighbors(Xs.values.T), graph_cfg.sigma2)
+    with _stage(timings, "cluster_raw_ms"):
+        raw = kmeans(Xs.values, k, restarts=restarts, seed=seed)
+        error_raw = clustering_error(raw.labels, truth)
+    with _stage(timings, "s_r_ms"):
+        P_full = partial_eigs(G2, G2.vertex_count).vectors
+        _, s_r = analysis.alignment_ratio(P_full, analysis.covariance(Xs))
 
-    t0 = time.perf_counter()
-    Xs = standardize(X)
-    if corruption is not None and corrupt_after_standardize:
-        Xs, mask = corrupt(Xs, corruption)
-        mask_count = int(mask.sum())
-    timings["standardize_ms"] = (time.perf_counter() - t0) * 1e3
+    head = {"n": Xs.sample_count, "p": Xs.feature_count, "classes": k,
+            "corruption": None if corruption is None else {
+                "kind": corruption.kind, "fraction": corruption.fraction,
+                "seed": corruption.seed, "entries": int(mask.sum())},
+            "graph": {"k": graph_cfg.k, "sigma2": graph_cfg.sigma2,
+                      "method": graph_cfg.method}}
+    return PreparedExperiment(
+        Xs=Xs, truth=truth, classes=k, G1=G1, G2=G2, record_head=head, seed=seed,
+        restarts=restarts, rank_threshold=rank_threshold, cluster_on=cluster_on,
+        error_raw=error_raw, s_r=s_r, timings_ms=timings)
 
-    t0 = time.perf_counter()
-    G1 = build_graph(graph_cfg.neighbors(Xs.values), graph_cfg.sigma2)
-    G2 = build_graph(graph_cfg.neighbors(Xs.values.T), graph_cfg.sigma2)
-    timings["graphs_ms"] = (time.perf_counter() - t0) * 1e3
 
-    t0 = time.perf_counter()
-    result = fista_solve(Xs, G1, G2, solver_cfg)
-    timings["solve_ms"] = (time.perf_counter() - t0) * 1e3
-
-    triplet = analysis.economic_svd(result.U)
-    rank = analysis.rank_estimate(triplet.sigma, rank_threshold)
-
-    t0 = time.perf_counter()
-    if cluster_on == "u" or triplet.W.shape[1] == 0:
-        items = result.U.values
-    else:
-        # sigma-scaled components keep each direction's energy, matching the
-        # k-means geometry of U at full rank
-        keep = max(rank, min(k, triplet.W.shape[1]))
-        items = (triplet.W[:, :keep] * triplet.sigma[:keep]).T
-    clustered = kmeans(items, k, restarts=restarts, seed=seed)
-    error = clustering_error(clustered.labels, truth)
-    raw = kmeans(Xs.values, k, restarts=restarts, seed=seed)
-    error_raw = clustering_error(raw.labels, truth)
-    timings["cluster_ms"] = (time.perf_counter() - t0) * 1e3
-
-    P_full = partial_eigs(G2, G2.vertex_count).vectors
-    _, s_r = analysis.alignment_ratio(P_full, analysis.covariance(Xs))
+def run_gamma(prep: PreparedExperiment, solver_cfg: SolverConfig) -> dict:
+    """The per-gamma stages: solve -> economic SVD and rank estimate of U ->
+    k-means on U, or on the sigma-scaled principal components the rank keeps
+    when prep.cluster_on is "w". Returns the JSON-friendly record: the
+    configuration echo, clustering errors, s_r, rank and this call's stage
+    timings."""
+    timings = {}
+    with _stage(timings, "solve_ms"):
+        result = fista_solve(prep.Xs, prep.G1, prep.G2, solver_cfg)
+    with _stage(timings, "svd_ms"):
+        triplet = analysis.economic_svd(result.U)
+        rank = analysis.rank_estimate(triplet.sigma, prep.rank_threshold)
+    with _stage(timings, "cluster_ms"):
+        if prep.cluster_on == "u" or triplet.W.shape[1] == 0:
+            items = result.U.values
+        else:
+            # sigma-scaled components keep each direction's energy, matching the
+            # k-means geometry of U at full rank
+            keep = max(rank, min(prep.classes, triplet.W.shape[1]))
+            items = (triplet.W[:, :keep] * triplet.sigma[:keep]).T
+        clustered = kmeans(items, prep.classes, restarts=prep.restarts, seed=prep.seed)
+        error = clustering_error(clustered.labels, prep.truth)
 
     return {
-        "n": X.sample_count,
-        "p": X.feature_count,
-        "classes": k,
-        "corruption": None if corruption is None else {
-            "kind": corruption.kind, "fraction": corruption.fraction,
-            "seed": corruption.seed, "entries": mask_count,
-        },
-        "graph": {"k": graph_cfg.k, "sigma2": graph_cfg.sigma2,
-                  "method": graph_cfg.method},
+        **prep.record_head,
         "solver": {"loss": solver_cfg.loss, "gamma1": solver_cfg.gamma1,
                    "gamma2": solver_cfg.gamma2, "epsilon": solver_cfg.epsilon,
                    "max_iters": solver_cfg.max_iters},
-        "seed": seed,
-        "cluster_on": cluster_on,
+        "seed": prep.seed,
+        "cluster_on": prep.cluster_on,
         "error": error,
-        "error_raw": error_raw,
-        "s_r": s_r,
+        "error_raw": prep.error_raw,
+        "s_r": prep.s_r,
         "rank": rank,
         "iterations": result.iterations,
         "converged": result.converged,

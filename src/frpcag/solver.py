@@ -1,11 +1,12 @@
 """FISTA solver for l1 (or squared-Frobenius) fidelity plus dual graph-Tikhonov terms."""
 
 from dataclasses import dataclass
-from typing import List, Union
+from typing import List
 
 import numpy as np
 from scipy.linalg import eigh, solve
 
+from .config import AutoOrPositive
 from .graph import SparseGraph, spectral_norm
 from .matrixio import DataMatrix
 
@@ -21,19 +22,19 @@ class SolverConfig:
     loss: str = "l1"
     gamma1: float = 1.0
     gamma2: float = 1.0
-    step: Union[float, str] = "auto"  # "auto" -> 1 / (2*g1*||L1|| + 2*g2*||L2||)
+    step: AutoOrPositive = "auto"  # "auto" -> 1 / (2*g1*||L1|| + 2*g2*||L2||)
     epsilon: float = 1e-6
     max_iters: int = 1000
 
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        if self.gamma1 < 0 or self.gamma2 < 0:
-            raise ValueError("gamma1 and gamma2 must be >= 0")
-        if self.step != "auto" and not float(self.step) > 0:
-            raise ValueError("step must be positive or 'auto'")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not (0 <= self.gamma1 < np.inf and 0 <= self.gamma2 < np.inf):
+            raise ValueError("gamma1 and gamma2 must be finite and >= 0")
+        if self.step != "auto" and not 0 < float(self.step) < np.inf:
+            raise ValueError("step must be positive and finite, or 'auto'")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

@@ -224,10 +224,10 @@ def test_criterion_09_clustering_robustness():
         gcfg = fp.GraphConfig(k=10, sigma2="auto")
         scfg = SolverConfig(loss="l1", gamma1=3.0, gamma2=3.0, epsilon=1e-8,
                             max_iters=500)
-        corrupted = fp.run_experiment(
+        corrupted = fp.run_gamma(fp.prepare_experiment(
             X, labels, fp.CorruptionSpec(kind="missing", fraction=0.25, seed=seed),
-            gcfg, scfg, seed=seed)
-        clean = fp.run_experiment(X, labels, None, gcfg, scfg, seed=seed)
+            gcfg, seed=seed), scfg)
+        clean = fp.run_gamma(fp.prepare_experiment(X, labels, None, gcfg, seed=seed), scfg)
         ok &= corrupted["error"] <= corrupted["error_raw"] and clean["error"] == 0.0
         details.append(f"{corrupted['error']:.2f}<={corrupted['error_raw']:.2f}")
     report(9, "25% missing: solver error <= raw k-means, clean error 0, 5 seeds",

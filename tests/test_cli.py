@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import frpcag.evalcluster
 from frpcag.cli import main
 from frpcag.evalcluster import two_gaussians
 from frpcag.frames import load_frames, save_frames, synthetic_sequence, write_pgm
@@ -124,6 +126,14 @@ def test_solve_divergence_exits_3(tmp_path, dataset):
                  "--step", "1e8", "--output-u", str(tmp_path / "u.bin")]) == 3
 
 
+def test_solve_non_finite_flag_exits_2(tmp_path, dataset):
+    data, _ = dataset
+    g1, g2 = build_graphs(tmp_path, data)
+    assert main(["solve", "--input", str(data), "--graph1", str(g1),
+                 "--graph2", str(g2), "--gamma1", "nan",
+                 "--output-u", str(tmp_path / "u.bin")]) == 2
+
+
 def test_background_command(tmp_path):
     seq, background, mask = synthetic_sequence(count=20, h=16, w=16, square=4, seed=1)
     frames_dir = tmp_path / "frames"
@@ -183,6 +193,62 @@ def test_experiment_gamma_sweep_rank_monotone(tmp_path, capsys):
     assert ranks[0] >= ranks[1] >= ranks[2]
 
 
+def test_experiment_sweep_prepares_once(tmp_path, capsys, monkeypatch):
+    calls = {"knn_exact": 0, "kmeans": 0, "partial_eigs": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(frpcag.evalcluster, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(frpcag.evalcluster, name, counted)
+    conf = tmp_path / "exp.conf"
+    conf.write_text("dataset = two-gaussians\nn = 40\np = 12\nknn_k = 5\n"
+                    "sigma2 = auto\ngamma = 1, 3, 10\nmax_iters = 200\nrestarts = 2\n")
+    assert main(["experiment", "--config", str(conf)]) == 0
+    assert calls == {"knn_exact": 2, "kmeans": 3 + 1, "partial_eigs": 1}
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+               if line.startswith("{")]
+    stages = [list(r["timings_ms"]) for r in records]
+    assert stages == [["corrupt_ms", "standardize_ms", "graphs_ms", "cluster_raw_ms",
+                       "s_r_ms", "solve_ms", "svd_ms", "cluster_ms"]] + \
+        2 * [["solve_ms", "svd_ms", "cluster_ms"]]
+
+
+EXPERIMENT = {"dataset": "two-gaussians", "n": "40", "p": "12", "knn_k": "5",
+              "sigma2": "auto", "gamma": "2", "max_iters": "200", "restarts": "2",
+              "corruption": "missing", "fraction": "0.3"}
+
+
+def experiment_records(tmp_path, capsys, **settings):
+    conf = tmp_path / "exp.conf"
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in {**EXPERIMENT, **settings}.items()))
+    status = main(["experiment", "--config", str(conf)])
+    out = capsys.readouterr()
+    records = [json.loads(line) for line in out.out.splitlines() if line.startswith("{")]
+    for record in records:
+        record.pop("timings_ms")
+    return status, records, out.err
+
+
+def test_experiment_bool_values_are_strict(tmp_path, capsys):
+    status, default, _ = experiment_records(tmp_path, capsys)
+    assert status == 0
+    assert experiment_records(tmp_path, capsys, corrupt_after_standardize="FALSE")[:2] \
+        == (0, default)
+    status, flipped, _ = experiment_records(tmp_path, capsys, corrupt_after_standardize="true")
+    assert status == 0 and flipped != default
+    for word in ("no", "maybe"):
+        status, _, err = experiment_records(tmp_path, capsys, corrupt_after_standardize=word)
+        assert status == 2 and "corrupt_after_standardize" in err
+
+
+@pytest.mark.parametrize("key, value", [("knn_k", "5.5"), ("gamma", "nan"), ("gamma", "1, inf"),
+                                        ("sigma2", "-1"), ("loss", "l2"), ("gamma1", "3")])
+def test_experiment_bad_value_exits_2(tmp_path, capsys, key, value):
+    status, records, err = experiment_records(tmp_path, capsys, **{key: value})
+    assert status == 2 and records == []
+    assert str(tmp_path / "exp.conf") in err and key in err
+
+
 def test_experiment_unknown_key_exits_2(tmp_path, capsys):
     conf = tmp_path / "exp.conf"
     conf.write_text("dataset = two-gaussians\nmystery_knob = 3\n")
@@ -203,20 +269,10 @@ def test_experiment_file_dataset(tmp_path):
 
 
 def test_installed_entry_point_runs():
+    import_root = os.path.dirname(os.path.dirname(frpcag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [import_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "frpcag.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "graph" in proc.stdout and "background" in proc.stdout
-
-
-def test_thread_cap_env(tmp_path, dataset, monkeypatch):
-    import os
-    data, _ = dataset
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        monkeypatch.setenv(var, os.environ.get(var, ""))
-    monkeypatch.setenv("FRPCAG_THREADS", "1")
-    out = tmp_path / "g.coo"
-    assert main(["graph", "--input", str(data), "--k", "3",
-                 "--output", str(out)]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "1"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from frpcag.evalcluster import (GraphConfig, clustering_error, kmeans,
-                                run_experiment, two_gaussians)
+                                prepare_experiment, run_gamma, two_gaussians)
 from frpcag.matrixio import CorruptionSpec, standardize
 from frpcag.solver import SolverConfig
 
@@ -105,18 +105,24 @@ def test_clustering_error_length_mismatch():
         clustering_error([0, 1], [0, 1, 2])
 
 
+def run_one_gamma(X, truth, corruption, graph_cfg, solver_cfg, **kwargs):
+    """One gamma: the prepare stage, then the per-gamma stage."""
+    return run_gamma(prepare_experiment(X, truth, corruption, graph_cfg, **kwargs),
+                     solver_cfg)
+
+
 def test_run_experiment_clean_separable():
     X, labels = two_gaussians(n=80, p=16, separation=10.0, seed=8)
-    rec = run_experiment(X, labels, None, GraphConfig(k=8, sigma2="auto"),
-                         SolverConfig(gamma1=2.0, gamma2=2.0), seed=0, restarts=4)
+    rec = run_one_gamma(X, labels, None, GraphConfig(k=8, sigma2="auto"),
+                        SolverConfig(gamma1=2.0, gamma2=2.0), seed=0, restarts=4)
     assert rec["error"] == 0.0
 
 
 def test_run_experiment_corrupted_not_worse_than_raw():
     X, labels = two_gaussians(n=80, p=16, separation=10.0, seed=9)
     spec = CorruptionSpec(kind="missing", fraction=0.25, seed=1)
-    rec = run_experiment(X, labels, spec, GraphConfig(k=8, sigma2="auto"),
-                         SolverConfig(gamma1=2.0, gamma2=2.0), seed=0, restarts=4)
+    rec = run_one_gamma(X, labels, spec, GraphConfig(k=8, sigma2="auto"),
+                        SolverConfig(gamma1=2.0, gamma2=2.0), seed=0, restarts=4)
     assert rec["error"] <= rec["error_raw"]
 
 
@@ -126,8 +132,8 @@ def test_run_experiment_deterministic_modulo_timings():
     kwargs = dict(graph_cfg=GraphConfig(k=6, sigma2="auto"),
                   solver_cfg=SolverConfig(gamma1=1.0, gamma2=1.0),
                   seed=3, restarts=3)
-    a = run_experiment(X, labels, spec, **kwargs)
-    b = run_experiment(X, labels, spec, **kwargs)
+    a = run_one_gamma(X, labels, spec, **kwargs)
+    b = run_one_gamma(X, labels, spec, **kwargs)
     a.pop("timings_ms")
     b.pop("timings_ms")
     assert a == b
@@ -135,14 +141,13 @@ def test_run_experiment_deterministic_modulo_timings():
 
 def test_run_experiment_cluster_on_principal_components():
     X, labels = two_gaussians(n=80, p=16, separation=10.0, seed=12)
-    rec = run_experiment(X, labels, None, GraphConfig(k=8, sigma2="auto"),
-                         SolverConfig(gamma1=5.0, gamma2=5.0), seed=0,
-                         restarts=4, cluster_on="w")
+    rec = run_one_gamma(X, labels, None, GraphConfig(k=8, sigma2="auto"),
+                        SolverConfig(gamma1=5.0, gamma2=5.0), seed=0,
+                        restarts=4, cluster_on="w")
     assert rec["cluster_on"] == "w"
     assert rec["error"] == 0.0
     with pytest.raises(ValueError):
-        run_experiment(X, labels, None, GraphConfig(k=8),
-                       SolverConfig(), cluster_on="v")
+        prepare_experiment(X, labels, None, GraphConfig(k=8), cluster_on="v")
 
 
 def test_run_experiment_corrupt_after_standardize():
@@ -151,16 +156,33 @@ def test_run_experiment_corrupt_after_standardize():
     kwargs = dict(graph_cfg=GraphConfig(k=6, sigma2="auto"),
                   solver_cfg=SolverConfig(gamma1=1.0, gamma2=1.0),
                   seed=1, restarts=2)
-    before = run_experiment(X, labels, spec, **kwargs)
-    after = run_experiment(X, labels, spec, corrupt_after_standardize=True, **kwargs)
+    before = run_one_gamma(X, labels, spec, **kwargs)
+    after = run_one_gamma(X, labels, spec, corrupt_after_standardize=True, **kwargs)
     assert before["corruption"]["entries"] == after["corruption"]["entries"]
 
 
 def test_run_experiment_zero_gammas_reduces_to_raw_kmeans():
     X, labels = two_gaussians(n=60, p=10, separation=6.0, seed=11)
-    rec = run_experiment(X, labels, None, GraphConfig(k=6, sigma2="auto"),
-                         SolverConfig(gamma1=0.0, gamma2=0.0), seed=4, restarts=3)
+    rec = run_one_gamma(X, labels, None, GraphConfig(k=6, sigma2="auto"),
+                        SolverConfig(gamma1=0.0, gamma2=0.0), seed=4, restarts=3)
     Xs = standardize(X)
     raw = kmeans(Xs.values, 2, restarts=3, seed=4)
     assert rec["error"] == clustering_error(raw.labels, labels)
     assert rec["error"] == rec["error_raw"]
+
+
+def test_sweep_matches_separate_single_gamma_runs():
+    X, labels = two_gaussians(n=50, p=12, separation=8.0, seed=14)
+    spec = CorruptionSpec(kind="missing", fraction=0.2, seed=6)
+    args = (X, labels, spec, GraphConfig(k=6, sigma2="auto"))
+    kwargs = dict(seed=2, restarts=3, cluster_on="w")
+    solver_cfgs = [SolverConfig(gamma1=g, gamma2=g, epsilon=1e-8) for g in (0.5, 3.0, 20.0)]
+    prepared = prepare_experiment(*args, **kwargs)
+    swept = [run_gamma(prepared, cfg) for cfg in solver_cfgs]
+    separate = [run_gamma(prepare_experiment(*args, **kwargs), cfg) for cfg in solver_cfgs]
+    assert set(prepared.timings_ms) == {"corrupt_ms", "standardize_ms", "graphs_ms",
+                                        "cluster_raw_ms", "s_r_ms"}
+    for a, b in zip(swept, separate):
+        assert set(a.pop("timings_ms")) == {"solve_ms", "svd_ms", "cluster_ms"}
+        b.pop("timings_ms")
+        assert a == b

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frpcag.config import ConfigError, check_keys, parse_keyvalue_text
+from frpcag.config import ConfigError, parse_keyvalue_text
 from frpcag.graph import build_graph, knn_exact
 from frpcag.matrixio import DataMatrix
 from frpcag.solver import (DivergedError, SolverConfig, auto_step, fista_solve,
@@ -244,6 +244,13 @@ def test_solver_config_validation():
         SolverConfig(step=0.0)
 
 
+@pytest.mark.parametrize("field", ["gamma1", "gamma2", "step", "epsilon"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_solver_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+
+
 def test_solver_config_from_keyvalue_file():
     text = """
     # solver settings
@@ -253,12 +260,10 @@ def test_solver_config_from_keyvalue_file():
     epsilon = 1e-9
     max_iters = 250
     """
-    options = parse_keyvalue_text(text)
-    check_keys(options, {"loss", "gamma1", "gamma2", "step", "epsilon", "max_iters"})
-    cfg = SolverConfig(**options)
+    cfg = parse_keyvalue_text(text, SolverConfig)
     assert cfg.loss == "frobenius_sq" and cfg.gamma2 == 4 and cfg.max_iters == 250
     with pytest.raises(ConfigError):
-        check_keys({"gamma3": 1}, {"gamma1", "gamma2"})
+        parse_keyvalue_text("gamma3 = 1", SolverConfig)
 
 
 def test_fista_accepts_datamatrix():
