@@ -36,10 +36,7 @@ def cmd_graph(args) -> int:
         print(f"error: K={args.k} must be smaller than the number of "
               f"{args.axis} ({n})", file=sys.stderr)
         return EXIT_USAGE
-    if args.mode == "exact":
-        nbrs = g.knn_exact(points, args.k)
-    else:
-        nbrs = g.knn_approx(points, args.k, args.recall, seed=args.seed)
+    nbrs = g.knn_exact(points, args.k)
     sigma2 = g.resolve_sigma2(nbrs, args.sigma2)
     built = g.build_graph(nbrs, sigma2)
     g.save_graph_coo(built, args.output)
@@ -102,8 +99,6 @@ class ExperimentConfig:
     image_width: Optional[int] = None
     knn_k: int = 10
     sigma2: AutoOrPositive = 1.0
-    graph_method: str = "exact"
-    recall_target: float = 0.9
     loss: str = "l1"
     gamma: Optional[Floats] = None  # sets gamma1 = gamma2 = each value in turn
     gamma1: Optional[float] = None  # 1.0 when unset
@@ -154,8 +149,7 @@ def cmd_experiment(args) -> int:
     X, labels = _experiment_data(cfg, args.config)
     corruption = None if cfg.corruption == "none" else CorruptionSpec(
         kind=cfg.corruption, fraction=cfg.fraction, seed=cfg.corruption_seed)
-    graph_cfg = GraphConfig(k=cfg.knn_k, sigma2=cfg.sigma2, method=cfg.graph_method,
-                            recall_target=cfg.recall_target)
+    graph_cfg = GraphConfig(k=cfg.knn_k, sigma2=cfg.sigma2)
     prepared = prepare_experiment(
         X, labels, corruption, graph_cfg, seed=cfg.seed, restarts=cfg.restarts,
         rank_threshold=cfg.rank_threshold, cluster_on=cfg.cluster_on,
@@ -193,9 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=["samples", "features"], default="samples")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--sigma2", type=auto_or_positive, default=1.0)
-    p.add_argument("--mode", choices=["exact", "approx"], default="exact")
-    p.add_argument("--recall", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_graph)
 

@@ -11,7 +11,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from . import analysis
-from .graph import SparseGraph, build_graph, knn_approx, knn_exact, partial_eigs
+from .graph import SparseGraph, build_graph, knn_exact, partial_eigs
 from .matrixio import CorruptionSpec, DataMatrix, corrupt, standardize
 from .solver import SolverConfig, fista_solve
 
@@ -20,7 +20,6 @@ from .solver import SolverConfig, fista_solve
 class ClusterResult:
     labels: np.ndarray
     inertia: float
-    restarts_used: int
     inertia_trace: List[float] = field(default_factory=list)
 
 
@@ -30,16 +29,6 @@ class GraphConfig:
 
     k: int = 10
     sigma2: Union[float, str] = 1.0
-    method: str = "exact"  # or "approx"
-    recall_target: float = 0.9
-    seed: int = 0
-
-    def neighbors(self, points: np.ndarray):
-        if self.method == "exact":
-            return knn_exact(points, self.k)
-        if self.method == "approx":
-            return knn_approx(points, self.k, self.recall_target, seed=self.seed)
-        raise ValueError(f"unknown graph method {self.method!r}")
 
 
 def _kmeans_once(cols: np.ndarray, k: int, rng) -> tuple:
@@ -96,8 +85,7 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 10, seed: int = 0) -> Clu
         labels, inertia, trace = _kmeans_once(cols, k, rng)
         if best is None or inertia < best[1]:
             best = (labels, inertia, trace)
-    return ClusterResult(labels=best[0], inertia=best[1], restarts_used=restarts,
-                         inertia_trace=best[2])
+    return ClusterResult(labels=best[0], inertia=best[1], inertia_trace=best[2])
 
 
 def clustering_error(pred, truth) -> float:
@@ -182,8 +170,8 @@ def prepare_experiment(X: DataMatrix, truth, corruption: Optional[CorruptionSpec
         if corruption is not None and corrupt_after_standardize:
             Xs, mask = corrupt(Xs, corruption)
     with _stage(timings, "graphs_ms"):
-        G1 = build_graph(graph_cfg.neighbors(Xs.values), graph_cfg.sigma2)
-        G2 = build_graph(graph_cfg.neighbors(Xs.values.T), graph_cfg.sigma2)
+        G1 = build_graph(knn_exact(Xs.values, graph_cfg.k), graph_cfg.sigma2)
+        G2 = build_graph(knn_exact(Xs.values.T, graph_cfg.k), graph_cfg.sigma2)
     with _stage(timings, "cluster_raw_ms"):
         raw = kmeans(Xs.values, k, restarts=restarts, seed=seed)
         error_raw = clustering_error(raw.labels, truth)
@@ -195,8 +183,7 @@ def prepare_experiment(X: DataMatrix, truth, corruption: Optional[CorruptionSpec
             "corruption": None if corruption is None else {
                 "kind": corruption.kind, "fraction": corruption.fraction,
                 "seed": corruption.seed, "entries": int(mask.sum())},
-            "graph": {"k": graph_cfg.k, "sigma2": graph_cfg.sigma2,
-                      "method": graph_cfg.method}}
+            "graph": {"k": graph_cfg.k, "sigma2": graph_cfg.sigma2}}
     return PreparedExperiment(
         Xs=Xs, truth=truth, classes=k, G1=G1, G2=G2, record_head=head, seed=seed,
         restarts=restarts, rank_threshold=rank_threshold, cluster_on=cluster_on,

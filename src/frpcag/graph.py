@@ -1,5 +1,6 @@
 """K-NN graph construction, normalized Laplacians and partial eigendecompositions."""
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -24,7 +25,6 @@ class NeighborList:
 
     indices: np.ndarray
     distances: np.ndarray
-    exact: bool = True
 
     def __post_init__(self):
         n, k = self.indices.shape
@@ -97,133 +97,7 @@ def knn_exact(points: np.ndarray, K: int) -> NeighborList:
         order = np.argsort(d, axis=1, kind="stable")[:, :K]
         indices[start:stop] = order
         distances[start:stop] = np.take_along_axis(d, order, axis=1)
-    return NeighborList(indices, distances, exact=True)
-
-
-def _rp_tree_leaves(cols: np.ndarray, leaf_size: int, rng) -> list:
-    """Partition point indices into leaves of a random-projection tree."""
-    leaves = []
-    stack = [(np.arange(cols.shape[0]), 0)]
-    while stack:
-        idx, depth = stack.pop()
-        if idx.size <= leaf_size or depth > 30:
-            leaves.append(idx)
-            continue
-        a, b = rng.choice(idx, size=2, replace=False)
-        normal = cols[a] - cols[b]
-        proj = cols[idx] @ normal
-        thresh = np.median(proj)
-        left = proj < thresh
-        if not left.any() or left.all():  # degenerate split (duplicates)
-            leaves.append(idx)
-            continue
-        stack.append((idx[left], depth + 1))
-        stack.append((idx[~left], depth + 1))
-    return leaves
-
-
-def _best_k(point: np.ndarray, cand: np.ndarray, cols: np.ndarray, K: int):
-    """K closest members of cand to point, ties broken by lower index."""
-    cand = np.unique(cand)
-    d = cdist(point[None, :], cols[cand])[0]
-    order = np.argsort(d, kind="stable")[:K]  # cand already ascending
-    return cand[order], d[order]
-
-
-def _forest_candidates(cols: np.ndarray, K: int, n_trees: int, rng):
-    """Initial neighbor lists from leaf co-membership over an RP forest."""
-    n = cols.shape[0]
-    leaf_size = max(3 * K, 24)
-    pools = [[] for _ in range(n)]
-    for _ in range(n_trees):
-        for leaf in _rp_tree_leaves(cols, leaf_size, rng):
-            for i in leaf:
-                pools[i].append(leaf)
-    indices = np.empty((n, K), dtype=np.int64)
-    distances = np.empty((n, K), dtype=np.float64)
-    for i in range(n):
-        cand = np.concatenate(pools[i])
-        cand = cand[cand != i]
-        if cand.size < K:
-            extra = rng.choice(n, size=min(2 * K + 1, n), replace=False)
-            cand = np.concatenate([cand, extra[extra != i]])
-        indices[i], distances[i] = _best_k(cols[i], cand, cols, K)
-    return indices, distances
-
-
-def _nn_descent(cols, indices, distances, rng, rounds: int, hood_cap: int,
-                inject: int) -> None:
-    """Local-join refinement over forward and reverse neighbors, in place.
-
-    A few injected random candidates per vertex and round keep the search
-    from stalling on data whose true K-NN graph has little locality.
-    """
-    n = cols.shape[0]
-    K = indices.shape[1]
-    for _ in range(rounds):
-        reverse = [[] for _ in range(n)]
-        for i in range(n):
-            for j in indices[i]:
-                reverse[j].append(i)
-        changed = 0
-        for i in range(n):
-            hood = np.concatenate([indices[i], np.asarray(reverse[i], dtype=np.int64)])
-            hood = np.unique(hood)
-            if hood.size > hood_cap:
-                hood = rng.choice(hood, size=hood_cap, replace=False)
-            cand = np.concatenate([hood, indices[hood].ravel(),
-                                   rng.integers(0, n, size=inject)])
-            cand = cand[cand != i]
-            new_idx, new_d = _best_k(cols[i], cand, cols, K)
-            changed += K - np.intersect1d(new_idx, indices[i]).size
-            indices[i] = new_idx
-            distances[i] = new_d
-        if changed <= max(1, n * K // 1000):
-            break
-
-
-def _sampled_recall(cols, indices, rng, sample_size: int = 200) -> float:
-    """Recall of the current lists on a random vertex sample, against brute force."""
-    n, K = indices.shape
-    sample = rng.choice(n, size=min(sample_size, n), replace=False)
-    d = cdist(cols[sample], cols)
-    d[np.arange(sample.size), sample] = np.inf
-    exact = np.argsort(d, axis=1, kind="stable")[:, :K]
-    hits = sum(np.intersect1d(exact[s], indices[i]).size
-               for s, i in enumerate(sample))
-    return hits / (sample.size * K)
-
-
-def knn_approx(points: np.ndarray, K: int, recall_target: float = 0.9,
-               seed: int = 0) -> NeighborList:
-    """Approximate K-NN: RP-forest init, NN-descent, and certified recall.
-
-    Neighbor lists start from leaf co-membership over random-projection
-    trees and are refined by local joins. Recall is then measured on a
-    random sample against brute force; effort escalates until the sampled
-    recall clears recall_target with a safety margin, with exact search as
-    the final fallback. recall_target >= 1.0 goes straight to the exact
-    search. Deterministic under seed.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[1]
-    if not 1 <= K < n:
-        raise ValueError(f"K must satisfy 1 <= K < n, got K={K}, n={n}")
-    if not 0.0 < recall_target <= 1.0:
-        raise ValueError(f"recall_target must lie in (0, 1], got {recall_target}")
-    if recall_target >= 1.0:
-        return knn_exact(points, K)
-
-    rng = np.random.default_rng(seed)
-    cols = points.T.copy()
-    indices, distances = _forest_candidates(cols, K, n_trees=10, rng=rng)
-    certify_to = min(1.0, recall_target + 0.04)  # margin over the sampling noise
-    for hood_cap, rounds, inject in ((3 * K, 8, 2), (6 * K, 8, 8), (12 * K, 10, 16)):
-        _nn_descent(cols, indices, distances, rng, rounds, hood_cap, inject)
-        if _sampled_recall(cols, indices, rng) >= certify_to:
-            return NeighborList(indices, distances, exact=False)
-    exact = knn_exact(points, K)
-    return NeighborList(exact.indices, exact.distances, exact=False)
+    return NeighborList(indices, distances)
 
 
 def _normalized_laplacian(A: sp.csr_matrix):
@@ -341,27 +215,46 @@ def save_graph_coo(graph: SparseGraph, path) -> None:
 def load_graph_coo(path, vertex_count: Optional[int] = None) -> SparseGraph:
     """Read a COO triplet file back into a SparseGraph.
 
-    Without vertex_count the size is inferred as max index + 1.
+    Without vertex_count the size is inferred as max index + 1. Raises
+    GraphFormatError unless the file is UTF-8 text of 'i j weight' lines with
+    non-negative indices, finite non-negative weights and a symmetric
+    adjacency whose vertex degrees stay finite.
     """
-    rows, cols, data = [], [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise GraphFormatError(f"{path}: expected 'i j weight' on line {lineno}")
-            try:
-                rows.append(int(parts[0]))
-                cols.append(int(parts[1]))
-                data.append(float(parts[2]))
-            except ValueError as exc:
-                raise GraphFormatError(f"{path}: bad triplet on line {lineno}") from exc
-    if not rows:
+    triplets = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split()
+                if len(parts) != 3:
+                    raise GraphFormatError(f"{path}: expected 'i j weight' on line {lineno}")
+                try:
+                    i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+                except ValueError as exc:
+                    raise GraphFormatError(f"{path}: bad triplet on line {lineno}") from exc
+                if i < 0 or j < 0:
+                    raise GraphFormatError(f"{path}: negative vertex index on line {lineno}")
+                if not (math.isfinite(w) and w >= 0):
+                    raise GraphFormatError(
+                        f"{path}: weight must be finite and non-negative on line {lineno}")
+                triplets.append((i, j, w))
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc
+    if not triplets:
         raise GraphFormatError(f"{path}: no edges")
-    n = vertex_count if vertex_count is not None else max(max(rows), max(cols)) + 1
-    if max(max(rows), max(cols)) >= n:
+    rows, cols, data = zip(*triplets)
+    top = max(max(rows), max(cols))
+    n = vertex_count if vertex_count is not None else top + 1
+    if top >= n:
         raise GraphFormatError(f"{path}: vertex index exceeds declared count {n}")
-    A = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    return graph_from_adjacency(A)
+    try:  # indices past int64 overflow; an asymmetric adjacency is a ValueError
+        A = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+        with np.errstate(over="ignore"):  # an overflowing degree is rejected below
+            graph = graph_from_adjacency(A)
+    except (OverflowError, ValueError) as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc
+    if not np.all(np.isfinite(graph.degrees)):
+        raise GraphFormatError(f"{path}: edge weights overflow a vertex degree")
+    return graph

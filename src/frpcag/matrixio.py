@@ -1,6 +1,7 @@
 """Data matrix ingestion, feature standardization and corruption generators."""
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -66,24 +67,31 @@ def load_matrix(path, fmt: str = "csv", image_dims=None) -> DataMatrix:
 
     fmt "csv" reads numeric RFC-4180 cells, one feature per row; fmt
     "binary-f64" reads the FRPM binary layout written by save_matrix.
-    Raises MatrixFormatError on ragged rows, non-numeric cells or a bad
-    header, and OSError when the file cannot be read.
+    Raises MatrixFormatError on text that is not UTF-8, ragged rows,
+    non-numeric or non-finite entries or a bad header, and OSError when the
+    file cannot be read.
     """
     if fmt == "csv":
         rows = []
-        with open(path, "r", newline="") as fh:
-            for lineno, record in enumerate(csv.reader(fh), start=1):
-                if not record:
-                    continue
-                try:
-                    rows.append([float(cell) for cell in record])
-                except ValueError as exc:
-                    raise MatrixFormatError(f"{path}: non-numeric cell on line {lineno}") from exc
-                if len(rows[-1]) != len(rows[0]):
-                    raise MatrixFormatError(
-                        f"{path}: ragged row on line {lineno} "
-                        f"({len(rows[-1])} cells, expected {len(rows[0])})"
-                    )
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                for lineno, record in enumerate(csv.reader(fh), start=1):
+                    if not record:
+                        continue
+                    try:
+                        rows.append([float(cell) for cell in record])
+                    except ValueError as exc:
+                        raise MatrixFormatError(
+                            f"{path}: non-numeric cell on line {lineno}") from exc
+                    if not all(map(math.isfinite, rows[-1])):
+                        raise MatrixFormatError(f"{path}: non-finite cell on line {lineno}")
+                    if len(rows[-1]) != len(rows[0]):
+                        raise MatrixFormatError(
+                            f"{path}: ragged row on line {lineno} "
+                            f"({len(rows[-1])} cells, expected {len(rows[0])})"
+                        )
+        except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a field past the size limit
+            raise MatrixFormatError(f"{path}: {exc}") from exc
         if not rows:
             raise MatrixFormatError(f"{path}: empty file")
         return DataMatrix(np.array(rows, dtype=np.float64), image_dims=image_dims)
@@ -100,6 +108,8 @@ def load_matrix(path, fmt: str = "csv", image_dims=None) -> DataMatrix:
         if len(payload) != expected:
             raise MatrixFormatError(f"{path}: payload holds {len(payload)} bytes, expected {expected}")
         values = np.frombuffer(payload, dtype="<f8").reshape((p, n), order="F")
+        if not np.all(np.isfinite(values)):
+            raise MatrixFormatError(f"{path}: non-finite entry in the payload")
         return DataMatrix(values.copy(), image_dims=image_dims)
     raise ValueError(f"unknown matrix format {fmt!r}")
 

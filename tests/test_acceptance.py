@@ -189,11 +189,7 @@ def test_criterion_07_laplacian_spectrum():
         k = int(rng.integers(1, min(7, n)))
         pts = rng.standard_normal((int(rng.integers(2, 8)), n))
         sigma2 = "auto" if seed % 2 else 1.0
-        if seed % 3 == 0 and n > k + 1:
-            nbrs = fp.knn_approx(pts, k, 0.9, seed=seed)
-        else:
-            nbrs = fp.knn_exact(pts, k)
-        g = fp.build_graph(nbrs, sigma2)
+        g = fp.build_graph(fp.knn_exact(pts, k), sigma2)
         vals = eigh(g.laplacian.toarray(), eigvals_only=True)
         lo, hi = min(lo, vals.min()), max(hi, vals.max())
     report(7, "normalized Laplacian spectra stay inside [0, 2], 20 graphs",
@@ -281,8 +277,7 @@ def test_criterion_12_usps_stationarity_ratios():
     X, labels = _load_usps(os.environ["FRPCAG_USPS"])
 
     def feature_ratio(values):
-        nbrs = fp.knn_approx(values.T, 10, 0.9, seed=0)
-        G2 = fp.build_graph(nbrs, "auto")
+        G2 = fp.build_graph(fp.knn_exact(values.T, 10), "auto")
         P = fp.partial_eigs(G2, G2.vertex_count).vectors
         _, s_r = fp.alignment_ratio(P, fp.covariance(values))
         return s_r

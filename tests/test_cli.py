@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -50,6 +51,18 @@ def test_graph_k_too_large_exits_2(tmp_path, dataset):
 
 def test_graph_missing_input_exits_1(tmp_path):
     assert main(["graph", "--input", str(tmp_path / "nope.csv"), "--k", "3",
+                 "--output", str(tmp_path / "g.coo")]) == 1
+
+
+@pytest.mark.parametrize("fmt, content", [
+    ("csv", b"1,2,3\n4,nan,6\n"),
+    ("csv", b"1,2,3\n4,\xff5,6\n"),
+    ("binary-f64", b"FRPM" + struct.pack("<QQ", 1, 3) + struct.pack("<3d", 1, np.inf, 3)),
+])
+def test_graph_bad_matrix_file_exits_1(tmp_path, fmt, content):
+    data = tmp_path / "data.in"
+    data.write_bytes(content)
+    assert main(["graph", "--input", str(data), "--format", fmt, "--k", "1",
                  "--output", str(tmp_path / "g.coo")]) == 1
 
 
@@ -116,6 +129,19 @@ def test_solve_config_file_with_flag_override(tmp_path, dataset):
     assert main(["solve", "--input", str(data), "--graph1", str(g1),
                  "--graph2", str(g2), "--config", str(bad),
                  "--output-u", str(tmp_path / "u.bin")]) == 2
+
+
+@pytest.mark.parametrize("extra", [
+    "-1 0 1\n0 -1 1\n",  # negative vertex index
+    "0 1 nan\n1 0 nan\n",  # non-finite weight
+    "0 1 -50\n1 0 -50\n",  # negative weight, which drives a degree below 0
+])
+def test_solve_bad_graph_file_exits_1(tmp_path, dataset, extra):
+    data, _ = dataset
+    g1, g2 = build_graphs(tmp_path, data)
+    g1.write_text(g1.read_text() + extra)
+    assert main(["solve", "--input", str(data), "--graph1", str(g1),
+                 "--graph2", str(g2), "--output-u", str(tmp_path / "u.bin")]) == 1
 
 
 def test_solve_divergence_exits_3(tmp_path, dataset):
@@ -254,6 +280,14 @@ def test_experiment_unknown_key_exits_2(tmp_path, capsys):
     conf.write_text("dataset = two-gaussians\nmystery_knob = 3\n")
     assert main(["experiment", "--config", str(conf)]) == 2
     assert "mystery_knob" in capsys.readouterr().err
+
+
+def test_graph_removed_search_flags_exit_2(tmp_path, dataset):
+    data, _ = dataset
+    for flag in (["--mode", "approx"], ["--recall", "0.9"], ["--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", "--input", str(data), "--output", str(tmp_path / "g.coo"), *flag])
+        assert exc.value.code == 2
 
 
 def test_experiment_file_dataset(tmp_path):

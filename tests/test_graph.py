@@ -3,9 +3,8 @@ import pytest
 from scipy.linalg import eigh
 
 from frpcag.graph import (GraphFormatError, NeighborList, build_graph,
-                          graph_from_adjacency, knn_approx, knn_exact,
-                          load_graph_coo, partial_eigs, save_graph_coo,
-                          spectral_norm)
+                          graph_from_adjacency, knn_exact, load_graph_coo,
+                          partial_eigs, save_graph_coo, spectral_norm)
 
 
 def brute_force_knn(points, K):
@@ -59,35 +58,6 @@ def test_knn_k_out_of_range():
     pts = np.zeros((2, 4))
     with pytest.raises(ValueError):
         knn_exact(pts, 4)
-    with pytest.raises(ValueError):
-        knn_approx(pts, 4, 0.9)
-
-
-def test_knn_approx_recall_on_blob():
-    rng = np.random.default_rng(1)
-    pts = rng.standard_normal((10, 500))
-    exact = knn_exact(pts, 10)
-    approx = knn_approx(pts, 10, recall_target=0.9, seed=0)
-    hits = sum(np.intersect1d(a, e).size
-               for a, e in zip(approx.indices, exact.indices))
-    assert hits / exact.indices.size >= 0.9
-    assert not approx.exact
-
-
-def test_knn_approx_all_points_are_neighbors():
-    rng = np.random.default_rng(2)
-    pts = rng.standard_normal((3, 11))
-    exact = knn_exact(pts, 10)
-    approx = knn_approx(pts, 10, recall_target=0.9, seed=0)
-    assert np.array_equal(approx.indices, exact.indices)
-
-
-def test_knn_approx_recall_one_falls_back_to_exact():
-    rng = np.random.default_rng(3)
-    pts = rng.standard_normal((4, 50))
-    exact = knn_exact(pts, 6)
-    approx = knn_approx(pts, 6, recall_target=1.0)
-    assert np.array_equal(approx.indices, exact.indices)
 
 
 def test_build_graph_weights():
@@ -237,3 +207,25 @@ def test_coo_bad_file(tmp_path):
     empty.write_text("")
     with pytest.raises(GraphFormatError):
         load_graph_coo(empty)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1 1\n1 0 1\n-1 0 1\n0 -1 1\n", "negative vertex index on line 3"),
+    ("0 1 nan\n1 0 nan\n", "finite and non-negative on line 1"),
+    ("0 1 1\n1 0 inf\n", "finite and non-negative on line 2"),
+    ("0 1 -0.5\n1 0 -0.5\n", "finite and non-negative on line 1"),
+    ("0 1 1\n", "symmetric"),
+    ("0 1 1e308\n1 0 1e308\n0 2 1e308\n2 0 1e308\n", "overflow a vertex degree"),
+])
+def test_coo_rejects_bad_indices_and_weights(tmp_path, text, message):
+    path = tmp_path / "bad.coo"
+    path.write_text(text)
+    with pytest.raises(GraphFormatError, match=message):
+        load_graph_coo(path)
+
+
+def test_coo_rejects_non_utf8(tmp_path):
+    path = tmp_path / "bad.coo"
+    path.write_bytes(b"0 1 1\n1 0 1\xff\n")
+    with pytest.raises(GraphFormatError, match="can't decode"):
+        load_graph_coo(path)

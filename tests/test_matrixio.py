@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,38 @@ def test_parse_errors(tmp_path):
     bad_header.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(MatrixFormatError):
         load_matrix(bad_header, "binary-f64")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e309"])
+def test_csv_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "m.csv"
+    path.write_text(f"1,2\n3,{cell}\n")
+    with pytest.raises(MatrixFormatError, match="non-finite cell on line 2"):
+        load_matrix(path, "csv")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_binary_rejects_non_finite_payload(tmp_path, value):
+    path = tmp_path / "m.bin"
+    with open(path, "wb") as fh:  # save_matrix cannot write it: DataMatrix refuses
+        fh.write(b"FRPM" + struct.pack("<QQ", 2, 2))
+        fh.write(np.array([1.0, value, 3.0, 4.0], dtype="<f8").tobytes())
+    with pytest.raises(MatrixFormatError, match="non-finite"):
+        load_matrix(path, "binary-f64")
+
+
+def test_csv_rejects_non_utf8(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1,2\n3,\xff4\n")
+    with pytest.raises(MatrixFormatError, match="can't decode"):
+        load_matrix(path, "csv")
+
+
+def test_csv_rejects_oversized_field(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1," + "9" * 200_000 + "\n")  # past the csv module's field limit
+    with pytest.raises(MatrixFormatError, match="field larger than field limit"):
+        load_matrix(path, "csv")
 
 
 def test_load_missing_file_is_oserror(tmp_path):
