@@ -51,13 +51,14 @@ def cmd_solve(args) -> int:
     cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
     X = load_matrix(args.input, args.format)
-    G1 = g.load_graph_coo(args.graph1)
-    G2 = g.load_graph_coo(args.graph2)
-    if G1.vertex_count != X.sample_count or G2.vertex_count != X.feature_count:
-        print(f"error: graphs are {G1.vertex_count}/{G2.vertex_count} vertices but the "
+    F1 = g.read_graph_coo(args.graph1)
+    F2 = g.read_graph_coo(args.graph2)
+    # sizes are checked before a Laplacian is allocated for them
+    if F1.vertex_count != X.sample_count or F2.vertex_count != X.feature_count:
+        print(f"error: graphs are {F1.vertex_count}/{F2.vertex_count} vertices but the "
               f"matrix is {X.feature_count} x {X.sample_count}", file=sys.stderr)
         return EXIT_USAGE
-    result = fista_solve(X, G1, G2, cfg)
+    result = fista_solve(X, F1.to_graph(), F2.to_graph(), cfg)
     save_matrix(args.output_u, DataMatrix(result.U.values), fmt="binary-f64")
     if args.output_trace:
         save_trace_csv(result.objective_trace, args.output_trace)

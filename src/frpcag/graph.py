@@ -2,7 +2,7 @@
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,28 +75,57 @@ class GraphEigs:
         return self.values.shape[0]
 
 
+# float64 elements in one block of candidate scores (~16 MB)
+_BLOCK_ELEMENTS = 1 << 21
+
+
 def knn_exact(points: np.ndarray, K: int) -> NeighborList:
     """Exact K nearest neighbors under the Euclidean metric.
 
-    points holds one vector per column. Ties are broken by the lower vertex
-    index; the diagonal (self) is never listed.
+    points holds one vector per column. Distances are cdist's values; ties
+    are broken by the lower vertex index; the diagonal (self) is never listed.
+
+    Rows are processed in blocks of at most _BLOCK_ELEMENTS scores
+    s = |a|^2 + |b|^2 - 2 a.b, computed by one matrix product. With p the
+    dimension and eps the machine epsilon, s differs from the square of
+    cdist's distance by at most E = 2 (p + 4) (eps (|a|^2 + max_b |b|^2) +
+    the smallest normal float64): to first order, the rounding of the
+    product, the norms and cdist's own sum and square root is at most
+    (2p + 6) eps (|a|^2 + max_b |b|^2), and underflow adds less than 3p
+    times the smallest subnormal. Every column scoring above the K-th
+    smallest score plus 2E is then farther than K others, so only the
+    columns inside that window are measured again with cdist and sorted by
+    (distance, index). A row whose window is not finite (norms that
+    overflow) is measured against every other column.
     """
     points = np.asarray(points, dtype=np.float64)
-    n = points.shape[1]
+    p, n = points.shape
     if not 1 <= K < n:
         raise ValueError(f"K must satisfy 1 <= K < n, got K={K}, n={n}")
-    cols = points.T  # cdist wants row vectors
+    cols = np.ascontiguousarray(points.T)  # cdist wants row vectors
     indices = np.empty((n, K), dtype=np.int64)
     distances = np.empty((n, K), dtype=np.float64)
-    block = max(1, int(2e7 / max(n, 1)))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        d = cdist(cols[start:stop], cols)
-        d[np.arange(start, stop) - start, np.arange(start, stop)] = np.inf
-        # stable sort keeps equal distances in index order
-        order = np.argsort(d, axis=1, kind="stable")[:, :K]
-        indices[start:stop] = order
-        distances[start:stop] = np.take_along_axis(d, order, axis=1)
+    f64 = np.finfo(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow take every column
+        sq = np.einsum("ij,ij->i", cols, cols)
+        slack = 4 * (p + 4) * (f64.eps * (sq + sq.max()) + f64.tiny)
+        block = max(1, _BLOCK_ELEMENTS // n)
+        for start in range(0, n, block):
+            rows = np.arange(start, min(start + block, n))
+            scores = cols[rows] @ (-2 * cols.T)  # scaling by -2 is exact
+            scores += sq[rows, None]
+            scores += sq
+            scores[rows - start, rows] = np.inf
+            window = np.partition(scores, K - 1, axis=1)[:, K - 1] + slack[rows]
+            inside = scores <= window[:, None]
+            for r, i in enumerate(rows):
+                cand = (np.flatnonzero(inside[r]) if np.isfinite(window[r])
+                        else np.delete(np.arange(n), i))
+                d = cdist(cols[i:i + 1], cols[cand])[0]
+                # candidates are in index order, so a stable sort breaks ties by index
+                order = np.argsort(d, kind="stable")[:K]
+                indices[i] = cand[order]
+                distances[i] = d[order]
     return NeighborList(indices, distances)
 
 
@@ -212,13 +241,41 @@ def save_graph_coo(graph: SparseGraph, path) -> None:
             fh.write(f"{i} {j} {w:.17g}\n")
 
 
-def load_graph_coo(path, vertex_count: Optional[int] = None) -> SparseGraph:
-    """Read a COO triplet file back into a SparseGraph.
+@dataclass(frozen=True)
+class GraphFile:
+    """The checked 'i j weight' triplets of a COO file, before any matrix is built.
 
-    Without vertex_count the size is inferred as max index + 1. Raises
-    GraphFormatError unless the file is UTF-8 text of 'i j weight' lines with
-    non-negative indices, finite non-negative weights and a symmetric
-    adjacency whose vertex degrees stay finite.
+    vertex_count is the largest index + 1, so a caller can compare it with the
+    size it expects without allocating a matrix of that size.
+    """
+
+    path: str
+    rows: Tuple[int, ...]
+    cols: Tuple[int, ...]
+    weights: Tuple[float, ...]
+    vertex_count: int
+
+    def to_graph(self) -> SparseGraph:
+        """The SparseGraph; raises GraphFormatError for an asymmetric adjacency
+        or a vertex degree that overflows."""
+        n = self.vertex_count
+        try:  # an asymmetric adjacency is a ValueError
+            A = sp.coo_matrix((self.weights, (self.rows, self.cols)), shape=(n, n)).tocsr()
+            with np.errstate(over="ignore"):  # an overflowing degree is rejected below
+                graph = graph_from_adjacency(A)
+        except (OverflowError, ValueError) as exc:
+            raise GraphFormatError(f"{self.path}: {exc}") from exc
+        if not np.all(np.isfinite(graph.degrees)):
+            raise GraphFormatError(f"{self.path}: edge weights overflow a vertex degree")
+        return graph
+
+
+def read_graph_coo(path) -> GraphFile:
+    """Read and check the lines of a COO triplet file.
+
+    Raises GraphFormatError unless the file is UTF-8 text of at least one
+    'i j weight' line with indices in [0, 2^63) and a finite non-negative
+    weight.
     """
     triplets = []
     try:
@@ -236,6 +293,8 @@ def load_graph_coo(path, vertex_count: Optional[int] = None) -> SparseGraph:
                     raise GraphFormatError(f"{path}: bad triplet on line {lineno}") from exc
                 if i < 0 or j < 0:
                     raise GraphFormatError(f"{path}: negative vertex index on line {lineno}")
+                if max(i, j) >= 2 ** 63:
+                    raise GraphFormatError(f"{path}: vertex index past int64 on line {lineno}")
                 if not (math.isfinite(w) and w >= 0):
                     raise GraphFormatError(
                         f"{path}: weight must be finite and non-negative on line {lineno}")
@@ -244,17 +303,14 @@ def load_graph_coo(path, vertex_count: Optional[int] = None) -> SparseGraph:
         raise GraphFormatError(f"{path}: {exc}") from exc
     if not triplets:
         raise GraphFormatError(f"{path}: no edges")
-    rows, cols, data = zip(*triplets)
-    top = max(max(rows), max(cols))
-    n = vertex_count if vertex_count is not None else top + 1
-    if top >= n:
-        raise GraphFormatError(f"{path}: vertex index exceeds declared count {n}")
-    try:  # indices past int64 overflow; an asymmetric adjacency is a ValueError
-        A = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-        with np.errstate(over="ignore"):  # an overflowing degree is rejected below
-            graph = graph_from_adjacency(A)
-    except (OverflowError, ValueError) as exc:
-        raise GraphFormatError(f"{path}: {exc}") from exc
-    if not np.all(np.isfinite(graph.degrees)):
-        raise GraphFormatError(f"{path}: edge weights overflow a vertex degree")
-    return graph
+    rows, cols, weights = zip(*triplets)
+    return GraphFile(path, rows, cols, weights, max(max(rows), max(cols)) + 1)
+
+
+def load_graph_coo(path) -> SparseGraph:
+    """Read a COO triplet file into a SparseGraph of max index + 1 vertices.
+
+    Raises GraphFormatError for any defect read_graph_coo or
+    GraphFile.to_graph rejects.
+    """
+    return read_graph_coo(path).to_graph()

@@ -116,6 +116,17 @@ def test_solve_dimension_mismatch_exits_2(tmp_path, dataset):
                  "--graph2", str(g1), "--output-u", str(tmp_path / "u.bin")]) == 2
 
 
+def test_solve_huge_vertex_index_exits_2(tmp_path, dataset, capsys):
+    # an edge to vertex 10^9 is a size mismatch, found before any matrix is built
+    data, _ = dataset
+    g1, g2 = build_graphs(tmp_path, data)
+    g1.write_text(g1.read_text() + "0 1000000000 1\n1000000000 0 1\n")
+    assert main(["solve", "--input", str(data), "--graph1", str(g1),
+                 "--graph2", str(g2), "--output-u", str(tmp_path / "u.bin")]) == 2
+    assert ("graphs are 1000000001/10 vertices but the matrix is 10 x 30"
+            in capsys.readouterr().err)
+
+
 def test_solve_config_file_with_flag_override(tmp_path, dataset):
     data, _ = dataset
     g1, g2 = build_graphs(tmp_path, data)

@@ -1,7 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import eigh
+from scipy.spatial.distance import cdist
 
+from frpcag import graph
 from frpcag.graph import (GraphFormatError, NeighborList, build_graph,
                           graph_from_adjacency, knn_exact, load_graph_coo,
                           partial_eigs, save_graph_coo, spectral_norm)
@@ -17,6 +24,67 @@ def brute_force_knn(points, K):
         d.sort()
         out[i] = [j for _, j in d[:K]]
     return out
+
+
+def cdist_argsort_knn(points, K):
+    """Oracle: every full cdist row, stably argsorted (ties by lower index),
+    with the point itself taken out."""
+    cols = np.asarray(points, dtype=np.float64).T
+    n = cols.shape[0]
+    d = cdist(cols, cols)
+    order = np.argsort(d, axis=1, kind="stable")
+    order = order[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, :K]
+    return order, np.take_along_axis(d, order, axis=1)
+
+
+@st.composite
+def knn_problems(draw):
+    """Points (p, n), K and a block budget of 1, 2 or 3 rows, or all n rows.
+
+    Values are 8-bit levels (many tied distances) or floats in [-3, 3],
+    scaled by 0.1 (near-ties that the matrix product and cdist round apart)
+    or up to 1e160 (squared norms overflow); some columns are copies of
+    others.
+    """
+    p, n = draw(st.integers(1, 20)), draw(st.integers(2, 30))
+    if draw(st.booleans()):
+        values = st.integers(0, draw(st.sampled_from([2, 255]))).map(lambda v: v / 255.0)
+    else:
+        values = st.floats(-3, 3, allow_subnormal=False)
+    points = draw(arrays(np.float64, (p, n), elements=values, fill=st.nothing()))
+    points *= draw(st.sampled_from([1.0, 0.1, 1e150, 1e154, 1e160]))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=n // 2)):
+        points[:, dst] = points[:, src]
+    K = draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)))
+    rows_per_block = draw(st.sampled_from([1, 2, 3, n]))
+    return points, K, rows_per_block * n
+
+
+@settings(max_examples=300, deadline=None)
+@given(knn_problems())
+@example((np.array([[0.0, 4e157]]), 1, 2))  # every distance overflows to inf
+def test_knn_matches_cdist_argsort_oracle(problem):
+    points, K, budget = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_ELEMENTS", budget)
+        nb = knn_exact(points, K)
+    indices, distances = cdist_argsort_knn(points, K)
+    assert np.array_equal(nb.indices, indices)
+    assert nb.distances.tobytes() == distances.tobytes()
+
+
+def test_knn_memory_below_dense_matrix():
+    # the pixel graph of 104 frames of 64x64: one dense n x n float64 is 134 MB
+    rng = np.random.default_rng(0)
+    points = rng.integers(0, 256, (104, 4096)) / 255.0
+    tracemalloc.start()
+    try:
+        knn_exact(points, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def random_graph(n, k, seed, d=5, sigma2="auto"):
