@@ -8,9 +8,8 @@ from .evalcluster import (ClusterResult, GraphConfig, PreparedExperiment,
                           clustering_error, kmeans, prepare_experiment, run_gamma,
                           two_gaussians)
 from .frames import FrameSequence, separate_background, synthetic_sequence
-from .graph import (GraphEigs, GraphFile, NeighborList, SparseGraph, build_graph,
-                    knn_exact, load_graph_coo, partial_eigs, read_graph_coo,
-                    save_graph_coo, spectral_norm)
+from .graph import (GraphEigs, NeighborList, SparseGraph, build_graph, knn_exact,
+                    load_graph_coo, partial_eigs, save_graph_coo, spectral_norm)
 from .matrixio import (CorruptionSpec, DataMatrix, corrupt, load_matrix,
                        save_matrix, standardize)
 from .solver import (DivergedError, LowRankResult, SolverConfig, fista_solve,

@@ -51,14 +51,9 @@ def cmd_solve(args) -> int:
     cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
     X = load_matrix(args.input, args.format)
-    F1 = g.read_graph_coo(args.graph1)
-    F2 = g.read_graph_coo(args.graph2)
-    # sizes are checked before a Laplacian is allocated for them
-    if F1.vertex_count != X.sample_count or F2.vertex_count != X.feature_count:
-        print(f"error: graphs are {F1.vertex_count}/{F2.vertex_count} vertices but the "
-              f"matrix is {X.feature_count} x {X.sample_count}", file=sys.stderr)
-        return EXIT_USAGE
-    result = fista_solve(X, F1.to_graph(), F2.to_graph(), cfg)
+    G1 = g.load_graph_coo(args.graph1, X.sample_count)
+    G2 = g.load_graph_coo(args.graph2, X.feature_count)
+    result = fista_solve(X, G1, G2, cfg)
     save_matrix(args.output_u, DataMatrix(result.U.values), fmt="binary-f64")
     if args.output_trace:
         save_trace_csv(result.objective_trace, args.output_trace)
@@ -136,9 +131,10 @@ def _experiment_data(cfg: ExperimentConfig, source):
                              seed=cfg.data_seed)
     if cfg.labels is None:
         raise ConfigError(f"{source}: file datasets need a 'labels' path")
-    X = load_matrix(cfg.dataset, cfg.format)
+    dims = None
     if cfg.image_height is not None and cfg.image_width is not None:
-        X = DataMatrix(X.values, image_dims=(cfg.image_height, cfg.image_width))
+        dims = (cfg.image_height, cfg.image_width)
+    X = load_matrix(cfg.dataset, cfg.format, image_dims=dims)
     labels = np.loadtxt(cfg.labels, dtype=np.int64, ndmin=1)
     if labels.size != X.sample_count:
         raise ConfigError(f"{source}: {labels.size} labels for {X.sample_count} samples")
@@ -228,6 +224,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except g.GraphSizeError as exc:  # a size mismatch is a usage error, not a bad file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (MatrixFormatError, g.GraphFormatError, FrameFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -2,7 +2,7 @@
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,6 +17,10 @@ class EigenSolverError(RuntimeError):
 
 class GraphFormatError(ValueError):
     """Raised when a COO graph file is malformed."""
+
+
+class GraphSizeError(GraphFormatError):
+    """Raised when a COO graph file's vertex count is not the one its caller expects."""
 
 
 @dataclass(frozen=True)
@@ -241,43 +245,17 @@ def save_graph_coo(graph: SparseGraph, path) -> None:
             fh.write(f"{i} {j} {w:.17g}\n")
 
 
-@dataclass(frozen=True)
-class GraphFile:
-    """The checked 'i j weight' triplets of a COO file, before any matrix is built.
+def load_graph_coo(path, vertex_count: int) -> SparseGraph:
+    """Read a COO triplet file into a SparseGraph of vertex_count vertices.
 
-    vertex_count is the largest index + 1, so a caller can compare it with the
-    size it expects without allocating a matrix of that size.
+    Raises GraphFormatError, naming the line, unless the file is UTF-8 text
+    of at least one 'i j weight' line with non-negative indices, a finite
+    non-negative weight, no self-loop and no repeated (i, j) pair; and for an
+    asymmetric adjacency or a vertex degree that overflows. Raises its
+    subclass GraphSizeError, before any matrix is allocated, for an index
+    >= vertex_count or a largest index + 1 below vertex_count.
     """
-
-    path: str
-    rows: Tuple[int, ...]
-    cols: Tuple[int, ...]
-    weights: Tuple[float, ...]
-    vertex_count: int
-
-    def to_graph(self) -> SparseGraph:
-        """The SparseGraph; raises GraphFormatError for an asymmetric adjacency
-        or a vertex degree that overflows."""
-        n = self.vertex_count
-        try:  # an asymmetric adjacency is a ValueError
-            A = sp.coo_matrix((self.weights, (self.rows, self.cols)), shape=(n, n)).tocsr()
-            with np.errstate(over="ignore"):  # an overflowing degree is rejected below
-                graph = graph_from_adjacency(A)
-        except (OverflowError, ValueError) as exc:
-            raise GraphFormatError(f"{self.path}: {exc}") from exc
-        if not np.all(np.isfinite(graph.degrees)):
-            raise GraphFormatError(f"{self.path}: edge weights overflow a vertex degree")
-        return graph
-
-
-def read_graph_coo(path) -> GraphFile:
-    """Read and check the lines of a COO triplet file.
-
-    Raises GraphFormatError unless the file is UTF-8 text of at least one
-    'i j weight' line with indices in [0, 2^63) and a finite non-negative
-    weight.
-    """
-    triplets = []
+    edges = {}  # (i, j) -> weight, in file order
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -293,24 +271,35 @@ def read_graph_coo(path) -> GraphFile:
                     raise GraphFormatError(f"{path}: bad triplet on line {lineno}") from exc
                 if i < 0 or j < 0:
                     raise GraphFormatError(f"{path}: negative vertex index on line {lineno}")
-                if max(i, j) >= 2 ** 63:
-                    raise GraphFormatError(f"{path}: vertex index past int64 on line {lineno}")
+                if max(i, j) >= vertex_count:
+                    raise GraphSizeError(
+                        f"{path}: vertex index {max(i, j)} on line {lineno} needs "
+                        f"{max(i, j) + 1} vertices, expected {vertex_count}")
                 if not (math.isfinite(w) and w >= 0):
                     raise GraphFormatError(
                         f"{path}: weight must be finite and non-negative on line {lineno}")
-                triplets.append((i, j, w))
+                if i == j:
+                    raise GraphFormatError(f"{path}: self-loop on line {lineno}")
+                if (i, j) in edges:
+                    raise GraphFormatError(f"{path}: repeated edge {i} {j} on line {lineno}")
+                edges[i, j] = w
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
-    if not triplets:
+    if not edges:
         raise GraphFormatError(f"{path}: no edges")
-    rows, cols, weights = zip(*triplets)
-    return GraphFile(path, rows, cols, weights, max(max(rows), max(cols)) + 1)
-
-
-def load_graph_coo(path) -> SparseGraph:
-    """Read a COO triplet file into a SparseGraph of max index + 1 vertices.
-
-    Raises GraphFormatError for any defect read_graph_coo or
-    GraphFile.to_graph rejects.
-    """
-    return read_graph_coo(path).to_graph()
+    index = np.array(list(edges), dtype=np.int64)
+    largest = int(index.max())
+    if largest + 1 < vertex_count:
+        raise GraphSizeError(f"{path}: largest vertex index {largest} gives {largest + 1} "
+                             f"vertices, expected {vertex_count}")
+    weights = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
+    A = sp.coo_matrix((weights, (index[:, 0], index[:, 1])),
+                      shape=(vertex_count, vertex_count)).tocsr()
+    try:  # an asymmetric adjacency is a ValueError
+        with np.errstate(over="ignore"):  # an overflowing degree is rejected below
+            graph = graph_from_adjacency(A)
+    except ValueError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc
+    if not np.all(np.isfinite(graph.degrees)):
+        raise GraphFormatError(f"{path}: edge weights overflow a vertex degree")
+    return graph

@@ -3,9 +3,12 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frpcag.evalcluster
 from frpcag.cli import main
@@ -89,7 +92,8 @@ def test_solve_frobenius_matches_sylvester_oracle(tmp_path, dataset):
                  "--output-trace", str(trace)]) == 0
     from frpcag.graph import load_graph_coo
     from frpcag.solver import sylvester_solve
-    Ustar = sylvester_solve(X.values, load_graph_coo(g1), load_graph_coo(g2), 2.0, 1.0)
+    Ustar = sylvester_solve(X.values, load_graph_coo(g1, X.sample_count),
+                            load_graph_coo(g2, X.feature_count), 2.0, 1.0)
     U = load_matrix(out_u, "binary-f64").values
     assert np.linalg.norm(U - Ustar) <= 1e-6 * np.linalg.norm(Ustar)
     lines = trace.read_text().strip().splitlines()
@@ -120,11 +124,38 @@ def test_solve_huge_vertex_index_exits_2(tmp_path, dataset, capsys):
     # an edge to vertex 10^9 is a size mismatch, found before any matrix is built
     data, _ = dataset
     g1, g2 = build_graphs(tmp_path, data)
+    lineno = len(g1.read_text().splitlines()) + 1
     g1.write_text(g1.read_text() + "0 1000000000 1\n1000000000 0 1\n")
     assert main(["solve", "--input", str(data), "--graph1", str(g1),
                  "--graph2", str(g2), "--output-u", str(tmp_path / "u.bin")]) == 2
-    assert ("graphs are 1000000001/10 vertices but the matrix is 10 x 30"
-            in capsys.readouterr().err)
+    assert (f"vertex index 1000000000 on line {lineno} needs 1000000001 vertices, "
+            "expected 30" in capsys.readouterr().err)
+
+
+# Byte-level garbage, plus triplet files written in both directions, which
+# get past the reader often enough to reach the solver.
+WEIGHTS = st.sampled_from(["1", "0.5", "0", "-1", "nan", "1e308", "x"])
+COO_FILES = st.one_of(
+    st.binary(max_size=64),
+    st.dictionaries(st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(sorted).map(tuple),
+                    WEIGHTS, max_size=8)
+    .map(lambda edges: "".join(f"{i} {j} {w}\n{j} {i} {w}\n"
+                               for (i, j), w in edges.items()).encode()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(COO_FILES)
+def test_solve_any_graph1_file_gives_documented_exit(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in ("x.csv", "g1.coo", "g2.coo")}
+        save_matrix(paths["x.csv"], DataMatrix(np.arange(12.0).reshape(3, 4)), fmt="csv")
+        with open(paths["g1.coo"], "wb") as fh:
+            fh.write(content)
+        with open(paths["g2.coo"], "w") as fh:
+            fh.write("0 1 1\n0 2 1\n1 0 1\n1 2 1\n2 0 1\n2 1 1\n")
+        assert main(["solve", "--input", paths["x.csv"], "--graph1", paths["g1.coo"],
+                     "--graph2", paths["g2.coo"], "--max-iters", "20",
+                     "--output-u", os.path.join(tmp, "u.bin")]) in (0, 1, 2)
 
 
 def test_solve_config_file_with_flag_override(tmp_path, dataset):

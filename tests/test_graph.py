@@ -9,7 +9,7 @@ from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
 from frpcag import graph
-from frpcag.graph import (GraphFormatError, NeighborList, build_graph,
+from frpcag.graph import (GraphFormatError, GraphSizeError, NeighborList, build_graph,
                           graph_from_adjacency, knn_exact, load_graph_coo,
                           partial_eigs, save_graph_coo, spectral_norm)
 
@@ -257,7 +257,7 @@ def test_coo_roundtrip(tmp_path):
     g = random_graph(15, 3, seed=14)
     path = tmp_path / "g.coo"
     save_graph_coo(g, path)
-    h = load_graph_coo(path)
+    h = load_graph_coo(path, 15)
     assert h.vertex_count == 15
     assert np.abs((g.adjacency - h.adjacency)).max() < 1e-15
     # byte-identical on re-save
@@ -270,11 +270,11 @@ def test_coo_bad_file(tmp_path):
     bad = tmp_path / "bad.coo"
     bad.write_text("0 1\n")
     with pytest.raises(GraphFormatError):
-        load_graph_coo(bad)
+        load_graph_coo(bad, 2)
     empty = tmp_path / "empty.coo"
     empty.write_text("")
     with pytest.raises(GraphFormatError):
-        load_graph_coo(empty)
+        load_graph_coo(empty, 1)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -288,12 +288,39 @@ def test_coo_bad_file(tmp_path):
 def test_coo_rejects_bad_indices_and_weights(tmp_path, text, message):
     path = tmp_path / "bad.coo"
     path.write_text(text)
+    vertex_count = 1 + max(int(index) for line in text.splitlines()
+                           for index in line.split()[:2])
     with pytest.raises(GraphFormatError, match=message):
-        load_graph_coo(path)
+        load_graph_coo(path, vertex_count)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 0 5\n0 1 1\n1 0 1\n", "self-loop on line 1"),
+    ("0 1 1\n1 0 2\n0 1 1\n", "repeated edge 0 1 on line 3"),
+])
+def test_coo_rejects_what_it_would_repair(tmp_path, text, message):
+    # neither is repaired: a self-loop is not dropped, a repeated pair not summed
+    path = tmp_path / "bad.coo"
+    path.write_text(text)
+    with pytest.raises(GraphFormatError, match=message):
+        load_graph_coo(path, 2)
+
+
+@pytest.mark.parametrize("text, vertex_count, message", [
+    ("0 1 1\n1 0 1\n0 1000000000 1\n", 10,
+     "vertex index 1000000000 on line 3 needs 1000000001 vertices, expected 10"),
+    ("0 1 1\n1 0 1\n", 3, "largest vertex index 1 gives 2 vertices, expected 3"),
+    ("0 1 1\n1 0 1\n", 1, "vertex index 1 on line 1 needs 2 vertices, expected 1"),
+])
+def test_coo_rejects_other_vertex_count(tmp_path, text, vertex_count, message):
+    path = tmp_path / "g.coo"
+    path.write_text(text)
+    with pytest.raises(GraphSizeError, match=message):
+        load_graph_coo(path, vertex_count)
 
 
 def test_coo_rejects_non_utf8(tmp_path):
     path = tmp_path / "bad.coo"
     path.write_bytes(b"0 1 1\n1 0 1\xff\n")
     with pytest.raises(GraphFormatError, match="can't decode"):
-        load_graph_coo(path)
+        load_graph_coo(path, 2)

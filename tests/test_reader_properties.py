@@ -67,9 +67,9 @@ def test_frpm_reader_raises_only_matrix_format_error(content):
 
 
 @settings(max_examples=300, deadline=None)
-@given(COO)
-def test_coo_reader_raises_only_graph_format_error(content):
-    assert_only(GraphFormatError, load_graph_coo, content)
+@given(COO, st.integers(0, 4))
+def test_coo_reader_raises_only_graph_format_error(content, vertex_count):
+    assert_only(GraphFormatError, lambda path: load_graph_coo(path, vertex_count), content)
 
 
 @settings(max_examples=300, deadline=None)

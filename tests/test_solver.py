@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frpcag.config import ConfigError, parse_keyvalue_text
 from frpcag.graph import build_graph, knn_exact
 from frpcag.matrixio import DataMatrix
-from frpcag.solver import (DivergedError, SolverConfig, auto_step, fista_solve,
+from frpcag.solver import (LOSSES, DivergedError, SolverConfig, auto_step, fista_solve,
                            gradient_smooth, objective, prox_fidelity,
                            sequential_prox, sylvester_solve)
 
@@ -170,6 +172,24 @@ def test_fista_u_plus_s_is_x():
     cfg = SolverConfig(loss="l1", gamma1=2.0, gamma2=2.0)
     res = fista_solve(X, G1, G2, cfg)
     assert np.array_equal(res.U.values + res.S.values, X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(3, 8), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(LOSSES), st.sampled_from([0.5, 3.0]), st.sampled_from([1.0, 10.0]))
+def test_fista_properties_on_random_instances(p, n, seed, loss, gamma1, gamma2):
+    # U + S == X is not asserted: X - U + U can round away from X by an ulp.
+    # Zero gammas are left out: X is then optimal, and the frobenius_sq prox
+    # (X + 2X) / 3 rounds U an ulp off it, above the objective at X.
+    X, G1, G2 = make_instance(p, n, k=2, seed=seed)
+    cfg = SolverConfig(loss=loss, gamma1=gamma1, gamma2=gamma2, epsilon=1e-10,
+                       max_iters=300)
+    first, second = fista_solve(X, G1, G2, cfg), fista_solve(X, G1, G2, cfg)
+    assert np.array_equal(first.S.values, X - first.U.values)
+    assert first.U.values.tobytes() == second.U.values.tobytes()
+    assert (np.array(first.objective_trace).tobytes()
+            == np.array(second.objective_trace).tobytes())
+    assert first.objective_trace[-1] <= objective(X, X, G1, G2, cfg)
 
 
 def test_fista_divergence_detection():
