@@ -143,19 +143,40 @@ COO_FILES = st.one_of(
                                for (i, j), w in edges.items()).encode()))
 
 
+# Byte-level garbage, CSV text of malformed or misshapen rows, and 3 x 4
+# matrices of finite values up to the float64 limit, which reach the solver
+# (where they may overflow into a divergence exit).
+FINITE_CELLS = st.sampled_from(["0", "1", "-2.5", "1e154", "1e308", "-1e308"])
+CELLS = st.one_of(FINITE_CELLS, st.sampled_from(["nan", "inf", "x", ""]))
+CSV_FILES = st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.lists(CELLS, min_size=3, max_size=5), min_size=2, max_size=4)
+    .map(lambda rows: "".join(",".join(row) + "\n" for row in rows).encode()),
+    st.lists(FINITE_CELLS, min_size=12, max_size=12)
+    .map(lambda cells: "".join(",".join(cells[i:i + 4]) + "\n" for i in (0, 4, 8)).encode()))
+VALID_GRAPHS = {  # for a 3 x 4 matrix: 4 samples, 3 features
+    "graph1": b"0 1 1\n1 0 1\n1 2 1\n2 1 1\n2 3 1\n3 2 1\n",
+    "graph2": b"0 1 1\n0 2 1\n1 0 1\n1 2 1\n2 0 1\n2 1 1\n",
+}
+
+
+@pytest.mark.parametrize("arbitrary", ["input", "graph1", "graph2"])
 @settings(max_examples=200, deadline=None)
-@given(COO_FILES)
-def test_solve_any_graph1_file_gives_documented_exit(content):
+@given(data=st.data())
+def test_solve_any_file_gives_documented_exit(arbitrary, data):
+    # the other two files are valid; no exception may escape
+    content = data.draw(CSV_FILES if arbitrary == "input" else COO_FILES)
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {name: os.path.join(tmp, name) for name in ("x.csv", "g1.coo", "g2.coo")}
-        save_matrix(paths["x.csv"], DataMatrix(np.arange(12.0).reshape(3, 4)), fmt="csv")
-        with open(paths["g1.coo"], "wb") as fh:
+        paths = {name: os.path.join(tmp, name) for name in ("input", "graph1", "graph2")}
+        save_matrix(paths["input"], DataMatrix(np.arange(12.0).reshape(3, 4)), fmt="csv")
+        for name, valid in VALID_GRAPHS.items():
+            with open(paths[name], "wb") as fh:
+                fh.write(valid)
+        with open(paths[arbitrary], "wb") as fh:
             fh.write(content)
-        with open(paths["g2.coo"], "w") as fh:
-            fh.write("0 1 1\n0 2 1\n1 0 1\n1 2 1\n2 0 1\n2 1 1\n")
-        assert main(["solve", "--input", paths["x.csv"], "--graph1", paths["g1.coo"],
-                     "--graph2", paths["g2.coo"], "--max-iters", "20",
-                     "--output-u", os.path.join(tmp, "u.bin")]) in (0, 1, 2)
+        assert main(["solve", "--input", paths["input"], "--graph1", paths["graph1"],
+                     "--graph2", paths["graph2"], "--max-iters", "20",
+                     "--output-u", os.path.join(tmp, "u.bin")]) in (0, 1, 2, 3, 4)
 
 
 def test_solve_config_file_with_flag_override(tmp_path, dataset):

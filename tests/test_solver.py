@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,11 +178,10 @@ def test_fista_u_plus_s_is_x():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6), st.integers(3, 8), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(LOSSES), st.sampled_from([0.5, 3.0]), st.sampled_from([1.0, 10.0]))
+       st.sampled_from(LOSSES), st.sampled_from([0.0, 0.5, 3.0]),
+       st.sampled_from([0.0, 1.0, 10.0]))
 def test_fista_properties_on_random_instances(p, n, seed, loss, gamma1, gamma2):
     # U + S == X is not asserted: X - U + U can round away from X by an ulp.
-    # Zero gammas are left out: X is then optimal, and the frobenius_sq prox
-    # (X + 2X) / 3 rounds U an ulp off it, above the objective at X.
     X, G1, G2 = make_instance(p, n, k=2, seed=seed)
     cfg = SolverConfig(loss=loss, gamma1=gamma1, gamma2=gamma2, epsilon=1e-10,
                        max_iters=300)
@@ -190,6 +191,82 @@ def test_fista_properties_on_random_instances(p, n, seed, loss, gamma1, gamma2):
     assert (np.array(first.objective_trace).tobytes()
             == np.array(second.objective_trace).tobytes())
     assert first.objective_trace[-1] <= objective(X, X, G1, G2, cfg)
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+def test_fista_zero_gammas_returns_x_exactly(loss):
+    X, G1, G2 = make_instance(2, 3, k=2, seed=1)
+    res = fista_solve(X, G1, G2, SolverConfig(loss=loss, gamma1=0.0, gamma2=0.0))
+    assert np.array_equal(res.U.values, X)
+    assert res.objective_trace == [0.0]
+
+
+def reference_fista(X, G1, G2, cfg):
+    """Oracle: the loop that multiplies by both Laplacians twice per iteration,
+    once for the gradient at Y and once for the objective at U, on fresh
+    arrays; its prox steps are the residual forms of prox_fidelity's
+    docstring. Returns (U, objective trace, iterations)."""
+    L1, L2 = G1.laplacian, G2.laplacian
+    lam = auto_step(G1, G2, cfg.gamma1, cfg.gamma2) if cfg.step == "auto" else float(cfg.step)
+    Y, U_prev = X.copy(), X.copy()
+    t, trace = 1.0, []
+    for it in range(1, cfg.max_iters + 1):
+        grad = 2.0 * (cfg.gamma1 * (L1 @ Y.T).T + cfg.gamma2 * (L2 @ Y))
+        R = Y - lam * grad - X
+        if cfg.loss == "l1":
+            U = X + np.sign(R) * np.maximum(np.abs(R) - lam, 0.0)
+        else:
+            U = X + R / (1.0 + 2.0 * lam)
+        R = U - X
+        fidelity = np.abs(R).sum() if cfg.loss == "l1" else (R * R).sum()
+        trace.append(float(fidelity + cfg.gamma1 * np.sum(U * (L1 @ U.T).T)
+                           + cfg.gamma2 * np.sum(U * (L2 @ U))))
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        Y_next = U + ((t - 1.0) / t_next) * (U - U_prev)
+        diff, base = float(((Y_next - Y) ** 2).sum()), float((Y ** 2).sum())
+        U_prev, Y, t = U, Y_next, t_next
+        if diff < cfg.epsilon * base or diff == 0.0:
+            return U, trace, it
+    return U, trace, cfg.max_iters
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 24), st.integers(2, 24), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(LOSSES), st.sampled_from([0.0, 0.5, 3.0]),
+       st.sampled_from([0.0, 1.0, 10.0]), st.sampled_from([None, 0.25, 1.0]),
+       st.integers(1, 80))
+def test_fista_matches_two_pair_reference(p, n, seed, loss, gamma1, gamma2, step_scale,
+                                          max_iters):
+    # epsilon=1e-300 leaves a run only an exact fixed point (diff == 0) to stop
+    # on before max_iters, and rounding can hold one loop an ulp off a point the
+    # other reaches (p=2, n=11, seed=0, l1, gammas 0 and 10: the reference
+    # stops after 4 iterations). So traces are compared over the iterations
+    # both made; tolerance-based stops are not compared at all, as diff / base
+    # can round across epsilon.
+    X, G1, G2 = make_instance(p, n, k=3, seed=seed)
+    step = "auto" if step_scale is None else step_scale * auto_step(G1, G2, gamma1, gamma2)
+    cfg = SolverConfig(loss=loss, gamma1=gamma1, gamma2=gamma2, step=step,
+                       epsilon=1e-300, max_iters=max_iters)
+    res = fista_solve(X, G1, G2, cfg)
+    U, trace, iterations = reference_fista(X, G1, G2, cfg)
+    assert len(res.objective_trace) == res.iterations and len(trace) == iterations
+    both = min(res.iterations, iterations)
+    got, want = np.array(res.objective_trace[:both]), np.array(trace[:both])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    assert np.abs(res.U.values - U).max() <= 1e-12 * np.abs(X).max()
+
+
+def test_fista_memory_bounded():
+    # shaped like the background workload: 4096 pixels by 104 frames
+    X, G1, G2 = make_instance(4096, 104, k=10, seed=0)
+    cfg = SolverConfig(loss="l1", gamma1=1.0, gamma2=1.0, max_iters=10)
+    tracemalloc.start()
+    try:
+        fista_solve(X, G1, G2, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * X.nbytes
 
 
 def test_fista_divergence_detection():
