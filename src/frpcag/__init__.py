@@ -4,7 +4,7 @@ from .analysis import (BoundReport, LowRankOnGraphs, SvdTriplet, alignment_energ
                        alignment_ratio, check_recovery_bound, covariance,
                        economic_svd, make_lowrank_on_graphs, rank_estimate,
                        shape_interaction, recovery_gammas)
-from .evalcluster import (ClusterResult, GraphConfig, PreparedExperiment,
+from .evalcluster import (ClusterResult, ExperimentConfig, PreparedExperiment,
                           clustering_error, kmeans, prepare_experiment, run_gamma,
                           two_gaussians)
 from .frames import FrameSequence, separate_background, synthetic_sequence

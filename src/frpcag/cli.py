@@ -1,7 +1,7 @@
 """Command-line front end: frpcag graph | solve | background | experiment.
 
-Exit codes: 0 success, 1 io/parse, 2 usage or config, 3 solver divergence,
-4 inconsistent data.
+Exit codes: 0 success, 1 io/parse, 2 usage, config or a size too large for
+memory, 3 solver divergence, 4 inconsistent data.
 """
 
 import argparse
@@ -9,16 +9,15 @@ import dataclasses
 import json
 import os
 import sys
-from typing import List, Optional
 
 import numpy as np
 
 from . import graph as g
-from .config import AutoOrPositive, ConfigError, Floats, auto_or_positive, parse_keyvalue
-from .evalcluster import GraphConfig, prepare_experiment, run_gamma, two_gaussians
+from .config import ConfigError, auto_or_positive, parse_keyvalue
+from .evalcluster import ExperimentConfig, prepare_experiment, run_gamma, two_gaussians
 from .frames import (FrameDimensionError, FrameFormatError, load_frames, save_frames,
                      separate_background)
-from .matrixio import CorruptionSpec, DataMatrix, MatrixFormatError, load_matrix, save_matrix
+from .matrixio import DataMatrix, MatrixFormatError, load_matrix, save_matrix
 from .solver import DivergedError, SolverConfig, fista_solve, save_trace_csv
 
 EXIT_OK = 0
@@ -76,64 +75,14 @@ def cmd_background(args) -> int:
     return EXIT_OK
 
 
-@dataclasses.dataclass(frozen=True)
-class ExperimentConfig:
-    """The keys of an experiment config file, with their types and defaults."""
-
-    dataset: str = "two-gaussians"  # or a matrix file, which needs labels
-    format: str = "csv"
-    labels: Optional[str] = None
-    n: int = 200
-    p: int = 40
-    separation: float = 10.0
-    data_seed: int = 0
-    corruption: str = "none"
-    fraction: float = 0.25
-    corruption_seed: int = 0
-    corrupt_after_standardize: bool = False
-    image_height: Optional[int] = None
-    image_width: Optional[int] = None
-    knn_k: int = 10
-    sigma2: AutoOrPositive = 1.0
-    loss: str = "l1"
-    gamma: Optional[Floats] = None  # sets gamma1 = gamma2 = each value in turn
-    gamma1: Optional[float] = None  # 1.0 when unset
-    gamma2: Optional[float] = None  # 1.0 when unset
-    epsilon: float = 1e-6
-    max_iters: int = 1000
-    step: AutoOrPositive = "auto"
-    seed: int = 0
-    restarts: int = 10
-    rank_threshold: float = 0.01
-    cluster_on: str = "u"
-    output: Optional[str] = None
-
-    def __post_init__(self):
-        if self.gamma is not None and (self.gamma1 is not None or self.gamma2 is not None):
-            raise ValueError("use either 'gamma' or 'gamma1'/'gamma2'")
-        self.solver_configs()  # checks the solver settings before any work
-
-    def solver_configs(self) -> List[SolverConfig]:
-        """One solver config per gamma of the sweep."""
-        if self.gamma is not None:
-            pairs = [(gamma, gamma) for gamma in self.gamma]
-        else:
-            pairs = [(1.0 if self.gamma1 is None else self.gamma1,
-                      1.0 if self.gamma2 is None else self.gamma2)]
-        return [SolverConfig(loss=self.loss, gamma1=g1, gamma2=g2, step=self.step,
-                             epsilon=self.epsilon, max_iters=self.max_iters)
-                for g1, g2 in pairs]
-
-
 def _experiment_data(cfg: ExperimentConfig, source):
+    dims = None if cfg.image_height is None else (cfg.image_height, cfg.image_width)
     if cfg.dataset == "two-gaussians":
-        return two_gaussians(n=cfg.n, p=cfg.p, separation=cfg.separation,
-                             seed=cfg.data_seed)
+        X, labels = two_gaussians(n=cfg.n, p=cfg.p, separation=cfg.separation,
+                                  seed=cfg.data_seed)
+        return dataclasses.replace(X, image_dims=dims), labels
     if cfg.labels is None:
         raise ConfigError(f"{source}: file datasets need a 'labels' path")
-    dims = None
-    if cfg.image_height is not None and cfg.image_width is not None:
-        dims = (cfg.image_height, cfg.image_width)
     X = load_matrix(cfg.dataset, cfg.format, image_dims=dims)
     labels = np.loadtxt(cfg.labels, dtype=np.int64, ndmin=1)
     if labels.size != X.sample_count:
@@ -144,13 +93,7 @@ def _experiment_data(cfg: ExperimentConfig, source):
 def cmd_experiment(args) -> int:
     cfg = parse_keyvalue(args.config, ExperimentConfig)
     X, labels = _experiment_data(cfg, args.config)
-    corruption = None if cfg.corruption == "none" else CorruptionSpec(
-        kind=cfg.corruption, fraction=cfg.fraction, seed=cfg.corruption_seed)
-    graph_cfg = GraphConfig(k=cfg.knn_k, sigma2=cfg.sigma2)
-    prepared = prepare_experiment(
-        X, labels, corruption, graph_cfg, seed=cfg.seed, restarts=cfg.restarts,
-        rank_threshold=cfg.rank_threshold, cluster_on=cfg.cluster_on,
-        corrupt_after_standardize=cfg.corrupt_after_standardize)
+    prepared = prepare_experiment(X, labels, cfg)
 
     records = []
     with open(cfg.output if cfg.output is not None else os.devnull, "w") as out:
@@ -230,6 +173,9 @@ def main(argv=None) -> int:
     except (MatrixFormatError, g.GraphFormatError, FrameFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # a requested size no machine can hold
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DivergedError as exc:
         print(f"error: solver diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

@@ -4,13 +4,14 @@ and the corrupt -> solve -> cluster experiment pipeline."""
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from . import analysis
+from .config import AutoOrPositive, Floats
 from .graph import SparseGraph, build_graph, knn_exact, partial_eigs
 from .matrixio import CorruptionSpec, DataMatrix, corrupt, standardize
 from .solver import SolverConfig, fista_solve
@@ -21,14 +22,6 @@ class ClusterResult:
     labels: np.ndarray
     inertia: float
     inertia_trace: List[float] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class GraphConfig:
-    """Graph construction knobs shared by both the sample and feature graphs."""
-
-    k: int = 10
-    sigma2: Union[float, str] = 1.0
 
 
 def _kmeans_once(cols: np.ndarray, k: int, rng) -> tuple:
@@ -123,19 +116,76 @@ def two_gaussians(n: int = 200, p: int = 40, separation: float = 10.0,
 
 
 @dataclass(frozen=True)
+class ExperimentConfig:
+    """The keys of an experiment config file, with their types and defaults.
+    Construction checks every key, so a bad one fails before any data loads."""
+
+    dataset: str = "two-gaussians"  # or a matrix file, which needs labels
+    format: str = "csv"
+    labels: Optional[str] = None
+    n: int = 200
+    p: int = 40
+    separation: float = 10.0
+    data_seed: int = 0
+    corruption: str = "none"  # or "block" / "missing"
+    fraction: float = 0.25
+    corruption_seed: int = 0
+    corrupt_after_standardize: bool = False
+    image_height: Optional[int] = None  # set both or neither
+    image_width: Optional[int] = None
+    knn_k: int = 10
+    sigma2: AutoOrPositive = 1.0
+    loss: str = "l1"
+    gamma: Optional[Floats] = None  # sets gamma1 = gamma2 = each value in turn
+    gamma1: Optional[float] = None  # 1.0 when unset
+    gamma2: Optional[float] = None  # 1.0 when unset
+    epsilon: float = 1e-6
+    max_iters: int = 1000
+    step: AutoOrPositive = "auto"
+    seed: int = 0
+    restarts: int = 10
+    rank_threshold: float = 0.01
+    cluster_on: str = "u"
+    output: Optional[str] = None
+
+    def __post_init__(self):
+        if self.gamma is not None and (self.gamma1 is not None or self.gamma2 is not None):
+            raise ValueError("use either 'gamma' or 'gamma1'/'gamma2'")
+        if (self.image_height is None) != (self.image_width is None):
+            raise ValueError("set both 'image_height' and 'image_width', or neither")
+        if self.cluster_on not in ("u", "w"):
+            raise ValueError(f"cluster_on must be 'u' or 'w', got {self.cluster_on!r}")
+        self.corruption_spec()
+        self.solver_configs()
+
+    def corruption_spec(self) -> Optional[CorruptionSpec]:
+        """The corruption recipe, or None when corruption is "none"."""
+        return None if self.corruption == "none" else CorruptionSpec(
+            kind=self.corruption, fraction=self.fraction, seed=self.corruption_seed)
+
+    def solver_configs(self) -> List[SolverConfig]:
+        """One solver config per gamma of the sweep."""
+        if self.gamma is not None:
+            pairs = [(gamma, gamma) for gamma in self.gamma]
+        else:
+            pairs = [(1.0 if self.gamma1 is None else self.gamma1,
+                      1.0 if self.gamma2 is None else self.gamma2)]
+        return [SolverConfig(loss=self.loss, gamma1=g1, gamma2=g2, step=self.step,
+                             epsilon=self.epsilon, max_iters=self.max_iters)
+                for g1, g2 in pairs]
+
+
+@dataclass(frozen=True)
 class PreparedExperiment:
     """The gamma-independent part of an experiment, shared by every gamma."""
 
+    cfg: ExperimentConfig
     Xs: DataMatrix  # corrupted and standardized
     truth: np.ndarray
     classes: int
     G1: SparseGraph  # samples
     G2: SparseGraph  # features
-    record_head: dict  # n, p, classes, corruption and graph: the first keys of a record
-    seed: int
-    restarts: int
-    rank_threshold: float
-    cluster_on: str
+    corrupted_entries: Optional[int]  # None without corruption
     error_raw: float
     s_r: float
     timings_ms: dict
@@ -148,78 +198,74 @@ def _stage(timings: dict, name: str):
     timings[name] = (time.perf_counter() - t0) * 1e3
 
 
-def prepare_experiment(X: DataMatrix, truth, corruption: Optional[CorruptionSpec],
-                       graph_cfg: GraphConfig, seed: int = 0, restarts: int = 10,
-                       rank_threshold: float = 0.01, cluster_on: str = "u",
-                       corrupt_after_standardize: bool = False) -> PreparedExperiment:
+def prepare_experiment(X: DataMatrix, truth, cfg: ExperimentConfig) -> PreparedExperiment:
     """The gamma-independent stages, run once per sweep: corrupt (after
-    standardizing if corrupt_after_standardize) -> standardize -> dual graphs
-    -> k-means on raw X (error_raw) -> stationarity ratio s_r of the feature
-    graph. timings_ms holds one entry per stage."""
-    if cluster_on not in ("u", "w"):
-        raise ValueError(f"cluster_on must be 'u' or 'w', got {cluster_on!r}")
+    standardizing if cfg.corrupt_after_standardize) -> standardize -> dual
+    graphs -> k-means on raw X (error_raw) -> stationarity ratio s_r of the
+    feature graph. timings_ms holds one entry per stage."""
     truth = np.asarray(truth)
     k = int(np.unique(truth).size)
+    corruption = cfg.corruption_spec()
     timings = {}
 
     with _stage(timings, "corrupt_ms"):
-        if corruption is not None and not corrupt_after_standardize:
+        if corruption is not None and not cfg.corrupt_after_standardize:
             X, mask = corrupt(X, corruption)
     with _stage(timings, "standardize_ms"):
         Xs = standardize(X)
-        if corruption is not None and corrupt_after_standardize:
+        if corruption is not None and cfg.corrupt_after_standardize:
             Xs, mask = corrupt(Xs, corruption)
     with _stage(timings, "graphs_ms"):
-        G1 = build_graph(knn_exact(Xs.values, graph_cfg.k), graph_cfg.sigma2)
-        G2 = build_graph(knn_exact(Xs.values.T, graph_cfg.k), graph_cfg.sigma2)
+        G1 = build_graph(knn_exact(Xs.values, cfg.knn_k), cfg.sigma2)
+        G2 = build_graph(knn_exact(Xs.values.T, cfg.knn_k), cfg.sigma2)
     with _stage(timings, "cluster_raw_ms"):
-        raw = kmeans(Xs.values, k, restarts=restarts, seed=seed)
+        raw = kmeans(Xs.values, k, restarts=cfg.restarts, seed=cfg.seed)
         error_raw = clustering_error(raw.labels, truth)
     with _stage(timings, "s_r_ms"):
         P_full = partial_eigs(G2, G2.vertex_count).vectors
         _, s_r = analysis.alignment_ratio(P_full, analysis.covariance(Xs))
 
-    head = {"n": Xs.sample_count, "p": Xs.feature_count, "classes": k,
-            "corruption": None if corruption is None else {
-                "kind": corruption.kind, "fraction": corruption.fraction,
-                "seed": corruption.seed, "entries": int(mask.sum())},
-            "graph": {"k": graph_cfg.k, "sigma2": graph_cfg.sigma2}}
     return PreparedExperiment(
-        Xs=Xs, truth=truth, classes=k, G1=G1, G2=G2, record_head=head, seed=seed,
-        restarts=restarts, rank_threshold=rank_threshold, cluster_on=cluster_on,
+        cfg=cfg, Xs=Xs, truth=truth, classes=k, G1=G1, G2=G2,
+        corrupted_entries=None if corruption is None else int(mask.sum()),
         error_raw=error_raw, s_r=s_r, timings_ms=timings)
 
 
 def run_gamma(prep: PreparedExperiment, solver_cfg: SolverConfig) -> dict:
     """The per-gamma stages: solve -> economic SVD and rank estimate of U ->
     k-means on U, or on the sigma-scaled principal components the rank keeps
-    when prep.cluster_on is "w". Returns the JSON-friendly record: the
+    when cfg.cluster_on is "w". Returns the JSON-friendly record: the
     configuration echo, clustering errors, s_r, rank and this call's stage
     timings."""
+    cfg = prep.cfg
     timings = {}
     with _stage(timings, "solve_ms"):
         result = fista_solve(prep.Xs, prep.G1, prep.G2, solver_cfg)
     with _stage(timings, "svd_ms"):
         triplet = analysis.economic_svd(result.U)
-        rank = analysis.rank_estimate(triplet.sigma, prep.rank_threshold)
+        rank = analysis.rank_estimate(triplet.sigma, cfg.rank_threshold)
     with _stage(timings, "cluster_ms"):
-        if prep.cluster_on == "u" or triplet.W.shape[1] == 0:
+        if cfg.cluster_on == "u" or triplet.W.shape[1] == 0:
             items = result.U.values
         else:
             # sigma-scaled components keep each direction's energy, matching the
             # k-means geometry of U at full rank
             keep = max(rank, min(prep.classes, triplet.W.shape[1]))
             items = (triplet.W[:, :keep] * triplet.sigma[:keep]).T
-        clustered = kmeans(items, prep.classes, restarts=prep.restarts, seed=prep.seed)
+        clustered = kmeans(items, prep.classes, restarts=cfg.restarts, seed=cfg.seed)
         error = clustering_error(clustered.labels, prep.truth)
 
     return {
-        **prep.record_head,
+        "n": prep.Xs.sample_count, "p": prep.Xs.feature_count, "classes": prep.classes,
+        "corruption": None if prep.corrupted_entries is None else {
+            "kind": cfg.corruption, "fraction": cfg.fraction,
+            "seed": cfg.corruption_seed, "entries": prep.corrupted_entries},
+        "graph": {"k": cfg.knn_k, "sigma2": cfg.sigma2},
         "solver": {"loss": solver_cfg.loss, "gamma1": solver_cfg.gamma1,
                    "gamma2": solver_cfg.gamma2, "epsilon": solver_cfg.epsilon,
                    "max_iters": solver_cfg.max_iters},
-        "seed": prep.seed,
-        "cluster_on": prep.cluster_on,
+        "seed": cfg.seed,
+        "cluster_on": cfg.cluster_on,
         "error": error,
         "error_raw": prep.error_raw,
         "s_r": prep.s_r,

@@ -34,7 +34,7 @@ class DataMatrix:
             raise ValueError("matrix entries must all be finite")
         if self.image_dims is not None:
             h, w = self.image_dims
-            if h * w != values.shape[0]:
+            if h < 1 or w < 1 or h * w != values.shape[0]:
                 raise ValueError(f"image_dims {self.image_dims} inconsistent with p={values.shape[0]}")
         object.__setattr__(self, "values", values)
 

@@ -338,6 +338,38 @@ def test_experiment_bad_value_exits_2(tmp_path, capsys, key, value):
     assert str(tmp_path / "exp.conf") in err and key in err
 
 
+@pytest.mark.parametrize("settings", [
+    {"corruption": "bogus"},
+    {"corruption": "missing", "fraction": "2"},
+    {"cluster_on": "v"},
+    {"image_height": "16"},
+])
+def test_experiment_bad_key_exits_2_before_data_loads(tmp_path, capsys, settings):
+    # the dataset does not exist, so any check left until after loading exits 1
+    conf = tmp_path / "exp.conf"
+    conf.write_text("dataset = missing.bin\nformat = binary-f64\nlabels = missing.txt\n"
+                    + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert main(["experiment", "--config", str(conf)]) == 2
+    assert str(conf) in capsys.readouterr().err
+
+
+def test_experiment_image_dims_apply_to_two_gaussians(tmp_path, capsys):
+    status, records, _ = experiment_records(tmp_path, capsys, p="40", image_height="4",
+                                            image_width="10", corruption="block")
+    assert status == 0 and records[0]["corruption"]["kind"] == "block"
+    for h, w in (("4", "4"), ("-3", "-4")):
+        status, _, err = experiment_records(tmp_path, capsys, image_height=h, image_width=w)
+        assert status == 2 and "image_dims" in err
+
+
+@pytest.mark.parametrize("key", ["n", "p"])
+def test_experiment_size_beyond_memory_exits_2(tmp_path, capsys, key):
+    # 10^15 samples or features exceed any 64-bit address space
+    status, records, err = experiment_records(tmp_path, capsys, **{key: "1000000000000000"})
+    assert status == 2 and records == []
+    assert "error: not enough memory" in err and "Traceback" not in err
+
+
 def test_experiment_unknown_key_exits_2(tmp_path, capsys):
     conf = tmp_path / "exp.conf"
     conf.write_text("dataset = two-gaussians\nmystery_knob = 3\n")

@@ -1,12 +1,13 @@
 import inspect
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from frpcag.evalcluster import (GraphConfig, clustering_error, kmeans,
+from frpcag.evalcluster import (ExperimentConfig, clustering_error, kmeans,
                                 prepare_experiment, run_gamma, two_gaussians)
-from frpcag.matrixio import CorruptionSpec, standardize
+from frpcag.matrixio import standardize
 from frpcag.solver import SolverConfig
 
 
@@ -105,35 +106,33 @@ def test_clustering_error_length_mismatch():
         clustering_error([0, 1], [0, 1, 2])
 
 
-def run_one_gamma(X, truth, corruption, graph_cfg, solver_cfg, **kwargs):
+def run_one_gamma(X, truth, cfg, solver_cfg):
     """One gamma: the prepare stage, then the per-gamma stage."""
-    return run_gamma(prepare_experiment(X, truth, corruption, graph_cfg, **kwargs),
-                     solver_cfg)
+    return run_gamma(prepare_experiment(X, truth, cfg), solver_cfg)
 
 
 def test_run_experiment_clean_separable():
     X, labels = two_gaussians(n=80, p=16, separation=10.0, seed=8)
-    rec = run_one_gamma(X, labels, None, GraphConfig(k=8, sigma2="auto"),
-                        SolverConfig(gamma1=2.0, gamma2=2.0), seed=0, restarts=4)
+    rec = run_one_gamma(X, labels, ExperimentConfig(knn_k=8, sigma2="auto", seed=0, restarts=4),
+                        SolverConfig(gamma1=2.0, gamma2=2.0))
     assert rec["error"] == 0.0
 
 
 def test_run_experiment_corrupted_not_worse_than_raw():
     X, labels = two_gaussians(n=80, p=16, separation=10.0, seed=9)
-    spec = CorruptionSpec(kind="missing", fraction=0.25, seed=1)
-    rec = run_one_gamma(X, labels, spec, GraphConfig(k=8, sigma2="auto"),
-                        SolverConfig(gamma1=2.0, gamma2=2.0), seed=0, restarts=4)
+    cfg = ExperimentConfig(corruption="missing", fraction=0.25, corruption_seed=1,
+                           knn_k=8, sigma2="auto", seed=0, restarts=4)
+    rec = run_one_gamma(X, labels, cfg, SolverConfig(gamma1=2.0, gamma2=2.0))
     assert rec["error"] <= rec["error_raw"]
 
 
 def test_run_experiment_deterministic_modulo_timings():
     X, labels = two_gaussians(n=50, p=12, separation=10.0, seed=10)
-    spec = CorruptionSpec(kind="missing", fraction=0.2, seed=2)
-    kwargs = dict(graph_cfg=GraphConfig(k=6, sigma2="auto"),
-                  solver_cfg=SolverConfig(gamma1=1.0, gamma2=1.0),
-                  seed=3, restarts=3)
-    a = run_one_gamma(X, labels, spec, **kwargs)
-    b = run_one_gamma(X, labels, spec, **kwargs)
+    kwargs = dict(cfg=ExperimentConfig(corruption="missing", fraction=0.2, corruption_seed=2,
+                                       knn_k=6, sigma2="auto", seed=3, restarts=3),
+                  solver_cfg=SolverConfig(gamma1=1.0, gamma2=1.0))
+    a = run_one_gamma(X, labels, **kwargs)
+    b = run_one_gamma(X, labels, **kwargs)
     a.pop("timings_ms")
     b.pop("timings_ms")
     assert a == b
@@ -141,30 +140,29 @@ def test_run_experiment_deterministic_modulo_timings():
 
 def test_run_experiment_cluster_on_principal_components():
     X, labels = two_gaussians(n=80, p=16, separation=10.0, seed=12)
-    rec = run_one_gamma(X, labels, None, GraphConfig(k=8, sigma2="auto"),
-                        SolverConfig(gamma1=5.0, gamma2=5.0), seed=0,
-                        restarts=4, cluster_on="w")
+    rec = run_one_gamma(X, labels, ExperimentConfig(knn_k=8, sigma2="auto", seed=0,
+                                                    restarts=4, cluster_on="w"),
+                        SolverConfig(gamma1=5.0, gamma2=5.0))
     assert rec["cluster_on"] == "w"
     assert rec["error"] == 0.0
     with pytest.raises(ValueError):
-        prepare_experiment(X, labels, None, GraphConfig(k=8), cluster_on="v")
+        ExperimentConfig(cluster_on="v")
 
 
 def test_run_experiment_corrupt_after_standardize():
     X, labels = two_gaussians(n=50, p=12, separation=10.0, seed=13)
-    spec = CorruptionSpec(kind="missing", fraction=0.2, seed=5)
-    kwargs = dict(graph_cfg=GraphConfig(k=6, sigma2="auto"),
-                  solver_cfg=SolverConfig(gamma1=1.0, gamma2=1.0),
-                  seed=1, restarts=2)
-    before = run_one_gamma(X, labels, spec, **kwargs)
-    after = run_one_gamma(X, labels, spec, corrupt_after_standardize=True, **kwargs)
+    cfg = ExperimentConfig(corruption="missing", fraction=0.2, corruption_seed=5,
+                           knn_k=6, sigma2="auto", seed=1, restarts=2)
+    solver_cfg = SolverConfig(gamma1=1.0, gamma2=1.0)
+    before = run_one_gamma(X, labels, cfg, solver_cfg)
+    after = run_one_gamma(X, labels, replace(cfg, corrupt_after_standardize=True), solver_cfg)
     assert before["corruption"]["entries"] == after["corruption"]["entries"]
 
 
 def test_run_experiment_zero_gammas_reduces_to_raw_kmeans():
     X, labels = two_gaussians(n=60, p=10, separation=6.0, seed=11)
-    rec = run_one_gamma(X, labels, None, GraphConfig(k=6, sigma2="auto"),
-                        SolverConfig(gamma1=0.0, gamma2=0.0), seed=4, restarts=3)
+    rec = run_one_gamma(X, labels, ExperimentConfig(knn_k=6, sigma2="auto", seed=4, restarts=3),
+                        SolverConfig(gamma1=0.0, gamma2=0.0))
     Xs = standardize(X)
     raw = kmeans(Xs.values, 2, restarts=3, seed=4)
     assert rec["error"] == clustering_error(raw.labels, labels)
@@ -173,13 +171,13 @@ def test_run_experiment_zero_gammas_reduces_to_raw_kmeans():
 
 def test_sweep_matches_separate_single_gamma_runs():
     X, labels = two_gaussians(n=50, p=12, separation=8.0, seed=14)
-    spec = CorruptionSpec(kind="missing", fraction=0.2, seed=6)
-    args = (X, labels, spec, GraphConfig(k=6, sigma2="auto"))
-    kwargs = dict(seed=2, restarts=3, cluster_on="w")
+    args = (X, labels, ExperimentConfig(corruption="missing", fraction=0.2, corruption_seed=6,
+                                        knn_k=6, sigma2="auto", seed=2, restarts=3,
+                                        cluster_on="w"))
     solver_cfgs = [SolverConfig(gamma1=g, gamma2=g, epsilon=1e-8) for g in (0.5, 3.0, 20.0)]
-    prepared = prepare_experiment(*args, **kwargs)
+    prepared = prepare_experiment(*args)
     swept = [run_gamma(prepared, cfg) for cfg in solver_cfgs]
-    separate = [run_gamma(prepare_experiment(*args, **kwargs), cfg) for cfg in solver_cfgs]
+    separate = [run_gamma(prepare_experiment(*args), cfg) for cfg in solver_cfgs]
     assert set(prepared.timings_ms) == {"corrupt_ms", "standardize_ms", "graphs_ms",
                                         "cluster_raw_ms", "s_r_ms"}
     for a, b in zip(swept, separate):

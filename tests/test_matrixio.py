@@ -87,6 +87,8 @@ def test_datamatrix_invariants():
         DataMatrix(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         DataMatrix(np.zeros((4, 2)), image_dims=(3, 3))
+    with pytest.raises(ValueError):
+        DataMatrix(np.zeros((6, 2)), image_dims=(-2, -3))
     X = DataMatrix(np.zeros((6, 2)), image_dims=(2, 3))
     assert X.feature_count == 6 and X.sample_count == 2
 

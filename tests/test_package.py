@@ -4,6 +4,8 @@ import pathlib
 import re
 
 import frpcag
+from frpcag import ExperimentConfig
+from frpcag.config import parse_keyvalue_text
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +22,11 @@ def test_readme_python_blocks_run_in_order(tmp_path, monkeypatch):
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_readme_experiment_config_matches_the_schema():
+    blocks = re.findall(r"^```ini\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        cfg = parse_keyvalue_text(block, ExperimentConfig, source=str(README))
+        assert cfg != ExperimentConfig()
