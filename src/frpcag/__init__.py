@@ -1,21 +1,38 @@
-"""Robust low-rank recovery with dual graph regularization."""
+"""Robust low-rank recovery with dual graph regularization.
 
-from .analysis import (BoundReport, LowRankOnGraphs, SvdTriplet, alignment_energy,
-                       alignment_ratio, check_recovery_bound, covariance,
-                       economic_svd, make_lowrank_on_graphs, rank_estimate,
-                       shape_interaction, recovery_gammas)
-from .evalcluster import (ClusterResult, ExperimentConfig, PreparedExperiment,
-                          clustering_error, kmeans, prepare_experiment, run_gamma,
-                          two_gaussians)
-from .frames import FrameSequence, separate_background, synthetic_sequence
-from .graph import (GraphEigs, NeighborList, SparseGraph, build_graph, knn_exact,
-                    load_graph_coo, partial_eigs, save_graph_coo, spectral_norm)
-from .matrixio import (CorruptionSpec, DataMatrix, corrupt, load_matrix,
-                       save_matrix, standardize)
-from .solver import (DivergedError, LowRankResult, SolverConfig, fista_solve,
-                     gradient_smooth, objective, prox_fidelity, sequential_prox,
-                     sylvester_solve)
+Names are resolved on first use (PEP 562), so `import frpcag` loads neither
+numpy nor scipy; each module is imported when one of its names is asked for.
+"""
+
+import importlib
+
+_EXPORTS = {
+    "analysis": ("BoundReport", "LowRankOnGraphs", "SvdTriplet", "alignment_energy",
+                 "alignment_ratio", "check_recovery_bound", "covariance", "economic_svd",
+                 "make_lowrank_on_graphs", "rank_estimate", "shape_interaction",
+                 "recovery_gammas"),
+    "evalcluster": ("ClusterResult", "ExperimentConfig", "PreparedExperiment",
+                    "clustering_error", "kmeans", "prepare_experiment", "run_gamma",
+                    "two_gaussians"),
+    "frames": ("FrameSequence", "separate_background", "synthetic_sequence"),
+    "graph": ("GraphEigs", "NeighborList", "SparseGraph", "build_graph", "knn_exact",
+              "load_graph_coo", "partial_eigs", "save_graph_coo", "spectral_norm"),
+    "matrixio": ("CorruptionSpec", "DataMatrix", "corrupt", "load_matrix", "save_matrix",
+                 "standardize"),
+    "solver": ("DivergedError", "LowRankResult", "SolverConfig", "fista_solve",
+               "gradient_smooth", "objective", "prox_fidelity"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = ("config", *_EXPORTS)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_SUBMODULES, *_HOME])
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 io/parse, 2 usage, config or a size too large for
 memory, 3 solver divergence, 4 inconsistent data.
+
+Each command imports the modules it runs when it runs, so `--help` and the
+argument checks load neither numpy nor scipy.
 """
 
 import argparse
@@ -10,15 +13,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import graph as g
 from .config import ConfigError, auto_or_positive, parse_keyvalue
-from .evalcluster import ExperimentConfig, prepare_experiment, run_gamma, two_gaussians
-from .frames import (FrameDimensionError, FrameFormatError, load_frames, save_frames,
-                     separate_background)
-from .matrixio import DataMatrix, MatrixFormatError, load_matrix, save_matrix
-from .solver import DivergedError, SolverConfig, fista_solve, save_trace_csv
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -28,6 +23,9 @@ EXIT_DATA = 4
 
 
 def cmd_graph(args) -> int:
+    from .graph import build_graph, knn_exact, resolve_sigma2, save_graph_coo
+    from .matrixio import load_matrix
+
     X = load_matrix(args.input, args.format)
     points = X.values if args.axis == "samples" else X.values.T
     n = points.shape[1]
@@ -35,23 +33,27 @@ def cmd_graph(args) -> int:
         print(f"error: K={args.k} must be smaller than the number of "
               f"{args.axis} ({n})", file=sys.stderr)
         return EXIT_USAGE
-    nbrs = g.knn_exact(points, args.k)
-    sigma2 = g.resolve_sigma2(nbrs, args.sigma2)
-    built = g.build_graph(nbrs, sigma2)
-    g.save_graph_coo(built, args.output)
+    nbrs = knn_exact(points, args.k)
+    sigma2 = resolve_sigma2(nbrs, args.sigma2)
+    built = build_graph(nbrs, sigma2)
+    save_graph_coo(built, args.output)
     print(f"vertices={built.vertex_count} edges={built.adjacency.nnz // 2} "
           f"sigma2={sigma2:.17g}")
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
+    from .graph import load_graph_coo
+    from .matrixio import DataMatrix, load_matrix, save_matrix
+    from .solver import SolverConfig, fista_solve, save_trace_csv
+
     cfg = parse_keyvalue(args.config, SolverConfig) if args.config else SolverConfig()
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)}
     cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
     X = load_matrix(args.input, args.format)
-    G1 = g.load_graph_coo(args.graph1, X.sample_count)
-    G2 = g.load_graph_coo(args.graph2, X.feature_count)
+    G1 = load_graph_coo(args.graph1, X.sample_count)
+    G2 = load_graph_coo(args.graph2, X.feature_count)
     result = fista_solve(X, G1, G2, cfg)
     save_matrix(args.output_u, DataMatrix(result.U.values), fmt="binary-f64")
     if args.output_trace:
@@ -62,6 +64,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_background(args) -> int:
+    from .frames import load_frames, save_frames, separate_background
+
     seq, names = load_frames(args.frames_dir)
     background, foreground, result = separate_background(
         seq, K=args.k, gamma1=args.gamma1, gamma2=args.gamma2,
@@ -75,7 +79,10 @@ def cmd_background(args) -> int:
     return EXIT_OK
 
 
-def _experiment_data(cfg: ExperimentConfig, source):
+def _experiment_data(cfg, source):
+    from .evalcluster import two_gaussians
+    from .matrixio import load_labels, load_matrix
+
     dims = None if cfg.image_height is None else (cfg.image_height, cfg.image_width)
     if cfg.dataset == "two-gaussians":
         X, labels = two_gaussians(n=cfg.n, p=cfg.p, separation=cfg.separation,
@@ -84,13 +91,15 @@ def _experiment_data(cfg: ExperimentConfig, source):
     if cfg.labels is None:
         raise ConfigError(f"{source}: file datasets need a 'labels' path")
     X = load_matrix(cfg.dataset, cfg.format, image_dims=dims)
-    labels = np.loadtxt(cfg.labels, dtype=np.int64, ndmin=1)
+    labels = load_labels(cfg.labels)
     if labels.size != X.sample_count:
         raise ConfigError(f"{source}: {labels.size} labels for {X.sample_count} samples")
     return X, labels
 
 
 def cmd_experiment(args) -> int:
+    from .evalcluster import ExperimentConfig, prepare_experiment, run_gamma
+
     cfg = parse_keyvalue(args.config, ExperimentConfig)
     X, labels = _experiment_data(cfg, args.config)
     prepared = prepare_experiment(X, labels, cfg)
@@ -165,12 +174,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the errors any command may raise; their modules need only numpy and
+    # scipy.sparse, which every command loads anyway
+    from .frames import FrameDimensionError, FrameFormatError
+    from .graph import GraphFormatError, GraphSizeError
+    from .matrixio import MatrixFormatError
+    from .solver import DivergedError
+
     try:
         return args.func(args)
-    except g.GraphSizeError as exc:  # a size mismatch is a usage error, not a bad file
+    except GraphSizeError as exc:  # a size mismatch is a usage error, not a bad file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MatrixFormatError, g.GraphFormatError, FrameFormatError, OSError) as exc:
+    except (MatrixFormatError, GraphFormatError, FrameFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as exc:  # a requested size no machine can hold

@@ -45,7 +45,8 @@ class FrameSequence:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM (P5, maxval <= 255) into floats in [0, 1]."""
+    """Read a binary PGM (P5, maxval <= 255, no raster byte above maxval) into
+    floats in [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
     tokens = []
@@ -75,6 +76,8 @@ def read_pgm(path) -> np.ndarray:
     if len(raster) != h * w:
         raise FrameFormatError(f"{path}: truncated raster")
     img = np.frombuffer(raster, dtype=np.uint8).reshape(h, w)
+    if img.max() > maxval:
+        raise FrameFormatError(f"{path}: raster value {img.max()} above maxval {maxval}")
     return img.astype(np.float64) / maxval
 
 

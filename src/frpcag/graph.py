@@ -6,9 +6,6 @@ from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
-from scipy.spatial.distance import cdist
 
 
 class EigenSolverError(RuntimeError):
@@ -86,19 +83,21 @@ _BLOCK_ELEMENTS = 1 << 21
 def knn_exact(points: np.ndarray, K: int) -> NeighborList:
     """Exact K nearest neighbors under the Euclidean metric.
 
-    points holds one vector per column. Distances are cdist's values; ties
-    are broken by the lower vertex index; the diagonal (self) is never listed.
+    points holds one vector per column. Distances are computed as
+    scipy.spatial.distance.cdist computes them, bit for bit: the square root
+    of the squared differences summed in index order. Ties are broken by the
+    lower vertex index; the diagonal (self) is never listed.
 
     Rows are processed in blocks of at most _BLOCK_ELEMENTS scores
     s = |a|^2 + |b|^2 - 2 a.b, computed by one matrix product. With p the
     dimension and eps the machine epsilon, s differs from the square of
-    cdist's distance by at most E = 2 (p + 4) (eps (|a|^2 + max_b |b|^2) +
+    the distance by at most E = 2 (p + 4) (eps (|a|^2 + max_b |b|^2) +
     the smallest normal float64): to first order, the rounding of the
-    product, the norms and cdist's own sum and square root is at most
+    product, the norms and the distance's own sum and square root is at most
     (2p + 6) eps (|a|^2 + max_b |b|^2), and underflow adds less than 3p
     times the smallest subnormal. Every column scoring above the K-th
     smallest score plus 2E is then farther than K others, so only the
-    columns inside that window are measured again with cdist and sorted by
+    columns inside that window are measured again and sorted by
     (distance, index). A row whose window is not finite (norms that
     overflow) is measured against every other column.
     """
@@ -106,7 +105,7 @@ def knn_exact(points: np.ndarray, K: int) -> NeighborList:
     p, n = points.shape
     if not 1 <= K < n:
         raise ValueError(f"K must satisfy 1 <= K < n, got K={K}, n={n}")
-    cols = np.ascontiguousarray(points.T)  # cdist wants row vectors
+    cols = np.ascontiguousarray(points.T)  # one row per vector
     indices = np.empty((n, K), dtype=np.int64)
     distances = np.empty((n, K), dtype=np.float64)
     f64 = np.finfo(np.float64)
@@ -114,6 +113,7 @@ def knn_exact(points: np.ndarray, K: int) -> NeighborList:
         sq = np.einsum("ij,ij->i", cols, cols)
         slack = 4 * (p + 4) * (f64.eps * (sq + sq.max()) + f64.tiny)
         block = max(1, _BLOCK_ELEMENTS // n)
+        chunk = max(1, _BLOCK_ELEMENTS // 64 // p)  # pairs whose differences (256 KB) stay in cache
         for start in range(0, n, block):
             rows = np.arange(start, min(start + block, n))
             scores = cols[rows] @ (-2 * cols.T)  # scaling by -2 is exact
@@ -122,14 +122,21 @@ def knn_exact(points: np.ndarray, K: int) -> NeighborList:
             scores[rows - start, rows] = np.inf
             window = np.partition(scores, K - 1, axis=1)[:, K - 1] + slack[rows]
             inside = scores <= window[:, None]
-            for r, i in enumerate(rows):
-                cand = (np.flatnonzero(inside[r]) if np.isfinite(window[r])
-                        else np.delete(np.arange(n), i))
-                d = cdist(cols[i:i + 1], cols[cand])[0]
-                # candidates are in index order, so a stable sort breaks ties by index
-                order = np.argsort(d, kind="stable")[:K]
-                indices[i] = cand[order]
-                distances[i] = d[order]
+            inside[~np.isfinite(window)] = True  # such a row measures every column
+            inside[rows - start, rows] = False
+            r, c = np.nonzero(inside)  # candidate pairs, by row and then column
+            d = np.empty(r.size)
+            for lo in range(0, r.size, chunk):
+                diff = cols[c[lo:lo + chunk]]
+                diff -= cols[start + r[lo:lo + chunk]]
+                np.square(diff, out=diff)
+                np.cumsum(diff, axis=1, out=diff)  # adds in index order, as cdist does
+                np.sqrt(diff[:, -1], out=d[lo:lo + chunk])
+            order = np.lexsort((c, d, r))  # by row, then distance, then lower index
+            counts = np.bincount(r, minlength=rows.size)  # each row has K or more
+            take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(K)]
+            indices[rows] = c[take]
+            distances[rows] = d[take]
     return NeighborList(indices, distances)
 
 
@@ -220,6 +227,9 @@ def partial_eigs(graph: SparseGraph, k: int) -> GraphEigs:
     Lanczos otherwise. Raises EigenSolverError instead of returning
     unconverged output.
     """
+    import scipy.sparse.linalg as spla
+    from scipy.linalg import eigh
+
     L = graph.laplacian
     n = L.shape[0]
     if not 1 <= k <= n:

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -9,6 +10,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 BINARY_MAGIC = b"FRPM"
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class MatrixFormatError(ValueError):
@@ -112,6 +114,32 @@ def load_matrix(path, fmt: str = "csv", image_dims=None) -> DataMatrix:
             raise MatrixFormatError(f"{path}: non-finite entry in the payload")
         return DataMatrix(values.copy(), image_dims=image_dims)
     raise ValueError(f"unknown matrix format {fmt!r}")
+
+
+def load_labels(path) -> np.ndarray:
+    """Read class labels: UTF-8 text, one integer per line, blank lines skipped.
+
+    Raises MatrixFormatError, naming the line, for a line that is not one
+    integer within int64 (such as "1 2", "abc" or "nan"), for text that is not
+    UTF-8 and for a file without labels; OSError when the file cannot be read.
+    """
+    labels = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                # 19 digits at most, so int() stays far below its digit limit
+                if not (_INTEGER.fullmatch(line) and len(line.lstrip("+-0")) <= 19
+                        and -2**63 <= int(line) < 2**63):
+                    raise MatrixFormatError(f"{path}: expected one integer on line {lineno}")
+                labels.append(int(line))
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: {exc}") from exc
+    if not labels:
+        raise MatrixFormatError(f"{path}: no labels")
+    return np.array(labels, dtype=np.int64)
 
 
 def save_matrix(path, X: DataMatrix, fmt: str = "csv") -> None:

@@ -16,6 +16,7 @@ import frpcag as fp
 from frpcag.analysis import check_recovery_bound, recovery_gammas
 from frpcag.matrixio import DataMatrix
 from frpcag.solver import LowRankResult, SolverConfig
+from oracles import sequential_prox, sylvester_solve
 
 
 def report(num, desc, passed, detail=""):
@@ -46,7 +47,7 @@ def test_criterion_01_oracle_equivalence():
         g1 = float(rng.choice([1.0, 10.0, 100.0]))
         g2 = float(rng.choice([1.0, 10.0, 100.0]))
         X, G1, G2 = random_instance(rng, p, n)
-        Ustar = fp.sylvester_solve(X, G1, G2, g1, g2)
+        Ustar = sylvester_solve(X, G1, G2, g1, g2)
         cfg = SolverConfig(loss="frobenius_sq", gamma1=g1, gamma2=g2,
                            epsilon=1e-24, max_iters=30000)
         res = fp.fista_solve(X, G1, G2, cfg)
@@ -121,7 +122,7 @@ def test_criterion_04_recovery_bound_trials():
             out = fp.fista_solve(X, G1, G2, cfg)
         else:  # frobenius loss admits the exact closed-form solution
             cfg = SolverConfig(loss="frobenius_sq", gamma1=g1, gamma2=g2)
-            U = fp.sylvester_solve(X, G1, G2, g1, g2)
+            U = sylvester_solve(X, G1, G2, g1, g2)
             out = LowRankResult(U=DataMatrix(U), S=DataMatrix(X - U),
                                 objective_trace=[0.0], iterations=1, converged=True)
         rep = check_recovery_bound(low, E, gamma, out, cfg, G1, G2)
@@ -156,7 +157,7 @@ def test_criterion_05_singular_value_attenuation():
     s = np.array([10.0, 7.0, 5.0, 3.0, 2.0, 1.0])
     Xa = P[:, :6] @ np.diag(s) @ Q[:, :6].T
     g1, g2 = 2.0, 4.0
-    out = fp.sequential_prox(Xa, G1, G2, g1, g2)
+    out = sequential_prox(Xa, G1, G2, g1, g2)
     expected = np.sort(s / ((1 + g1 * lam[:6]) * (1 + g2 * om[:6])))[::-1]
     got = np.linalg.svd(out, compute_uv=False)[:6]
     dev = np.abs(got - expected).max()

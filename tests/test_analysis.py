@@ -8,8 +8,8 @@ from frpcag.analysis import (DegenerateEigengapError, alignment_energy,
                              shape_interaction, recovery_gammas)
 from frpcag.graph import build_graph, knn_exact, partial_eigs
 from frpcag.matrixio import DataMatrix
-from frpcag.solver import (LowRankResult, SolverConfig, fista_solve,
-                           sequential_prox, sylvester_solve)
+from frpcag.solver import LowRankResult, SolverConfig, fista_solve
+from oracles import sequential_prox, sylvester_solve
 
 
 def clustered_graph(n_vertices, n_clusters, spread=0.3, seed=0, k=5, dim=6):

@@ -91,7 +91,7 @@ def test_solve_frobenius_matches_sylvester_oracle(tmp_path, dataset):
                  "--max-iters", "20000", "--output-u", str(out_u),
                  "--output-trace", str(trace)]) == 0
     from frpcag.graph import load_graph_coo
-    from frpcag.solver import sylvester_solve
+    from oracles import sylvester_solve
     Ustar = sylvester_solve(X.values, load_graph_coo(g1, X.sample_count),
                             load_graph_coo(g2, X.feature_count), 2.0, 1.0)
     U = load_matrix(out_u, "binary-f64").values
@@ -257,6 +257,16 @@ def test_background_unreadable_frames_exit_1(tmp_path):
                  "--out-dir", str(tmp_path / "out")]) == 1
 
 
+def test_background_value_above_maxval_exits_1(tmp_path, capsys):
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    write_pgm(frames_dir / "a.pgm", np.zeros((4, 5)))
+    (frames_dir / "b.pgm").write_bytes(b"P5 5 4 100\n" + bytes(19) + bytes([250]))
+    assert main(["background", "--frames-dir", str(frames_dir), "--k", "1",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert "b.pgm: raster value 250 above maxval 100" in capsys.readouterr().err
+
+
 def test_experiment_minimal_config(tmp_path, capsys):
     conf = tmp_path / "exp.conf"
     conf.write_text("dataset = two-gaussians\nn = 40\np = 12\nknn_k = 5\n"
@@ -397,6 +407,44 @@ def test_experiment_file_dataset(tmp_path):
     assert main(["experiment", "--config", str(conf)]) == 0
 
 
+def file_experiment(tmp_path, labels: bytes):
+    X, _ = two_gaussians(n=12, p=6, separation=10.0, seed=2)
+    save_matrix(tmp_path / "d.csv", X, fmt="csv")
+    (tmp_path / "labels.txt").write_bytes(labels)
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"dataset = {tmp_path / 'd.csv'}\nlabels = {tmp_path / 'labels.txt'}\n"
+                    "knn_k = 3\nsigma2 = auto\ngamma = 1\nrestarts = 2\n")
+    return main(["experiment", "--config", str(conf)])
+
+
+@pytest.mark.parametrize("labels, line", [
+    (b"0\n1\nabc\n", 3),
+    (b"0\nnan\n", 2),
+    (b"0\n1.5\n", 2),
+    (b"0 1\n" * 6, 1),  # 6 x 2 for 12 samples: the right count, the wrong shape
+    (b"0\n99999999999999999999\n", 2),  # beyond int64
+])
+def test_experiment_bad_labels_line_exits_1(tmp_path, capsys, monkeypatch, labels, line):
+    def no_prepare(*args, **kwargs):
+        raise AssertionError("prepare_experiment ran on a bad labels file")
+    monkeypatch.setattr(frpcag.evalcluster, "prepare_experiment", no_prepare)
+    assert file_experiment(tmp_path, labels) == 1
+    assert f"{tmp_path / 'labels.txt'}: expected one integer on line {line}" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("labels", [b"\xff\xfe0\n", b"", b"\n\n"])
+def test_experiment_unreadable_labels_file_exits_1(tmp_path, capsys, labels):
+    assert file_experiment(tmp_path, labels) == 1
+    assert str(tmp_path / "labels.txt") in capsys.readouterr().err
+
+
+def test_experiment_labels_count_mismatch_exits_2(tmp_path, capsys):
+    assert file_experiment(tmp_path, b"0\n1\n" * 5 + b"\n-3\n") == 2
+    assert "11 labels for 12 samples" in capsys.readouterr().err
+    assert file_experiment(tmp_path, b"0\n1\n" * 6) == 0
+
+
 def test_installed_entry_point_runs():
     import_root = os.path.dirname(os.path.dirname(frpcag.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -405,3 +453,108 @@ def test_installed_entry_point_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "graph" in proc.stdout and "background" in proc.stdout
+
+
+# Arbitrary command lines: each command with its required flags (each dropped
+# now and then), some of its optional flags and junk tokens anywhere. A flag's
+# value is half the time one that fits it and half the time any of its kind,
+# valid or not. "@name" stands for a path in the example's own directory,
+# created by argv_files (or left missing).
+NUMBERS = ["0", "-1", "2.5", "1e308", "nan", "inf", "x", ""]
+PATHS = ["@data.csv", "@data.bin", "@g1.coo", "@g2.coo", "@junk", "@frames", "@exp.conf",
+         "@file.conf", "@solver.conf", "@labels.txt", "@missing", "@dir", "@out"]
+
+
+def values(fitting, others):
+    return st.one_of(st.sampled_from(fitting), st.sampled_from(others))
+
+
+FLAG_VALUES = {
+    "--input": values(["@data.csv", "@data.bin"], PATHS),
+    "--format": values(["csv", "binary-f64"], ["x", ""]),
+    "--axis": values(["samples", "features"], ["x", ""]),
+    "--k": values(["1", "2", "3"], NUMBERS),
+    "--sigma2": values(["auto", "1", "0.5"], NUMBERS),
+    "--output": values(["@out"], PATHS),
+    "--graph1": values(["@g1.coo"], PATHS),
+    "--graph2": values(["@g2.coo"], PATHS),
+    "--config": values(["@solver.conf", "@exp.conf", "@file.conf"], PATHS),
+    "--gamma1": values(["0", "1", "3"], NUMBERS),
+    "--gamma2": values(["0", "1", "3"], NUMBERS),
+    "--loss": values(["l1", "frobenius_sq"], ["x", ""]),
+    "--step": values(["auto", "0.1"], NUMBERS),
+    "--epsilon": values(["1e-3", "1e-6"], NUMBERS),
+    "--max-iters": values(["1", "5", "20"], NUMBERS),
+    "--output-u": values(["@out"], PATHS),
+    "--output-trace": values(["@out.csv"], PATHS),
+    "--frames-dir": values(["@frames"], PATHS),
+    "--out-dir": values(["@out"], PATHS),
+}
+REQUIRED = {"graph": ["--input", "--output"],
+            "solve": ["--input", "--graph1", "--graph2", "--output-u"],
+            "background": ["--frames-dir", "--out-dir"],
+            "experiment": ["--config"]}
+OPTIONAL = {"graph": ["--format", "--axis", "--k", "--sigma2"],
+            "solve": ["--format", "--config", "--gamma1", "--gamma2", "--loss", "--step",
+                      "--epsilon", "--max-iters", "--output-trace"],
+            "background": ["--k", "--gamma1", "--gamma2", "--sigma2", "--epsilon",
+                           "--max-iters"],
+            "experiment": []}
+JUNK = st.sampled_from([*REQUIRED, "bogus", "--help", "-h", "--nope", "-k", *FLAG_VALUES,
+                        *NUMBERS, *PATHS])
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from([*REQUIRED, "bogus"]))
+    flags = [flag for flag in REQUIRED.get(command, []) if draw(st.integers(0, 9))]
+    optional = OPTIONAL.get(command, [*FLAG_VALUES])
+    if optional:
+        flags += draw(st.lists(st.sampled_from(optional), unique=True, max_size=4))
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(FLAG_VALUES[flag])]
+    junk = draw(st.one_of(st.just([]), st.lists(JUNK, min_size=1, max_size=2)))
+    at = draw(st.integers(0, len(argv)))
+    return argv[:at] + junk + argv[at:]
+
+
+def argv_files(tmp):
+    """The files that "@name" paths name: a 6 x 8 matrix with its graphs, three
+    frames, experiment and solver configs, and junk."""
+    X, labels = two_gaussians(n=8, p=6, separation=10.0, seed=0)
+    save_matrix(os.path.join(tmp, "data.csv"), X, fmt="csv")
+    save_matrix(os.path.join(tmp, "data.bin"), X, fmt="binary-f64")
+    for axis, name in (("samples", "g1.coo"), ("features", "g2.coo")):
+        assert main(["graph", "--input", os.path.join(tmp, "data.csv"), "--axis", axis,
+                     "--k", "2", "--sigma2", "auto", "--output", os.path.join(tmp, name)]) == 0
+    os.mkdir(os.path.join(tmp, "frames"))
+    seq, _, _ = synthetic_sequence(count=4, h=4, w=5, square=2, seed=0)
+    save_frames(os.path.join(tmp, "frames"), seq, [f"f{i}.pgm" for i in range(seq.count)])
+    np.savetxt(os.path.join(tmp, "labels.txt"), labels, fmt="%d")
+    texts = {
+        "exp.conf": "n = 12\np = 6\nknn_k = 3\ngamma = 1, 3\nmax_iters = 50\nrestarts = 1\n",
+        "file.conf": f"dataset = {os.path.join(tmp, 'data.csv')}\nlabels = "
+                     f"{os.path.join(tmp, 'labels.txt')}\nknn_k = 2\nrestarts = 1\n",
+        "solver.conf": "loss = frobenius_sq\ngamma1 = 2\nmax_iters = 20\n",
+    }
+    for name, text in texts.items():
+        with open(os.path.join(tmp, name), "w") as fh:
+            fh.write(text)
+    with open(os.path.join(tmp, "junk"), "wb") as fh:
+        fh.write(b"\xff\x00 1 2\n,,nan\n")
+    os.mkdir(os.path.join(tmp, "dir"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=command_lines())
+def test_any_argv_gives_documented_exit(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv_files(tmp)
+        argv = [os.path.join(tmp, t[1:]) if t.startswith("@") else t for t in argv]
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse: --help, or a usage error
+            assert exc.code in (0, 2)
+        else:
+            assert status in (0, 1, 2, 3, 4)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frpcag.cli import ExperimentConfig
+from frpcag.evalcluster import ExperimentConfig
 from frpcag.config import ConfigError, parse_keyvalue_text
 from frpcag.solver import SolverConfig
 

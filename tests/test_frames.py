@@ -40,6 +40,15 @@ def test_pgm_errors(tmp_path):
         read_pgm(short)
 
 
+def test_pgm_value_above_maxval(tmp_path):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5 5 4 100\n" + bytes([100] * 19) + bytes([250]))
+    with pytest.raises(FrameFormatError, match="m.pgm: raster value 250 above maxval 100"):
+        read_pgm(path)
+    path.write_bytes(b"P5 5 4 100\n" + bytes([100] * 20))
+    assert (read_pgm(path) == 1.0).all()
+
+
 def test_load_frames_sorted_and_consistent(tmp_path):
     rng = np.random.default_rng(1)
     imgs = rng.random((3, 5, 7))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from frpcag.frames import FrameFormatError, read_pgm
 from frpcag.graph import GraphFormatError, load_graph_coo
-from frpcag.matrixio import MatrixFormatError, load_matrix
+from frpcag.matrixio import MatrixFormatError, load_labels, load_matrix
 
 # Byte-level garbage, plus near-valid files that get past each header.
 NUMBERS = st.sampled_from([b"0", b"1", b"2", b"-1", b"0.5", b"-2.5", b"1e308", b"1e309",
@@ -31,6 +31,10 @@ COO = st.one_of(
     st.binary(max_size=64),
     st.lists(st.tuples(INDICES, INDICES, NUMBERS).map(b" ".join), max_size=8)
     .map(b"\n".join))
+LABELS = st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.one_of(NUMBERS, st.sampled_from([b"9" * 19, b"9" * 5000, b"1_0", b"+0"])),
+             max_size=5).map(b"\n".join))
 PGM = st.one_of(
     st.binary(max_size=64),
     st.tuples(st.sampled_from([b"P5", b"P6", b""]), st.integers(-1, 4), st.integers(-1, 4),
@@ -76,3 +80,9 @@ def test_coo_reader_raises_only_graph_format_error(content, vertex_count):
 @given(PGM)
 def test_pgm_reader_raises_only_frame_format_error(content):
     assert_only(FrameFormatError, read_pgm, content)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LABELS)
+def test_labels_reader_raises_only_matrix_format_error(content):
+    assert_only(MatrixFormatError, load_labels, content)

@@ -9,8 +9,8 @@ from frpcag.config import ConfigError, parse_keyvalue_text
 from frpcag.graph import build_graph, knn_exact
 from frpcag.matrixio import DataMatrix
 from frpcag.solver import (LOSSES, DivergedError, SolverConfig, auto_step, fista_solve,
-                           gradient_smooth, objective, prox_fidelity,
-                           sequential_prox, sylvester_solve)
+                           gradient_smooth, objective, prox_fidelity)
+from oracles import sequential_prox, sylvester_solve
 
 
 def make_instance(p, n, k=4, seed=0):

@@ -1,0 +1,62 @@
+"""What a launch imports: each CLI command loads only the modules it runs.
+
+Each check starts a fresh interpreter with `-X importtime`, which lists every
+module the process imports, so modules the test process holds do not count.
+"""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import frpcag
+from frpcag.frames import save_frames, synthetic_sequence
+from frpcag.matrixio import DataMatrix, save_matrix
+
+HEAVY = ("scipy.linalg", "scipy.optimize", "scipy.spatial", "scipy.sparse.linalg")
+
+
+def loaded_modules(*args, cwd=None):
+    import_root = os.path.dirname(os.path.dirname(frpcag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [import_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def numeric(modules):
+    return sorted(m for m in modules if m.split(".")[0] in ("numpy", "scipy"))
+
+
+COMMANDS = ("graph", "solve", "background", "experiment")
+
+
+@pytest.mark.parametrize("args", [["-c", "import frpcag"],
+                                  *(["-m", "frpcag.cli", c, "--help"] for c in COMMANDS)],
+                         ids=["import", *(f"{c}-help" for c in COMMANDS)])
+def test_import_and_help_load_no_numpy_or_scipy(args):
+    assert numeric(loaded_modules(*args)) == []
+
+
+def test_commands_but_experiment_load_only_numpy_and_scipy_sparse(tmp_path):
+    rng = np.random.default_rng(0)
+    save_matrix(tmp_path / "x.csv", DataMatrix(rng.standard_normal((6, 12))), fmt="csv")
+    (tmp_path / "frames").mkdir()
+    seq, _, _ = synthetic_sequence(count=6, h=4, w=5, square=2)
+    save_frames(tmp_path / "frames", seq, [f"f{i}.pgm" for i in range(seq.count)])
+    for argv in (["graph", "--input", "x.csv", "--k", "3", "--sigma2", "auto",
+                  "--output", "g1.coo"],
+                 ["graph", "--input", "x.csv", "--axis", "features", "--k", "3",
+                  "--sigma2", "auto", "--output", "g2.coo"],
+                 ["solve", "--input", "x.csv", "--graph1", "g1.coo", "--graph2", "g2.coo",
+                  "--max-iters", "5", "--output-u", "u.bin"],
+                 ["background", "--frames-dir", "frames", "--out-dir", "out", "--k", "2",
+                  "--max-iters", "5"]):
+        modules = loaded_modules("-m", "frpcag.cli", *argv, cwd=tmp_path)
+        assert {"numpy", "scipy.sparse"} <= modules
+        assert [m for m in HEAVY if m in modules] == [], argv[0]
