@@ -78,6 +78,8 @@ class GraphEigs:
 
 # float64 elements in one block of candidate scores (~16 MB)
 _BLOCK_ELEMENTS = 1 << 21
+# candidate pairs measured and sorted at once (~10 MB of pair arrays)
+_GROUP_PAIRS = 1 << 18
 
 
 def knn_exact(points: np.ndarray, K: int) -> NeighborList:
@@ -112,32 +114,61 @@ def knn_exact(points: np.ndarray, K: int) -> NeighborList:
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow take every column
         sq = np.einsum("ij,ij->i", cols, cols)
         slack = 4 * (p + 4) * (f64.eps * (sq + sq.max()) + f64.tiny)
-        block = max(1, _BLOCK_ELEMENTS // n)
+        block = max(1, min(n, _BLOCK_ELEMENTS // n))
         chunk = max(1, _BLOCK_ELEMENTS // 64 // p)  # pairs whose differences (256 KB) stay in cache
+        # one set of block buffers for the whole search, so the memory held
+        # does not depend on how the allocator reuses freed blocks
+        lhs = -2 * cols.T  # scaling by -2 is exact
+        score_buf = np.empty((block, n))
+        part_buf = np.empty((block, n))
+        inside_buf = np.empty((block, n), dtype=bool)
         for start in range(0, n, block):
-            rows = np.arange(start, min(start + block, n))
-            scores = cols[rows] @ (-2 * cols.T)  # scaling by -2 is exact
+            stop = min(start + block, n)
+            rows = np.arange(start, stop)
+            scores, part, inside = (buf[:stop - start] for buf in (score_buf, part_buf, inside_buf))
+            np.matmul(cols[start:stop], lhs, out=scores)
             scores += sq[rows, None]
             scores += sq
             scores[rows - start, rows] = np.inf
-            window = np.partition(scores, K - 1, axis=1)[:, K - 1] + slack[rows]
-            inside = scores <= window[:, None]
+            np.copyto(part, scores)
+            part.partition(K - 1, axis=1)
+            window = part[:, K - 1] + slack[rows]
+            np.less_equal(scores, window[:, None], out=inside)
             inside[~np.isfinite(window)] = True  # such a row measures every column
             inside[rows - start, rows] = False
-            r, c = np.nonzero(inside)  # candidate pairs, by row and then column
-            d = np.empty(r.size)
-            for lo in range(0, r.size, chunk):
-                diff = cols[c[lo:lo + chunk]]
-                diff -= cols[start + r[lo:lo + chunk]]
-                np.square(diff, out=diff)
-                np.cumsum(diff, axis=1, out=diff)  # adds in index order, as cdist does
-                np.sqrt(diff[:, -1], out=d[lo:lo + chunk])
-            order = np.lexsort((c, d, r))  # by row, then distance, then lower index
-            counts = np.bincount(r, minlength=rows.size)  # each row has K or more
-            take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(K)]
-            indices[rows] = c[take]
-            distances[rows] = d[take]
+            # rows in groups of at most _GROUP_PAIRS candidate pairs (or one
+            # row), so ties do not grow the memory a group takes
+            counts = np.count_nonzero(inside, axis=1)  # each row has K or more
+            ends = np.cumsum(counts)
+            lo = 0
+            while lo < rows.size:
+                hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _GROUP_PAIRS,
+                                                     side="right")))
+                group = slice(start + lo, start + hi)
+                indices[group], distances[group] = _nearest_candidates(
+                    cols, start + lo, inside[lo:hi], K, chunk)
+                lo = hi
     return NeighborList(indices, distances)
+
+
+def _nearest_candidates(cols: np.ndarray, first: int, inside: np.ndarray, K: int, chunk: int):
+    """The K nearest of each row's candidate columns, sorted by (distance, index).
+
+    Row r of the boolean mask inside is vertex first + r; its distances are
+    measured with cdist's arithmetic, chunk pairs at a time.
+    """
+    r, c = np.nonzero(inside)  # candidate pairs, by row and then column
+    d = np.empty(r.size)
+    for lo in range(0, r.size, chunk):
+        diff = cols[c[lo:lo + chunk]]
+        diff -= cols[first + r[lo:lo + chunk]]
+        np.square(diff, out=diff)
+        np.cumsum(diff, axis=1, out=diff)  # adds in index order, as cdist does
+        np.sqrt(diff[:, -1], out=d[lo:lo + chunk])
+    order = np.lexsort((c, d, r))  # by row, then distance, then lower index
+    counts = np.bincount(r, minlength=inside.shape[0])  # each row has K or more
+    take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(K)]
+    return c[take], d[take]
 
 
 def _normalized_laplacian(A: sp.csr_matrix):

@@ -62,12 +62,13 @@ def knn_problems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(knn_problems())
-@example((np.array([[0.0, 4e157]]), 1, 2))  # every distance overflows to inf
-def test_knn_matches_cdist_argsort_oracle(problem):
+@given(knn_problems(), st.sampled_from([1, 5, 40, graph._GROUP_PAIRS]))
+@example((np.array([[0.0, 4e157]]), 1, 2), graph._GROUP_PAIRS)  # every distance overflows to inf
+def test_knn_matches_cdist_argsort_oracle(problem, group_pairs):
     points, K, budget = problem
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_BLOCK_ELEMENTS", budget)
+        mp.setattr(graph, "_GROUP_PAIRS", group_pairs)
         nb = knn_exact(points, K)
     indices, distances = cdist_argsort_knn(points, K)
     assert np.array_equal(nb.indices, indices)
@@ -85,6 +86,21 @@ def test_knn_memory_below_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_knn_memory_bounded_when_every_pair_ties():
+    # 2048 copies of one point: every other point is a candidate of every row
+    points = np.zeros((4, 2048))
+    tracemalloc.start()
+    try:
+        nb = knn_exact(points, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert nb.indices[0].tolist() == list(range(1, 11))
+    assert nb.indices[5].tolist() == [0, 1, 2, 3, 4, 6, 7, 8, 9, 10]
+    assert not nb.distances.any()
 
 
 def random_graph(n, k, seed, d=5, sigma2="auto"):
