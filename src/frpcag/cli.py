@@ -36,6 +36,13 @@ def cmd_graph(args) -> int:
     nbrs = knn_exact(points, args.k)
     sigma2 = resolve_sigma2(nbrs, args.sigma2)
     built = build_graph(nbrs, sigma2)
+    # every vertex lists K >= 1 neighbours, so a vertex without edges lost
+    # them to weights that underflowed to 0; a COO file cannot list it
+    isolated = int((built.degrees == 0).sum())
+    if isolated:
+        print(f"error: {isolated} of {n} vertices keep no edge at sigma2={sigma2:.17g} "
+              "(their weights underflow to 0); pass a larger --sigma2", file=sys.stderr)
+        return EXIT_USAGE
     save_graph_coo(built, args.output)
     print(f"vertices={built.vertex_count} edges={built.adjacency.nnz // 2} "
           f"sigma2={sigma2:.17g}")

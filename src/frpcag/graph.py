@@ -35,7 +35,7 @@ class NeighborList:
             raise ValueError("indices and distances must have the same shape")
         if np.any(self.indices == np.arange(n)[:, None]):
             raise ValueError("neighbor lists must not contain self-loops")
-        if np.any(self.distances < 0):
+        if not np.all(self.distances >= 0):  # NaN fails this too
             raise ValueError("distances must be non-negative")
 
     @property
@@ -76,19 +76,19 @@ class GraphEigs:
         return self.values.shape[0]
 
 
-# float64 elements in one block of candidate scores (~16 MB)
-_BLOCK_ELEMENTS = 1 << 21
-# candidate pairs measured and sorted at once (~10 MB of pair arrays)
-_GROUP_PAIRS = 1 << 18
+# float64 elements in one block of candidate scores (4 MB); a block of rows
+# then also has fewer than this many candidate pairs (or one row's n - 1)
+_BLOCK_ELEMENTS = 1 << 19
 
 
 def knn_exact(points: np.ndarray, K: int) -> NeighborList:
     """Exact K nearest neighbors under the Euclidean metric.
 
-    points holds one vector per column. Distances are computed as
-    scipy.spatial.distance.cdist computes them, bit for bit: the square root
-    of the squared differences summed in index order. Ties are broken by the
-    lower vertex index; the diagonal (self) is never listed.
+    points is a 2-D array of finite values with one vector per column.
+    Distances are computed as scipy.spatial.distance.cdist computes them,
+    bit for bit: the square root of the squared differences summed in index
+    order. Ties are broken by the lower vertex index; the diagonal (self) is
+    never listed.
 
     Rows are processed in blocks of at most _BLOCK_ELEMENTS scores
     s = |a|^2 + |b|^2 - 2 a.b, computed by one matrix product. With p the
@@ -101,12 +101,19 @@ def knn_exact(points: np.ndarray, K: int) -> NeighborList:
     smallest score plus 2E is then farther than K others, so only the
     columns inside that window are measured again and sorted by
     (distance, index). A row whose window is not finite (norms that
-    overflow) is measured against every other column.
+    overflow) is measured against every other column. A block's candidate
+    pairs are at most its scores, so the same budget bounds both.
     """
     points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise ValueError(f"points must be a 2-D array, got {points.ndim} dimensions")
     p, n = points.shape
+    if p < 1:
+        raise ValueError("points must have at least one coordinate")
     if not 1 <= K < n:
         raise ValueError(f"K must satisfy 1 <= K < n, got K={K}, n={n}")
+    if not np.isfinite([points.min(), points.max()]).all():  # NaN propagates to both
+        raise ValueError("points must be finite")
     cols = np.ascontiguousarray(points.T)  # one row per vector
     indices = np.empty((n, K), dtype=np.int64)
     distances = np.empty((n, K), dtype=np.float64)
@@ -115,7 +122,7 @@ def knn_exact(points: np.ndarray, K: int) -> NeighborList:
         sq = np.einsum("ij,ij->i", cols, cols)
         slack = 4 * (p + 4) * (f64.eps * (sq + sq.max()) + f64.tiny)
         block = max(1, min(n, _BLOCK_ELEMENTS // n))
-        chunk = max(1, _BLOCK_ELEMENTS // 64 // p)  # pairs whose differences (256 KB) stay in cache
+        chunk = max(1, (1 << 15) // p)  # pairs whose differences (256 KB) stay in cache
         # one set of block buffers for the whole search, so the memory held
         # does not depend on how the allocator reuses freed blocks
         lhs = -2 * cols.T  # scaling by -2 is exact
@@ -136,18 +143,8 @@ def knn_exact(points: np.ndarray, K: int) -> NeighborList:
             np.less_equal(scores, window[:, None], out=inside)
             inside[~np.isfinite(window)] = True  # such a row measures every column
             inside[rows - start, rows] = False
-            # rows in groups of at most _GROUP_PAIRS candidate pairs (or one
-            # row), so ties do not grow the memory a group takes
-            counts = np.count_nonzero(inside, axis=1)  # each row has K or more
-            ends = np.cumsum(counts)
-            lo = 0
-            while lo < rows.size:
-                hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _GROUP_PAIRS,
-                                                     side="right")))
-                group = slice(start + lo, start + hi)
-                indices[group], distances[group] = _nearest_candidates(
-                    cols, start + lo, inside[lo:hi], K, chunk)
-                lo = hi
+            indices[start:stop], distances[start:stop] = _nearest_candidates(
+                cols, start, inside, K, chunk)
     return NeighborList(indices, distances)
 
 
@@ -165,7 +162,9 @@ def _nearest_candidates(cols: np.ndarray, first: int, inside: np.ndarray, K: int
         np.square(diff, out=diff)
         np.cumsum(diff, axis=1, out=diff)  # adds in index order, as cdist does
         np.sqrt(diff[:, -1], out=d[lo:lo + chunk])
-    order = np.lexsort((c, d, r))  # by row, then distance, then lower index
+    # by row, then distance; the sort is stable and c ascends within a row,
+    # so ties keep the lower index
+    order = np.lexsort((d, r))
     counts = np.bincount(r, minlength=inside.shape[0])  # each row has K or more
     take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(K)]
     return c[take], d[take]
@@ -192,13 +191,20 @@ def graph_from_adjacency(A: sp.spmatrix) -> SparseGraph:
 
 
 def resolve_sigma2(nbrs: NeighborList, sigma2: Union[float, str]) -> float:
-    """Numeric kernel width: "auto" squares the mean neighbor distance."""
+    """Numeric kernel width: "auto" squares the mean neighbor distance.
+
+    "auto" gives 1.0 when that square is 0. ValueError is raised when the
+    width is not finite, and for a number that is not positive.
+    """
     if sigma2 == "auto":
-        mean_dist = float(nbrs.distances.mean())
-        return mean_dist ** 2 if mean_dist > 0 else 1.0
+        with np.errstate(over="ignore"):  # an overflowing width is rejected below
+            width = float(np.square(nbrs.distances.mean()))
+        if not math.isfinite(width):
+            raise ValueError(f"sigma2 auto gives the width {width}; give a number")
+        return width if width > 0 else 1.0
     sigma2 = float(sigma2)
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    if not 0 < sigma2 < math.inf:  # NaN fails this too
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     return sigma2
 
 
@@ -211,7 +217,8 @@ def build_graph(nbrs: NeighborList, sigma2: Union[float, str] = 1.0) -> SparseGr
     """
     n, k = nbrs.vertex_count, nbrs.k
     sigma2 = resolve_sigma2(nbrs, sigma2)
-    weights = np.exp(-(nbrs.distances ** 2) / sigma2)
+    with np.errstate(over="ignore"):  # a weight whose exponent overflows is exp(-inf) = 0
+        weights = np.exp(-(nbrs.distances ** 2) / sigma2)
     rows = np.repeat(np.arange(n), k)
     W = sp.coo_matrix((weights.ravel(), (rows, nbrs.indices.ravel())), shape=(n, n)).tocsr()
     A = W.maximum(W.T)

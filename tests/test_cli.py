@@ -14,6 +14,7 @@ import frpcag.evalcluster
 from frpcag.cli import main
 from frpcag.evalcluster import two_gaussians
 from frpcag.frames import load_frames, save_frames, synthetic_sequence, write_pgm
+from frpcag.graph import load_graph_coo
 from frpcag.matrixio import DataMatrix, load_matrix, save_matrix
 
 
@@ -69,6 +70,24 @@ def test_graph_bad_matrix_file_exits_1(tmp_path, fmt, content):
                  "--output", str(tmp_path / "g.coo")]) == 1
 
 
+@pytest.mark.parametrize("values, flags, message", [
+    # Gaussian weights underflow to 0, so the file would leave out vertex 2
+    ((np.arange(12.0) ** 1.5).reshape(3, 4), ["--axis", "features", "--k", "1"],
+     "1 of 3 vertices keep no edge at sigma2=1 "),
+    (np.array([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1e154]]), ["--k", "1", "--sigma2", "1e-3"],
+     "1 of 4 vertices keep no edge at sigma2=0.001 "),
+    # the distance from sample 1 to sample 2 overflows, and so does the mean
+    (np.array([[0, 1, 2e160, 3], [1, 0, 1, 2]]), ["--k", "1", "--sigma2", "auto"],
+     "sigma2 auto gives the width inf; give a number"),
+])
+def test_graph_solve_would_reject_exits_2(tmp_path, capsys, values, flags, message):
+    data, out = tmp_path / "data.csv", tmp_path / "g.coo"
+    save_matrix(data, DataMatrix(values), fmt="csv")
+    assert main(["graph", "--input", str(data), *flags, "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_zero_gammas_identity(tmp_path, dataset):
     data, X = dataset
     g1, g2 = build_graphs(tmp_path, data)
@@ -90,7 +109,6 @@ def test_solve_frobenius_matches_sylvester_oracle(tmp_path, dataset):
                  "--gamma1", "2", "--gamma2", "1", "--epsilon", "1e-24",
                  "--max-iters", "20000", "--output-u", str(out_u),
                  "--output-trace", str(trace)]) == 0
-    from frpcag.graph import load_graph_coo
     from oracles import sylvester_solve
     Ustar = sylvester_solve(X.values, load_graph_coo(g1, X.sample_count),
                             load_graph_coo(g2, X.feature_count), 2.0, 1.0)
@@ -177,6 +195,23 @@ def test_solve_any_file_gives_documented_exit(arbitrary, data):
         assert main(["solve", "--input", paths["input"], "--graph1", paths["graph1"],
                      "--graph2", paths["graph2"], "--max-iters", "20",
                      "--output-u", os.path.join(tmp, "u.bin")]) in (0, 1, 2, 3, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=CSV_FILES, axis=st.sampled_from(["samples", "features"]), k=st.integers(1, 3),
+       sigma2=st.sampled_from(["auto", "1", "1e-3"]))
+def test_graph_writes_what_solve_reads(content, axis, k, sigma2):
+    # a file written with exit 0 loads at the input's sample or feature count
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = os.path.join(tmp, "data.csv"), os.path.join(tmp, "g.coo")
+        with open(data, "wb") as fh:
+            fh.write(content)
+        status = main(["graph", "--input", data, "--axis", axis, "--k", str(k),
+                       "--sigma2", sigma2, "--output", out])
+        assert status in (0, 1, 2)
+        if status == 0:
+            X = load_matrix(data)
+            load_graph_coo(out, X.sample_count if axis == "samples" else X.feature_count)
 
 
 def test_solve_config_file_with_flag_override(tmp_path, dataset):

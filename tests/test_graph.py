@@ -11,7 +11,8 @@ from scipy.spatial.distance import cdist
 from frpcag import graph
 from frpcag.graph import (GraphFormatError, GraphSizeError, NeighborList, build_graph,
                           graph_from_adjacency, knn_exact, load_graph_coo,
-                          partial_eigs, save_graph_coo, spectral_norm)
+                          partial_eigs, resolve_sigma2, save_graph_coo,
+                          spectral_norm)
 
 
 def brute_force_knn(points, K):
@@ -62,30 +63,33 @@ def knn_problems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(knn_problems(), st.sampled_from([1, 5, 40, graph._GROUP_PAIRS]))
-@example((np.array([[0.0, 4e157]]), 1, 2), graph._GROUP_PAIRS)  # every distance overflows to inf
-def test_knn_matches_cdist_argsort_oracle(problem, group_pairs):
+@given(knn_problems())
+@example((np.array([[0.0, 4e157]]), 1, 2))  # every distance overflows to inf
+def test_knn_matches_cdist_argsort_oracle(problem):
     points, K, budget = problem
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_BLOCK_ELEMENTS", budget)
-        mp.setattr(graph, "_GROUP_PAIRS", group_pairs)
         nb = knn_exact(points, K)
     indices, distances = cdist_argsort_knn(points, K)
     assert np.array_equal(nb.indices, indices)
     assert nb.distances.tobytes() == distances.tobytes()
 
 
-def test_knn_memory_below_dense_matrix():
+@pytest.mark.parametrize("make_points", [
     # the pixel graph of 104 frames of 64x64: one dense n x n float64 is 134 MB
-    rng = np.random.default_rng(0)
-    points = rng.integers(0, 256, (104, 4096)) / 255.0
+    lambda rng: rng.integers(0, 256, (104, 4096)) / 255.0,
+    # the sample graph of a 100 x 2000 matrix, as the benchmark's solve builds
+    lambda rng: rng.standard_normal((100, 2000)),
+], ids=["pixels-104x4096", "gaussian-100x2000"])
+def test_knn_memory_below_dense_matrix(make_points):
+    points = make_points(np.random.default_rng(0))
     tracemalloc.start()
     try:
         knn_exact(points, 10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 24 * 2**20
 
 
 def test_knn_memory_bounded_when_every_pair_ties():
@@ -97,7 +101,7 @@ def test_knn_memory_bounded_when_every_pair_ties():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 40 * 2**20
     assert nb.indices[0].tolist() == list(range(1, 11))
     assert nb.indices[5].tolist() == [0, 1, 2, 3, 4, 6, 7, 8, 9, 10]
     assert not nb.distances.any()
@@ -142,6 +146,42 @@ def test_knn_k_out_of_range():
     pts = np.zeros((2, 4))
     with pytest.raises(ValueError):
         knn_exact(pts, 4)
+
+
+@pytest.mark.parametrize("points, message", [
+    (np.zeros((0, 5)), "at least one coordinate"),
+    (np.zeros(5), "2-D"),
+    (np.zeros((2, 3, 4)), "2-D"),
+    (np.array([[0.0, np.nan, 1.0]]), "finite"),
+    (np.array([[0.0, 1.0, -np.inf]]), "finite"),
+])
+def test_knn_rejects_what_it_cannot_search(points, message):
+    with pytest.raises(ValueError, match=message):
+        knn_exact(points, 1)
+
+
+def test_neighbor_list_rejects_nan_distance():
+    with pytest.raises(ValueError, match="non-negative"):
+        NeighborList(indices=np.array([[1], [0]]), distances=np.array([[np.nan], [1.0]]))
+
+
+def test_resolve_sigma2_rejects_non_finite_width():
+    # the distance from (1, 0) to (2e160, 1) overflows to inf
+    nb = knn_exact(np.array([[0.0, 1.0, 2e160, 3.0], [1.0, 0.0, 1.0, 2.0]]), 1)
+    with pytest.raises(ValueError, match="give a number"):
+        resolve_sigma2(nb, "auto")
+    assert resolve_sigma2(knn_exact(np.zeros((2, 3)), 1), "auto") == 1.0
+    for sigma2 in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            resolve_sigma2(nb, sigma2)
+
+
+def test_build_graph_weight_overflow_gives_zero():
+    # d^2 / sigma2 overflows; exp(-inf) = 0 is the weight, with no warning
+    nb = knn_exact(np.array([[0.0, 0.0, 1e154]]), 1)
+    g = build_graph(nb, 1e-3)
+    assert g.adjacency[0, 1] == 1.0
+    assert g.degrees[2] == 0
 
 
 def test_build_graph_weights():
