@@ -66,26 +66,48 @@ def _fidelity(R: np.ndarray, loss: str, out=None) -> float:
     return float(np.multiply(R, R, out=out).sum())
 
 
-def _smooth(U: np.ndarray, L1: SparseGraph, L2: SparseGraph, gamma1: float,
-            gamma2: float):
-    """P(U) = gamma1*U L1 + gamma2*L2 U, and the smooth value tr(U^T P(U)).
+# float64 elements in one row block of a p x n iterate (128 KB): the loop's
+# work on a block, and the block's share of U L1, stay in cache together
+_BLOCK_ELEMENTS = 1 << 14
 
-    The gradient of the smooth part is 2*P(U). Each sparse product gets a
-    C-ordered operand, the layout the CSR kernel reads fastest: a C-ordered
-    U for L2 and a transposed C-ordered copy for L1. Dimensions are the
-    caller's to check.
+
+def _row_blocks(p: int, n: int):
+    """Row slices of U; at least 32 rows keep the CSR kernel's inner loop long."""
+    rows = max(32, _BLOCK_ELEMENTS // n)
+    return [slice(lo, min(lo + rows, p)) for lo in range(0, p, rows)]
+
+
+def _l1_rows(U_blk: np.ndarray, L1: SparseGraph, c1: float, out: np.ndarray) -> None:
+    """out = c1 * U_blk L1, taken as the n x b product L1 @ U_blk^T (L1 is symmetric)."""
+    np.multiply((L1.laplacian @ U_blk.T).T, c1, out=out)
+
+
+def _add_l2(U: np.ndarray, L2: SparseGraph, c2: float, Q: np.ndarray, blocks) -> float:
+    """Q += c2 * L2 U by row blocks (L2 U mixes rows: one full product); returns vdot(U, Q)."""
+    L2U = L2.laplacian @ U
+    value = 0.0
+    for blk in blocks:
+        part = L2U[blk]
+        part *= c2
+        Q[blk] += part
+        value += float(np.vdot(U[blk], Q[blk]))
+    return value
+
+
+def _smooth(U: np.ndarray, L1: SparseGraph, L2: SparseGraph, c1: float, c2: float):
+    """Q = c1*U L1 + c2*L2 U and vdot(U, Q), one row block at a time.
+
+    With c = gamma these are P(U) = gamma1*U L1 + gamma2*L2 U and the smooth
+    value tr(U^T P(U)); the gradient of the smooth part is 2*P(U).
+    fista_solve's loop runs the same block steps. Dimensions are the caller's
+    to check.
     """
     U = np.ascontiguousarray(U)
-    Ut = np.ascontiguousarray(U.T)
-    A1 = L1.laplacian @ Ut  # (U L1)^T, n x p
-    t1 = float(np.vdot(Ut, A1))
-    del Ut  # one n x p buffer fewer alive during the second product
-    P = L2.laplacian @ U
-    value = gamma1 * t1 + gamma2 * float(np.vdot(U, P))
-    P *= gamma2
-    A1 *= gamma1
-    P += A1.T
-    return P, value
+    Q = np.empty_like(U)
+    blocks = _row_blocks(*U.shape)
+    for blk in blocks:
+        _l1_rows(U[blk], L1, c1, Q[blk])
+    return Q, _add_l2(U, L2, c2, Q, blocks)
 
 
 def _shrink_residual(R: np.ndarray, lam: float, loss: str, scratch=None) -> None:
@@ -109,9 +131,7 @@ def gradient_smooth(U, L1: SparseGraph, L2: SparseGraph, gamma1: float,
     """Gradient of the smooth part: 2*(gamma1*U L1 + gamma2*L2 U)."""
     U = _values(U)
     _check_dims(U, L1, L2)
-    P, _ = _smooth(U, L1, L2, gamma1, gamma2)
-    P *= 2.0
-    return P
+    return _smooth(U, L1, L2, 2.0 * gamma1, 2.0 * gamma2)[0]
 
 
 def prox_fidelity(U, X, lam: float, loss: str = "l1") -> np.ndarray:
@@ -146,58 +166,71 @@ def fista_solve(X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> LowRa
     (converged=True) or the iteration cap is reached (converged=False).
 
     Each iteration multiplies by the two Laplacians once, at the new U. That
-    pair gives the objective's smooth terms and P(U) (see _smooth); as the
-    gradient is linear, the gradient at the next extrapolated point
-    Y = U + beta*(U - U_prev) is 2*(P(U) + beta*(P(U) - P(U_prev))), in the
-    same form as Y, so a fixed point U == U_prev gives exactly 2*P(U). Both
-    products come fresh from actual iterates, so rounding does not build up
-    across iterations. The first iteration takes one more pair, at X.
+    pair gives the objective's smooth terms and Q = -2*lam*P(U) (see _smooth);
+    as the gradient is linear, the step at the next extrapolated point
+    Y = U + beta*(U - U_prev) is Q + beta*(Q - Q_prev), in the same form as Y,
+    so a fixed point U == U_prev gives exactly Q. Both products come fresh
+    from actual iterates, so rounding does not build up across iterations.
+    The first iteration takes one more pair, at X.
+
+    The elementwise work and U L1 run in one pass over row blocks that stay
+    in cache, so Y and the prox residual exist only per block; L2 U follows
+    as one full product. A non-finite U makes the objective non-finite, which
+    raises DivergedError.
     """
     Xv = np.ascontiguousarray(_values(X))
     _check_dims(Xv, L1, L2)
     image_dims = X.image_dims if isinstance(X, DataMatrix) else None
     lam = auto_step(L1, L2, cfg.gamma1, cfg.gamma2) if cfg.step == "auto" else float(cfg.step)
+    c1, c2 = -2.0 * lam * cfg.gamma1, -2.0 * lam * cfg.gamma2
+    blocks = _row_blocks(*Xv.shape)
 
-    # Four p x n buffers plus the product pair: U and U_prev swap each
-    # iteration, and R holds the residual, then the scratch, then Y_next.
-    U, Y = Xv.copy(), Xv.copy()
-    U_prev, R = np.empty_like(Xv), np.empty_like(Xv)
+    # Four p x n buffers plus the L2 U product: U and U_prev swap each
+    # iteration, as do Q and Q_prev
+    U, U_prev = Xv.copy(), Xv.copy()
+    Y_buf, R_buf = np.empty((2, blocks[0].stop, Xv.shape[1]))
     t, beta = 1.0, 0.0
     trace: List[float] = []
     converged = False
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked explicitly
-        P, _ = _smooth(Xv, L1, L2, cfg.gamma1, cfg.gamma2)
-        P_prev = P
+        Q, _ = _smooth(Xv, L1, L2, c1, c2)
+        Q_prev = Q.copy()
         for _ in range(cfg.max_iters):
-            # R = Y - lam*grad(Y) - X, shrunk in place by the fidelity prox
-            np.subtract(P, P_prev, out=R)
-            R *= beta
-            R += P
-            R *= -2.0 * lam
-            R += Y
-            R -= Xv
-            U, U_prev = U_prev, U  # the older iterate is dead once the gradient is taken
-            _shrink_residual(R, lam, cfg.loss, scratch=U)
-            np.add(Xv, R, out=U)
-            if not np.isfinite(U).all():
-                raise DivergedError("non-finite iterate; reduce the step size")
             iterations += 1
-            P_prev = P
-            P, smooth = _smooth(U, L1, L2, cfg.gamma1, cfg.gamma2)
-            value = _fidelity(np.subtract(U, Xv, out=R), cfg.loss, out=R) + smooth
-            if not np.isfinite(value):
-                raise DivergedError("objective overflowed; reduce the step size")
-            trace.append(value)
             t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            beta = (t - 1.0) / t_next
-            np.subtract(U, U_prev, out=R)  # R = Y_next = U + beta*(U - U_prev)
-            R *= beta
-            R += U
-            base = float(np.vdot(Y, Y))
-            diff = float(np.vdot(np.subtract(R, Y, out=Y), Y))
-            Y, R = R, Y  # the old Y buffer is scratch again
-            t = t_next
+            beta_next = (t - 1.0) / t_next
+            fidelity = base = diff = 0.0
+            for blk in blocks:
+                Yb, Rb = Y_buf[:blk.stop - blk.start], R_buf[:blk.stop - blk.start]
+                np.subtract(U[blk], U_prev[blk], out=Yb)  # Y = U + beta*(U - U_prev)
+                Yb *= beta
+                Yb += U[blk]
+                base += float(np.vdot(Yb, Yb))
+                # R = Y - lam*grad(Y) - X, shrunk in place by the fidelity prox;
+                # the new U and its rows of U L1 replace the dead U_prev and Q_prev rows
+                np.subtract(Q[blk], Q_prev[blk], out=Rb)
+                Rb *= beta
+                Rb += Q[blk]
+                Rb += Yb
+                Rb -= Xv[blk]
+                U_new = U_prev[blk]
+                _shrink_residual(Rb, lam, cfg.loss, scratch=U_new)
+                np.add(Xv[blk], Rb, out=U_new)
+                fidelity += _fidelity(Rb, cfg.loss, out=Rb)  # R = U - X up to rounding
+                np.subtract(U_new, U[blk], out=Rb)  # R = Y_next = U + beta*(U - U_prev)
+                Rb *= beta_next
+                Rb += U_new
+                diff += float(np.vdot(np.subtract(Rb, Yb, out=Yb), Yb))
+                _l1_rows(U_new, L1, c1, Q_prev[blk])
+            U, U_prev = U_prev, U
+            Q, Q_prev = Q_prev, Q
+            value = fidelity + _add_l2(U, L2, c2, Q, blocks) / (-2.0 * lam)
+            if not np.isfinite(value):
+                raise DivergedError(f"non-finite values at iteration {iterations} with step "
+                                    f"{lam:g}; reduce the step size")
+            trace.append(value)
+            t, beta = t_next, beta_next
             if diff < cfg.epsilon * base or diff == 0.0:
                 converged = True
                 break

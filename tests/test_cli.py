@@ -250,6 +250,18 @@ def test_solve_divergence_exits_3(tmp_path, dataset):
                  "--step", "1e8", "--output-u", str(tmp_path / "u.bin")]) == 3
 
 
+def test_solve_non_finite_iterate_exits_3(tmp_path, dataset, capsys):
+    # a step of 1e308 makes the first iterate itself non-finite
+    data, _ = dataset
+    g1, g2 = build_graphs(tmp_path, data)
+    capsys.readouterr()
+    assert main(["solve", "--input", str(data), "--graph1", str(g1),
+                 "--graph2", str(g2), "--step", "1e308",
+                 "--output-u", str(tmp_path / "u.bin")]) == 3
+    assert "iteration 1 with step 1e+308" in capsys.readouterr().err
+    assert not (tmp_path / "u.bin").exists()
+
+
 def test_solve_non_finite_flag_exits_2(tmp_path, dataset):
     data, _ = dataset
     g1, g2 = build_graphs(tmp_path, data)

@@ -1,4 +1,6 @@
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -256,9 +258,55 @@ def test_fista_matches_two_pair_reference(p, n, seed, loss, gamma1, gamma2, step
     assert np.abs(res.U.values - U).max() <= 1e-12 * np.abs(X).max()
 
 
-def test_fista_memory_bounded():
-    # shaped like the background workload: 4096 pixels by 104 frames
-    X, G1, G2 = make_instance(4096, 104, k=10, seed=0)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 80), st.integers(2, 24), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(LOSSES), st.sampled_from([0.0, 0.5, 3.0]),
+       st.sampled_from([0.0, 1.0, 10.0]), st.sampled_from([None, 0.25, 1.0]),
+       st.integers(1, 40))
+def test_fista_matches_two_pair_reference_over_row_blocks(p, n, seed, loss, gamma1, gamma2,
+                                                          step_scale, max_iters):
+    # a row block is max(32, _BLOCK_ELEMENTS // n) rows, so with the constant
+    # at 1 every block is 32 rows: p > 32 walks several (the last one short
+    # unless 32 divides p), p < 32 one block below the row minimum
+    with mock.patch("frpcag.solver._BLOCK_ELEMENTS", 1):
+        test_fista_matches_two_pair_reference.hypothesis.inner_test(
+            p, n, seed, loss, gamma1, gamma2, step_scale, max_iters)
+
+
+# shapes the block constant itself splits: 32-row blocks, the last one short
+MULTI_BLOCK_SHAPES = [(70, 600), (100, 2000), (33, 1000)]
+
+
+@pytest.mark.parametrize("p, n", MULTI_BLOCK_SHAPES)
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("gamma1, gamma2", [(1.7, 0.3), (0.0, 10.0), (0.0, 0.0)])
+def test_fista_matches_two_pair_reference_on_wide_shapes(p, n, loss, gamma1, gamma2):
+    test_fista_matches_two_pair_reference.hypothesis.inner_test(
+        p, n, 3, loss, gamma1, gamma2, None, 12)
+
+
+@pytest.mark.parametrize("p, n", MULTI_BLOCK_SHAPES)
+@pytest.mark.parametrize("loss", LOSSES)
+def test_objective_matches_last_trace_value_over_row_blocks(p, n, loss):
+    X, G1, G2 = make_instance(p, n, k=5, seed=4)
+    cfg = SolverConfig(loss=loss, gamma1=1.7, gamma2=0.3, max_iters=15)
+    res = fista_solve(X, G1, G2, cfg)
+    want = objective(res.U, X, G1, G2, cfg)
+    assert abs(res.objective_trace[-1] - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("p, n", MULTI_BLOCK_SHAPES)
+def test_gradient_matches_dense_over_row_blocks(p, n):
+    X, G1, G2 = make_instance(p, n, k=5, seed=5)
+    U = np.random.default_rng(6).standard_normal((p, n))
+    dense = 2.0 * (1.7 * U @ G1.laplacian.toarray() + 0.3 * G2.laplacian.toarray() @ U)
+    got = gradient_smooth(U, G1, G2, 1.7, 0.3)
+    assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def fista_peak_memory(p, n):
+    """tracemalloc peak of a 10-iteration solve, in units of X.nbytes."""
+    X, G1, G2 = make_instance(p, n, k=10, seed=0)
     cfg = SolverConfig(loss="l1", gamma1=1.0, gamma2=1.0, max_iters=10)
     tracemalloc.start()
     try:
@@ -266,7 +314,17 @@ def test_fista_memory_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * X.nbytes
+    return peak / X.nbytes
+
+
+def test_fista_memory_bounded():
+    # shaped like the background workload: 4096 pixels by 104 frames
+    assert fista_peak_memory(4096, 104) <= 8
+
+
+def test_fista_memory_bounded_wide():
+    # shaped like the solve workload: 100 features by 2000 samples
+    assert fista_peak_memory(100, 2000) <= 8
 
 
 def test_fista_divergence_detection():
@@ -274,6 +332,34 @@ def test_fista_divergence_detection():
     cfg = SolverConfig(loss="l1", gamma1=5.0, gamma2=5.0, step=1e8,
                        epsilon=1e-12, max_iters=500)
     with pytest.raises(DivergedError):
+        fista_solve(X, G1, G2, cfg)
+
+
+def test_fista_divergence_names_iteration_and_step():
+    # the reference's objective first turns non-finite at iteration k, and the
+    # solver stops there: not before (k - 1 iterations finish) and not after
+    X, G1, G2 = make_instance(10, 14, seed=16)
+    cfg = SolverConfig(loss="l1", gamma1=5.0, gamma2=5.0, step=1e8, epsilon=1e-300,
+                       max_iters=500)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, trace, _ = reference_fista(X, G1, G2, cfg)
+    k = next(i for i, value in enumerate(trace, start=1) if not np.isfinite(value))
+    assert k > 1
+    fista_solve(X, G1, G2, replace(cfg, max_iters=k - 1))
+    with pytest.raises(DivergedError, match=rf"iteration {k} with step 1e\+08;"):
+        fista_solve(X, G1, G2, cfg)
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+def test_fista_non_finite_iterate_raises_on_that_iteration(loss):
+    # a step of 1e308 makes the first iterate itself non-finite; there is no
+    # separate scan of U, and the objective check catches it on iteration 1
+    X, G1, G2 = make_instance(10, 14, seed=16)
+    cfg = SolverConfig(loss=loss, gamma1=5.0, gamma2=5.0, step=1e308, max_iters=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        U, _, _ = reference_fista(X, G1, G2, replace(cfg, max_iters=1))
+    assert not np.isfinite(U).all()
+    with pytest.raises(DivergedError, match=r"iteration 1 with step 1e\+308;"):
         fista_solve(X, G1, G2, cfg)
 
 
