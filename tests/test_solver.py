@@ -328,19 +328,12 @@ def test_fista_memory_bounded_wide():
 
 
 def test_fista_divergence_detection():
+    # the reference's objective first turns non-finite at iteration k, and the
+    # solver stops there, naming k and the step: not before (k - 1 iterations
+    # finish) and not after
     X, G1, G2 = make_instance(10, 14, seed=16)
     cfg = SolverConfig(loss="l1", gamma1=5.0, gamma2=5.0, step=1e8,
                        epsilon=1e-12, max_iters=500)
-    with pytest.raises(DivergedError):
-        fista_solve(X, G1, G2, cfg)
-
-
-def test_fista_divergence_names_iteration_and_step():
-    # the reference's objective first turns non-finite at iteration k, and the
-    # solver stops there: not before (k - 1 iterations finish) and not after
-    X, G1, G2 = make_instance(10, 14, seed=16)
-    cfg = SolverConfig(loss="l1", gamma1=5.0, gamma2=5.0, step=1e8, epsilon=1e-300,
-                       max_iters=500)
     with np.errstate(over="ignore", invalid="ignore"):
         _, trace, _ = reference_fista(X, G1, G2, cfg)
     k = next(i for i, value in enumerate(trace, start=1) if not np.isfinite(value))
