@@ -146,10 +146,7 @@ def check_recovery_bound(Xstar: LowRankOnGraphs, E, gamma: float,
     k1, k2 = Xstar.k1, Xstar.k2
     lam, Q = eigh(L1.laplacian.toarray())
     om, P = eigh(L2.laplacian.toarray())
-    if lam[k1] <= 1e-12 or om[k2] <= 1e-12:
-        raise DegenerateEigengapError(
-            "eigenvalue above the retained band is zero; the bound's gammas are undefined")
-    g1, g2 = gamma / lam[k1], gamma / om[k2]
+    g1, g2 = recovery_gammas(L1, L2, k1, k2, gamma)
     for got, want, name in ((cfg.gamma1, g1, "gamma1"), (cfg.gamma2, g2, "gamma2")):
         if abs(got - want) > 1e-9 * max(1.0, abs(want)):
             raise ValueError(f"solver ran with {name}={got}, bound requires {want}")

@@ -33,8 +33,11 @@ class NeighborList:
             raise ValueError("K must be >= 1")
         if self.distances.shape != (n, k):
             raise ValueError("indices and distances must have the same shape")
-        if np.any(self.indices == np.arange(n)[:, None]):
-            raise ValueError("neighbor lists must not contain self-loops")
+        if n and not (0 <= self.indices.min() and self.indices.max() < n):
+            raise ValueError(f"neighbor indices must lie in [0, {n})")
+        listed = np.sort(np.column_stack([np.arange(n), self.indices]), axis=1)
+        if np.any(listed[:, 1:] == listed[:, :-1]):
+            raise ValueError("a neighbor list must not contain a self-loop or repeat a vertex")
         if not np.all(self.distances >= 0):  # NaN fails this too
             raise ValueError("distances must be non-negative")
 
@@ -51,8 +54,8 @@ class NeighborList:
 class SparseGraph:
     """Symmetric weighted adjacency with its normalized Laplacian.
 
-    L = I - D^{-1/2} A D^{-1/2}; rows of isolated vertices reduce to the
-    identity row, so the spectrum always stays inside [0, 2].
+    Every vertex has an edge, and L = I - D^{-1/2} A D^{-1/2}, whose
+    spectrum lies inside [0, 2].
     """
 
     adjacency: sp.csr_matrix
@@ -170,24 +173,21 @@ def _nearest_candidates(cols: np.ndarray, first: int, inside: np.ndarray, K: int
     return c[take], d[take]
 
 
-def _normalized_laplacian(A: sp.csr_matrix):
-    degrees = np.asarray(A.sum(axis=1)).ravel()
-    inv_sqrt = np.divide(1.0, np.sqrt(degrees), out=np.zeros_like(degrees),
-                         where=degrees > 0)
-    D = sp.diags(inv_sqrt)
+def _sparse_graph(A: sp.csr_matrix) -> SparseGraph:
+    """SparseGraph of a symmetric CSR adjacency with no self-loops and no stored zeros.
+
+    Raises ValueError when a vertex keeps no edge or a degree overflows.
+    """
+    with np.errstate(over="ignore"):  # an overflowing degree is rejected below
+        degrees = np.asarray(A.sum(axis=1)).ravel()
+    isolated = int(np.count_nonzero(degrees == 0))
+    if isolated:
+        raise ValueError(f"{isolated} of {degrees.size} vertices keep no edge")
+    if not np.isfinite(degrees).all():
+        raise ValueError("edge weights overflow a vertex degree")
+    D = sp.diags(1.0 / np.sqrt(degrees))
     L = sp.eye(A.shape[0], format="csr") - D @ A @ D
-    return degrees, L.tocsr()
-
-
-def graph_from_adjacency(A: sp.spmatrix) -> SparseGraph:
-    """Wrap a symmetric adjacency matrix into a SparseGraph with its Laplacian."""
-    A = sp.csr_matrix(A)
-    A.setdiag(0.0)
-    A.eliminate_zeros()
-    if (abs(A - A.T) > 1e-12).nnz > 0:
-        raise ValueError("adjacency must be symmetric")
-    degrees, L = _normalized_laplacian(A)
-    return SparseGraph(adjacency=A, degrees=degrees, laplacian=L)
+    return SparseGraph(adjacency=A, degrees=degrees, laplacian=L.tocsr())
 
 
 def resolve_sigma2(nbrs: NeighborList, sigma2: Union[float, str]) -> float:
@@ -213,7 +213,8 @@ def build_graph(nbrs: NeighborList, sigma2: Union[float, str] = 1.0) -> SparseGr
 
     Edge (i, j) exists iff either vertex lists the other; its weight is
     exp(-d_ij^2 / sigma^2), which is direction-independent. sigma2="auto"
-    squares the mean neighbor distance.
+    squares the mean neighbor distance. Raises ValueError when a vertex keeps
+    no edge because its weights underflow to 0.
     """
     n, k = nbrs.vertex_count, nbrs.k
     sigma2 = resolve_sigma2(nbrs, sigma2)
@@ -221,8 +222,11 @@ def build_graph(nbrs: NeighborList, sigma2: Union[float, str] = 1.0) -> SparseGr
         weights = np.exp(-(nbrs.distances ** 2) / sigma2)
     rows = np.repeat(np.arange(n), k)
     W = sp.coo_matrix((weights.ravel(), (rows, nbrs.indices.ravel())), shape=(n, n)).tocsr()
-    A = W.maximum(W.T)
-    return graph_from_adjacency(A)
+    try:  # maximum stores no zeros, so weights that underflowed to 0 are gone
+        return _sparse_graph(W.maximum(W.T))
+    except ValueError as exc:
+        raise ValueError(f"{exc} at sigma2={sigma2:.17g} (their weights underflow to 0); "
+                         "pass a larger sigma2") from None
 
 
 def spectral_norm(graph: SparseGraph, method: str = "bound", max_iters: int = 50000,
@@ -299,9 +303,10 @@ def load_graph_coo(path, vertex_count: int) -> SparseGraph:
     Raises GraphFormatError, naming the line, unless the file is UTF-8 text
     of at least one 'i j weight' line with non-negative indices, a finite
     non-negative weight, no self-loop and no repeated (i, j) pair; and for an
-    asymmetric adjacency or a vertex degree that overflows. Raises its
-    subclass GraphSizeError, before any matrix is allocated, for an index
-    >= vertex_count or a largest index + 1 below vertex_count.
+    asymmetric adjacency, a vertex without edges or a vertex degree that
+    overflows. Raises its subclass GraphSizeError, before any matrix is
+    allocated, for an index >= vertex_count or a largest index + 1 below
+    vertex_count.
     """
     edges = {}  # (i, j) -> weight, in file order
     try:
@@ -343,11 +348,10 @@ def load_graph_coo(path, vertex_count: int) -> SparseGraph:
     weights = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
     A = sp.coo_matrix((weights, (index[:, 0], index[:, 1])),
                       shape=(vertex_count, vertex_count)).tocsr()
-    try:  # an asymmetric adjacency is a ValueError
-        with np.errstate(over="ignore"):  # an overflowing degree is rejected below
-            graph = graph_from_adjacency(A)
+    A.eliminate_zeros()
+    if (abs(A - A.T) > 1e-12).nnz > 0:
+        raise GraphFormatError(f"{path}: adjacency must be symmetric")
+    try:
+        return _sparse_graph(A)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
-    if not np.all(np.isfinite(graph.degrees)):
-        raise GraphFormatError(f"{path}: edge weights overflow a vertex degree")
-    return graph

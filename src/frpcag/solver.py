@@ -30,8 +30,16 @@ class SolverConfig:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if not (0 <= self.gamma1 < np.inf and 0 <= self.gamma2 < np.inf):
             raise ValueError("gamma1 and gamma2 must be finite and >= 0")
-        if self.step != "auto" and not 0 < float(self.step) < np.inf:
+        # fista_solve scales by 2*step, then by gamma, and divides by 2*step
+        # (inf * 0 is NaN, which fails too); the auto step is
+        # 1/(4*(gamma1 + gamma2)), as ||L|| <= 2
+        if self.step == "auto":
+            if not 4.0 * (self.gamma1 + self.gamma2) < np.inf:
+                raise ValueError("gamma1 + gamma2 overflows: the auto step would be 0")
+        elif not 0 < float(self.step) < np.inf:
             raise ValueError("step must be positive and finite, or 'auto'")
+        elif not 2.0 * float(self.step) * max(self.gamma1, self.gamma2) < np.inf:
+            raise ValueError("2 * step * max(gamma1, gamma2) overflows")
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
         if self.max_iters < 1:

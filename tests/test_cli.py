@@ -14,7 +14,7 @@ import frpcag.evalcluster
 from frpcag.cli import main
 from frpcag.evalcluster import two_gaussians
 from frpcag.frames import load_frames, save_frames, synthetic_sequence, write_pgm
-from frpcag.graph import load_graph_coo
+from frpcag.graph import build_graph, knn_exact, load_graph_coo, save_graph_coo
 from frpcag.matrixio import DataMatrix, load_matrix, save_matrix
 
 
@@ -251,14 +251,14 @@ def test_solve_divergence_exits_3(tmp_path, dataset):
 
 
 def test_solve_non_finite_iterate_exits_3(tmp_path, dataset, capsys):
-    # a step of 1e308 makes the first iterate itself non-finite
+    # a step of 1e307 makes the first iterate itself non-finite
     data, _ = dataset
     g1, g2 = build_graphs(tmp_path, data)
     capsys.readouterr()
     assert main(["solve", "--input", str(data), "--graph1", str(g1),
-                 "--graph2", str(g2), "--step", "1e308",
+                 "--graph2", str(g2), "--step", "1e307",
                  "--output-u", str(tmp_path / "u.bin")]) == 3
-    assert "iteration 1 with step 1e+308" in capsys.readouterr().err
+    assert "iteration 1 with step 1e+307" in capsys.readouterr().err
     assert not (tmp_path / "u.bin").exists()
 
 
@@ -268,6 +268,39 @@ def test_solve_non_finite_flag_exits_2(tmp_path, dataset):
     assert main(["solve", "--input", str(data), "--graph1", str(g1),
                  "--graph2", str(g2), "--gamma1", "nan",
                  "--output-u", str(tmp_path / "u.bin")]) == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--gamma1", "1e308"], "gamma1 + gamma2 overflows: the auto step would be 0"),
+    (["--gamma1", "5", "--gamma2", "5", "--step", "1e308"],
+     "2 * step * max(gamma1, gamma2) overflows"),
+])
+def test_solve_step_scaling_that_overflows_exits_2(tmp_path, capsys, flags, message):
+    # an instance on which the step-1e308 iteration would keep U = X
+    rng = np.random.default_rng(16)
+    points = rng.standard_normal((10, 14))
+    save_graph_coo(build_graph(knn_exact(points, 4), "auto"), tmp_path / "g1.coo")
+    save_graph_coo(build_graph(knn_exact(points.T, 4), "auto"), tmp_path / "g2.coo")
+    save_matrix(tmp_path / "x.csv", DataMatrix(rng.standard_normal((10, 14)) * 1e-60), fmt="csv")
+    out = tmp_path / "u.bin"
+    assert main(["solve", "--input", str(tmp_path / "x.csv"), "--graph1",
+                 str(tmp_path / "g1.coo"), "--graph2", str(tmp_path / "g2.coo"),
+                 *flags, "--output-u", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_graph_with_a_vertex_without_edges_exits_1(tmp_path, dataset, capsys):
+    # sample 15 of 30 has no line: the file still gives 30 vertices
+    data, _ = dataset
+    g1, g2 = build_graphs(tmp_path, data)
+    lines = g1.read_text().splitlines()
+    g1.write_text("".join(line + "\n" for line in lines if "15" not in line.split()[:2]))
+    out = tmp_path / "u.bin"
+    assert main(["solve", "--input", str(data), "--graph1", str(g1),
+                 "--graph2", str(g2), "--output-u", str(out)]) == 1
+    assert f"{g1}: 1 of 30 vertices keep no edge" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_background_command(tmp_path):
@@ -285,6 +318,20 @@ def test_background_command(tmp_path):
     never = ~mask.any(axis=0)
     mae = np.abs(bg[:, never] - background[never][None]).mean()
     assert mae <= 0.02 + 0.5 / 255
+
+
+def test_background_frame_without_edges_exits_2(tmp_path, capsys):
+    # 29 black 8x8 frames and one white one: at K=1 the white frame's one
+    # weight underflows to 0, so its Laplacian row would be the identity row
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    for i in range(30):
+        write_pgm(frames_dir / f"f{i:02d}.pgm", np.full((8, 8), float(i == 29)))
+    out_dir = tmp_path / "out"
+    assert main(["background", "--frames-dir", str(frames_dir), "--out-dir", str(out_dir),
+                 "--k", "1", "--gamma1", "10", "--gamma2", "1"]) == 2
+    assert "1 of 30 vertices keep no edge at sigma2=" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_background_inconsistent_dims_exits_4(tmp_path):
@@ -393,6 +440,16 @@ def test_experiment_bad_value_exits_2(tmp_path, capsys, key, value):
     status, records, err = experiment_records(tmp_path, capsys, **{key: value})
     assert status == 2 and records == []
     assert str(tmp_path / "exp.conf") in err and key in err
+
+
+def test_experiment_graph_with_a_vertex_without_edges_exits_2(tmp_path, capsys):
+    # every weight exp(-d^2 / 1e-3) of the standardized samples underflows to 0
+    output = tmp_path / "records.jsonl"
+    status, records, err = experiment_records(tmp_path, capsys, sigma2="1e-3",
+                                              output=str(output))
+    assert status == 2 and records == []
+    assert "40 of 40 vertices keep no edge at sigma2=0.001 " in err
+    assert not output.exists()
 
 
 @pytest.mark.parametrize("settings", [

@@ -10,9 +10,8 @@ from scipy.spatial.distance import cdist
 
 from frpcag import graph
 from frpcag.graph import (GraphFormatError, GraphSizeError, NeighborList, build_graph,
-                          graph_from_adjacency, knn_exact, load_graph_coo,
-                          partial_eigs, resolve_sigma2, save_graph_coo,
-                          spectral_norm)
+                          knn_exact, load_graph_coo, partial_eigs, resolve_sigma2,
+                          save_graph_coo, spectral_norm)
 
 
 def brute_force_knn(points, K):
@@ -165,6 +164,20 @@ def test_neighbor_list_rejects_nan_distance():
         NeighborList(indices=np.array([[1], [0]]), distances=np.array([[np.nan], [1.0]]))
 
 
+@pytest.mark.parametrize("indices, message", [
+    # build_graph would sum the two weights of a repeated neighbour
+    ([[1, 1], [0, 2], [0, 1]], "self-loop or repeat a vertex"),
+    ([[2, 1], [0, 2], [1, 1]], "self-loop or repeat a vertex"),
+    ([[1], [1]], "self-loop or repeat a vertex"),
+    ([[5], [0]], r"must lie in \[0, 2\)"),
+    ([[-1], [0]], r"must lie in \[0, 2\)"),
+])
+def test_neighbor_list_rejects_bad_indices(indices, message):
+    indices = np.array(indices)
+    with pytest.raises(ValueError, match=message):
+        NeighborList(indices=indices, distances=np.ones(indices.shape))
+
+
 def test_resolve_sigma2_rejects_non_finite_width():
     # the distance from (1, 0) to (2e160, 1) overflows to inf
     nb = knn_exact(np.array([[0.0, 1.0, 2e160, 3.0], [1.0, 0.0, 1.0, 2.0]]), 1)
@@ -177,11 +190,24 @@ def test_resolve_sigma2_rejects_non_finite_width():
 
 
 def test_build_graph_weight_overflow_gives_zero():
-    # d^2 / sigma2 overflows; exp(-inf) = 0 is the weight, with no warning
+    # d^2 / sigma2 overflows; exp(-inf) = 0 is the weight, with no warning,
+    # and it leaves vertex 2 without an edge
     nb = knn_exact(np.array([[0.0, 0.0, 1e154]]), 1)
-    g = build_graph(nb, 1e-3)
-    assert g.adjacency[0, 1] == 1.0
-    assert g.degrees[2] == 0
+    with pytest.raises(ValueError, match=r"^1 of 3 vertices keep no edge at sigma2=0.001 "
+                       r"\(their weights underflow to 0\); pass a larger sigma2$"):
+        build_graph(nb, 1e-3)
+
+
+def test_build_graph_refuses_a_vertex_without_edges():
+    # 29 black 8x8 frames and one white one: at K=1 the white frame's one
+    # weight, exp(-64 / (8/30)^2), underflows to 0
+    frames = np.zeros((64, 30))
+    frames[:, 29] = 1.0
+    with pytest.raises(ValueError, match=r"^1 of 30 vertices keep no edge at sigma2=0\.0711"):
+        build_graph(knn_exact(frames, 1), "auto")
+    # a middle vertex, too far from the others for exp(-d^2) to stay above 0
+    with pytest.raises(ValueError, match="^1 of 5 vertices keep no edge at sigma2=1 "):
+        build_graph(knn_exact(np.array([[0.0, 0.1, 50.0, 0.2, 0.3]]), 1), 1.0)
 
 
 def test_build_graph_weights():
@@ -235,9 +261,6 @@ def test_spectral_norm_modes():
     nb = knn_exact(np.array([[0.0, 0.0]]), 1)
     g2 = build_graph(nb, 1.0)
     assert abs(spectral_norm(g2, method="power") - 2.0) <= 1e-4 * 2.0
-    # edgeless graph: L = I
-    empty = graph_from_adjacency(np.zeros((5, 5)))
-    assert abs(spectral_norm(empty, method="power") - 1.0) <= 1e-4
 
 
 def test_spectral_norm_power_accuracy_on_random_graphs():
@@ -380,3 +403,11 @@ def test_coo_rejects_non_utf8(tmp_path):
     path.write_bytes(b"0 1 1\n1 0 1\xff\n")
     with pytest.raises(GraphFormatError, match="can't decode"):
         load_graph_coo(path, 2)
+
+
+def test_coo_rejects_a_vertex_without_edges(tmp_path):
+    # vertex 2 is listed by no line, but vertex 3 gives the file 4 vertices
+    path = tmp_path / "g.coo"
+    path.write_text("0 1 1\n1 0 1\n1 3 1\n3 1 1\n")
+    with pytest.raises(GraphFormatError, match="g.coo: 1 of 4 vertices keep no edge$"):
+        load_graph_coo(path, 4)

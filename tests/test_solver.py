@@ -345,14 +345,15 @@ def test_fista_divergence_detection():
 
 @pytest.mark.parametrize("loss", LOSSES)
 def test_fista_non_finite_iterate_raises_on_that_iteration(loss):
-    # a step of 1e308 makes the first iterate itself non-finite; there is no
-    # separate scan of U, and the objective check catches it on iteration 1
+    # a step of 1e307 makes the first iterate itself non-finite (2 * step *
+    # gamma = 1e308 still fits); there is no separate scan of U, and the
+    # objective check catches it on iteration 1
     X, G1, G2 = make_instance(10, 14, seed=16)
-    cfg = SolverConfig(loss=loss, gamma1=5.0, gamma2=5.0, step=1e308, max_iters=3)
+    cfg = SolverConfig(loss=loss, gamma1=5.0, gamma2=5.0, step=1e307, max_iters=3)
     with np.errstate(over="ignore", invalid="ignore"):
         U, _, _ = reference_fista(X, G1, G2, replace(cfg, max_iters=1))
     assert not np.isfinite(U).all()
-    with pytest.raises(DivergedError, match=r"iteration 1 with step 1e\+308;"):
+    with pytest.raises(DivergedError, match=r"iteration 1 with step 1e\+307;"):
         fista_solve(X, G1, G2, cfg)
 
 
@@ -425,6 +426,23 @@ def test_solver_config_validation():
 def test_solver_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
         SolverConfig(**{field: value})
+
+
+def test_solver_config_rejects_step_scaling_that_overflows():
+    with pytest.raises(ValueError, match="the auto step would be 0"):
+        SolverConfig(gamma1=1e308)
+    with pytest.raises(ValueError, match="the auto step would be 0"):
+        SolverConfig(gamma1=1e308, gamma2=1e308)
+    for gammas in ((5.0, 5.0), (0.0, 0.0)):  # 2 * 1e308 overflows before the gammas scale it
+        with pytest.raises(ValueError, match=r"2 \* step \* max\(gamma1, gamma2\) overflows"):
+            SolverConfig(gamma1=gammas[0], gamma2=gammas[1], step=1e308)
+    # where the scaling fits, a step inside the soft-threshold keeps U = X
+    X, G1, G2 = make_instance(10, 14, seed=16)
+    cfg = SolverConfig(gamma1=5.0, gamma2=5.0, step=1e307)
+    U, _, iterations = reference_fista(X * 1e-60, G1, G2, cfg)
+    res = fista_solve(X * 1e-60, G1, G2, cfg)
+    assert np.array_equal(U, X * 1e-60) and np.array_equal(res.U.values, U)
+    assert res.iterations == iterations == 1
 
 
 def test_solver_config_from_keyvalue_file():
