@@ -47,17 +47,19 @@ class BoundReport:
 
 
 def economic_svd(U, c: Optional[int] = None) -> SvdTriplet:
-    """SVD through the p x p Gram eigendecomposition.
+    """SVD through the eigendecomposition of the smaller Gram matrix.
 
-    V and sigma come from eigendecomposing U U^T, then W = Sigma^{-1} V^T U.
-    Keeps the c largest triplets (all, when c is None), restricted to
-    numerically positive singular values.
+    When p <= n, V and sigma come from eigendecomposing U U^T, then
+    W = U^T V Sigma^{-1}; when p > n, W and sigma come from U^T U, then
+    V = U W Sigma^{-1}. Keeps the c largest triplets (all, when c is None),
+    restricted to numerically positive singular values.
     """
     U = _values(U)
     p, n = U.shape
     if c is not None and not 0 <= c <= min(p, n):
         raise ValueError(f"c must lie in [0, min(p, n)], got {c}")
-    evals, evecs = eigh(U @ U.T)
+    M = U.T if p > n else U  # M M^T is the smaller Gram matrix
+    evals, evecs = eigh(M @ M.T)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     sigma = np.sqrt(np.maximum(evals, 0.0))
@@ -66,9 +68,10 @@ def economic_svd(U, c: Optional[int] = None) -> SvdTriplet:
     cutoff = evals[0] * max(p, n) * np.finfo(np.float64).eps if sigma.size else 0.0
     rank = int(np.count_nonzero(evals > max(cutoff, 0.0)))
     keep = rank if c is None else min(c, rank)
-    V = evecs[:, order[:keep]]
+    left = evecs[:, order[:keep]]
     sigma = sigma[:keep]
-    W = (U.T @ V) / sigma if keep else np.zeros((n, 0))
+    right = (M.T @ left) / sigma if keep else np.zeros((M.shape[1], 0))
+    V, W = (right, left) if p > n else (left, right)
     return SvdTriplet(V=V, sigma=sigma, W=W)
 
 

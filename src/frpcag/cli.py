@@ -22,6 +22,20 @@ EXIT_DIVERGED = 3
 EXIT_DATA = 4
 
 
+def _add_solver_flags(p) -> None:
+    """The solver flags that solve and background share; each defaults to unset."""
+    p.add_argument("--gamma1", type=float)
+    p.add_argument("--gamma2", type=float)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--max-iters", dest="max_iters", type=int)
+
+
+def _solver_config(args, base):
+    """base, a SolverConfig, with each solver flag that was given laid over it."""
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(base)}
+    return dataclasses.replace(base, **{k: v for k, v in given.items() if v is not None})
+
+
 def cmd_graph(args) -> int:
     from .graph import build_graph, knn_exact, resolve_sigma2, save_graph_coo
     from .matrixio import load_matrix
@@ -42,9 +56,8 @@ def cmd_solve(args) -> int:
     from .matrixio import DataMatrix, load_matrix, save_matrix
     from .solver import SolverConfig, fista_solve, save_trace_csv
 
-    cfg = parse_keyvalue(args.config, SolverConfig) if args.config else SolverConfig()
-    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)}
-    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    base = parse_keyvalue(args.config, SolverConfig) if args.config else SolverConfig()
+    cfg = _solver_config(args, base)
 
     X = load_matrix(args.input, args.format)
     G1 = load_graph_coo(args.graph1, X.sample_count)
@@ -60,11 +73,12 @@ def cmd_solve(args) -> int:
 
 def cmd_background(args) -> int:
     from .frames import load_frames, save_frames, separate_background
+    from .solver import SolverConfig
 
+    cfg = _solver_config(args, SolverConfig(epsilon=1e-8))
     seq, names = load_frames(args.frames_dir)
-    background, foreground, result = separate_background(
-        seq, K=args.k, gamma1=args.gamma1, gamma2=args.gamma2,
-        sigma2=args.sigma2, epsilon=args.epsilon, max_iters=args.max_iters)
+    background, foreground, result = separate_background(seq, cfg, K=args.k,
+                                                         sigma2=args.sigma2)
     os.makedirs(args.out_dir, exist_ok=True)
     save_frames(args.out_dir, background, [f"bg_{n}" for n in names])
     save_frames(args.out_dir, foreground, [f"fg_{n}" for n in names])
@@ -140,12 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph1", required=True, help="sample graph (n x n) COO file")
     p.add_argument("--graph2", required=True, help="feature graph (p x p) COO file")
     p.add_argument("--config", help="key = value solver config; flags override it")
-    p.add_argument("--gamma1", type=float)
-    p.add_argument("--gamma2", type=float)
+    _add_solver_flags(p)
     p.add_argument("--loss", choices=["l1", "frobenius_sq"])
     p.add_argument("--step", type=auto_or_positive, metavar="STEP")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--output-u", required=True, help="recovered U (binary-f64)")
     p.add_argument("--output-trace", help="objective trace CSV")
     p.set_defaults(func=cmd_solve)
@@ -154,11 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--gamma1", type=float, default=1.0)
-    p.add_argument("--gamma2", type=float, default=1.0)
     p.add_argument("--sigma2", type=auto_or_positive, default="auto")
-    p.add_argument("--epsilon", type=float, default=1e-8)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=1000)
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_background)
 
     p = sub.add_parser("experiment", help="run the clustering experiment pipeline")

@@ -15,7 +15,7 @@ class ConfigError(ValueError):
 
 def _convert(kind, text: str):
     if type(None) in typing.get_args(kind):  # Optional[X] reads as X
-        kind = typing.get_args(kind)[0]
+        kind = Union[tuple(a for a in typing.get_args(kind) if a is not type(None))]
     if kind is bool:
         if text.lower() not in ("true", "false"):
             raise ValueError("expected true or false")

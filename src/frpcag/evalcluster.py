@@ -3,7 +3,7 @@ and the corrupt -> solve -> cluster experiment pipeline."""
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional
 
 import numpy as np
@@ -135,13 +135,13 @@ class ExperimentConfig:
     image_width: Optional[int] = None
     knn_k: int = 10
     sigma2: AutoOrPositive = 1.0
-    loss: str = "l1"
+    loss: Optional[str] = None
     gamma: Optional[Floats] = None  # sets gamma1 = gamma2 = each value in turn
-    gamma1: Optional[float] = None  # 1.0 when unset
-    gamma2: Optional[float] = None  # 1.0 when unset
-    epsilon: float = 1e-6
-    max_iters: int = 1000
-    step: AutoOrPositive = "auto"
+    gamma1: Optional[float] = None
+    gamma2: Optional[float] = None
+    epsilon: Optional[float] = None
+    max_iters: Optional[int] = None
+    step: Optional[AutoOrPositive] = None
     seed: int = 0
     restarts: int = 10
     rank_threshold: float = 0.01
@@ -153,6 +153,13 @@ class ExperimentConfig:
             raise ValueError("use either 'gamma' or 'gamma1'/'gamma2'")
         if (self.image_height is None) != (self.image_width is None):
             raise ValueError("set both 'image_height' and 'image_width', or neither")
+        if self.image_height is not None and min(self.image_height, self.image_width) < 1:
+            raise ValueError(f"image_dims ({self.image_height}, {self.image_width}): "
+                             "image_height and image_width must be >= 1")
+        for key, low in (("n", 1), ("p", 1), ("knn_k", 1), ("restarts", 1), ("seed", 0),
+                         ("data_seed", 0), ("corruption_seed", 0), ("rank_threshold", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.cluster_on not in ("u", "w"):
             raise ValueError(f"cluster_on must be 'u' or 'w', got {self.cluster_on!r}")
         self.corruption_spec()
@@ -164,15 +171,11 @@ class ExperimentConfig:
             kind=self.corruption, fraction=self.fraction, seed=self.corruption_seed)
 
     def solver_configs(self) -> List[SolverConfig]:
-        """One solver config per gamma of the sweep."""
-        if self.gamma is not None:
-            pairs = [(gamma, gamma) for gamma in self.gamma]
-        else:
-            pairs = [(1.0 if self.gamma1 is None else self.gamma1,
-                      1.0 if self.gamma2 is None else self.gamma2)]
-        return [SolverConfig(loss=self.loss, gamma1=g1, gamma2=g2, step=self.step,
-                             epsilon=self.epsilon, max_iters=self.max_iters)
-                for g1, g2 in pairs]
+        """One SolverConfig per gamma of the sweep; unset keys keep its defaults."""
+        keys = {f.name: getattr(self, f.name) for f in fields(SolverConfig)}
+        keys = {k: v for k, v in keys.items() if v is not None}
+        sweep = [{}] if self.gamma is None else [{"gamma1": g, "gamma2": g} for g in self.gamma]
+        return [SolverConfig(**keys, **pair) for pair in sweep]
 
 
 @dataclass(frozen=True)
@@ -261,9 +264,7 @@ def run_gamma(prep: PreparedExperiment, solver_cfg: SolverConfig) -> dict:
             "kind": cfg.corruption, "fraction": cfg.fraction,
             "seed": cfg.corruption_seed, "entries": prep.corrupted_entries},
         "graph": {"k": cfg.knn_k, "sigma2": cfg.sigma2},
-        "solver": {"loss": solver_cfg.loss, "gamma1": solver_cfg.gamma1,
-                   "gamma2": solver_cfg.gamma2, "epsilon": solver_cfg.epsilon,
-                   "max_iters": solver_cfg.max_iters},
+        "solver": asdict(solver_cfg),
         "seed": cfg.seed,
         "cluster_on": cfg.cluster_on,
         "error": error,

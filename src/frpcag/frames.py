@@ -119,22 +119,19 @@ def save_frames(directory, seq: FrameSequence, names) -> None:
         write_pgm(os.path.join(directory, name), frame)
 
 
-def separate_background(seq: FrameSequence, K: int = 10, gamma1: float = 1.0,
-                        gamma2: float = 1.0, sigma2="auto",
-                        epsilon: float = 1e-8, max_iters: int = 1000):
+def separate_background(seq: FrameSequence, cfg: SolverConfig, K: int = 10,
+                        sigma2="auto"):
     """Split a frame sequence into a static background and sparse foreground.
 
     Builds one graph over frames and one over pixels, solves the dual-graph
-    objective on the vectorized sequence, and returns (background frames,
-    |S| foreground-magnitude frames, LowRankResult). Frames stay in the
-    [0, 1] intensity scale throughout.
+    objective that cfg sets on the vectorized sequence, and returns
+    (background frames, |S| foreground-magnitude frames, LowRankResult).
+    Frames stay in the [0, 1] intensity scale throughout.
     """
     X = seq.to_matrix()
     h, w = seq.shape
     G1 = build_graph(knn_exact(X.values, K), sigma2)       # frames
     G2 = build_graph(knn_exact(X.values.T, K), sigma2)     # pixels
-    cfg = SolverConfig(loss="l1", gamma1=gamma1, gamma2=gamma2,
-                       epsilon=epsilon, max_iters=max_iters)
     result = fista_solve(X, G1, G2, cfg)
     T = seq.count
     background = np.clip(result.U.values.T.reshape(T, h, w), 0.0, 1.0)

@@ -162,14 +162,22 @@ def standardize(X: DataMatrix) -> DataMatrix:
     """Center every feature row at 0 and scale it to unit sample standard deviation.
 
     Rows with zero variance (including single-sample matrices) map to all
-    zeros instead of dividing by zero. Idempotent up to rounding.
+    zeros instead of dividing by zero. Idempotent up to rounding. Raises
+    ValueError, naming the feature, when a row's mean or standard deviation
+    overflows.
     """
     values = X.values
-    centered = values - values.mean(axis=1, keepdims=True)
-    if values.shape[1] > 1:
-        std = values.std(axis=1, ddof=1, keepdims=True)
-    else:
-        std = np.zeros((values.shape[0], 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean(axis=1, keepdims=True)
+        if values.shape[1] > 1:
+            std = values.std(axis=1, ddof=1, keepdims=True)
+        else:
+            std = np.zeros((values.shape[0], 1))
+    finite = np.isfinite(mean) & np.isfinite(std)
+    if not finite.all():
+        raise ValueError(f"feature {int(np.argmin(finite))}: its mean or standard "
+                         "deviation overflows, so it cannot be standardized")
+    centered = values - mean
     out = np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
     return DataMatrix(out, image_dims=X.image_dims)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from frpcag import analysis
 from frpcag.analysis import (DegenerateEigengapError, alignment_energy,
                              alignment_ratio, check_recovery_bound, covariance,
                              economic_svd, make_lowrank_on_graphs, rank_estimate,
@@ -70,6 +71,36 @@ def test_economic_svd_reconstruction_and_orthonormality():
     c = trip.sigma.size
     assert np.abs(trip.V.T @ trip.V - np.eye(c)).max() < 1e-10
     assert np.abs(trip.W.T @ trip.W - np.eye(c)).max() < 1e-10
+
+
+def test_economic_svd_tall_oracle():
+    rng = np.random.default_rng(6)
+    for p, n, rank in ((300, 20, 20), (120, 9, 4), (50, 1, 1)):
+        U = rng.standard_normal((p, rank)) @ rng.standard_normal((rank, n))
+        trip = economic_svd(U)
+        ref = np.linalg.svd(U, compute_uv=False)
+        assert trip.sigma.size == rank
+        assert np.abs(trip.sigma - ref[:rank]).max() <= 1e-10 * ref[0]
+        assert trip.V.shape == (p, rank) and trip.W.shape == (n, rank)
+        assert np.abs(trip.V.T @ trip.V - np.eye(rank)).max() < 1e-10
+        assert np.abs(trip.W.T @ trip.W - np.eye(rank)).max() < 1e-10
+        assert np.linalg.norm(trip.V @ np.diag(trip.sigma) @ trip.W.T - U) \
+            <= 1e-10 * np.linalg.norm(U)
+    zero = economic_svd(np.zeros((6, 4)))
+    assert zero.V.shape == (6, 0) and zero.W.shape == (4, 0)
+
+
+def test_economic_svd_decomposes_the_smaller_gram(monkeypatch):
+    shapes = []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(analysis, "eigh", recorded)
+    rng = np.random.default_rng(7)
+    economic_svd(rng.standard_normal((300, 20)))
+    economic_svd(rng.standard_normal((20, 300)))
+    assert shapes == [(20, 20), (20, 20)]
 
 
 def test_economic_svd_c_out_of_range():

@@ -11,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frpcag.evalcluster
+import frpcag.frames
+import frpcag.solver
 from frpcag.cli import main
 from frpcag.evalcluster import two_gaussians
 from frpcag.frames import load_frames, save_frames, synthetic_sequence, write_pgm
 from frpcag.graph import build_graph, knn_exact, load_graph_coo, save_graph_coo
 from frpcag.matrixio import DataMatrix, load_matrix, save_matrix
+from frpcag.solver import SolverConfig
 
 
 @pytest.fixture()
@@ -303,6 +306,65 @@ def test_solve_graph_with_a_vertex_without_edges_exits_1(tmp_path, dataset, caps
     assert not out.exists()
 
 
+class Built(Exception):
+    """Carries the SolverConfig a command built out of main."""
+
+
+SOLVER_FLAGS = ["--gamma1", "0.25", "--gamma2", "0.5", "--epsilon", "1e-5",
+                "--max-iters", "7"]
+
+
+def test_solve_lays_every_solver_flag_on_the_config(tmp_path, dataset, monkeypatch):
+    def built(X, G1, G2, cfg):
+        raise Built(cfg)
+    monkeypatch.setattr(frpcag.solver, "fista_solve", built)
+    data, _ = dataset
+    g1, g2 = build_graphs(tmp_path, data)
+    with pytest.raises(Built) as got:
+        main(["solve", "--input", str(data), "--graph1", str(g1), "--graph2", str(g2),
+              "--output-u", str(tmp_path / "u.bin"), *SOLVER_FLAGS,
+              "--loss", "frobenius_sq", "--step", "0.125"])
+    cfg = got.value.args[0]
+    assert cfg == SolverConfig(loss="frobenius_sq", gamma1=0.25, gamma2=0.5, step=0.125,
+                               epsilon=1e-5, max_iters=7)
+    # every field moved off its default, so a flag that went astray would show
+    assert all(getattr(cfg, f) != getattr(SolverConfig(), f) for f in vars(cfg))
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (SOLVER_FLAGS, SolverConfig(gamma1=0.25, gamma2=0.5, epsilon=1e-5, max_iters=7)),
+    ([], SolverConfig(epsilon=1e-8)),
+])
+def test_background_lays_every_solver_flag_on_the_config(tmp_path, monkeypatch,
+                                                         flags, expected):
+    def built(seq, cfg, K, sigma2):
+        raise Built(cfg)
+    monkeypatch.setattr(frpcag.frames, "separate_background", built)
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    for i in range(3):
+        write_pgm(frames_dir / f"f{i}.pgm", np.full((4, 4), i / 4))
+    with pytest.raises(Built) as got:
+        main(["background", "--frames-dir", str(frames_dir),
+              "--out-dir", str(tmp_path / "out"), *flags])
+    assert got.value.args[0] == expected
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epsilon", "0", "epsilon must be positive"),
+    ("--max-iters", "0", "max_iters must be >= 1"),
+    ("--gamma1", "-1", "gamma1 and gamma2 must be finite"),
+    ("--gamma2", "inf", "gamma1 and gamma2 must be finite"),
+])
+def test_background_bad_solver_flag_exits_2_before_reading_frames(tmp_path, capsys,
+                                                                  flag, value, message):
+    # the frames directory does not exist, so reading it first would exit 1
+    assert main(["background", "--frames-dir", str(tmp_path / "missing"),
+                 "--out-dir", str(tmp_path / "out"), flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_background_command(tmp_path):
     seq, background, mask = synthetic_sequence(count=20, h=16, w=16, square=4, seed=1)
     frames_dir = tmp_path / "frames"
@@ -465,6 +527,30 @@ def test_experiment_bad_key_exits_2_before_data_loads(tmp_path, capsys, settings
                     + "".join(f"{k} = {v}\n" for k, v in settings.items()))
     assert main(["experiment", "--config", str(conf)]) == 2
     assert str(conf) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("rank_threshold", "-1"), ("knn_k", "0"),
+                                        ("n", "-3"), ("corruption_seed", "-1")])
+def test_experiment_out_of_range_key_exits_2_before_data_loads(tmp_path, capsys, key, value):
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"dataset = missing.bin\nlabels = missing.txt\n{key} = {value}\n")
+    assert main(["experiment", "--config", str(conf)]) == 2
+    assert f"{conf}: {key} must be >= " in capsys.readouterr().err
+
+
+def test_experiment_feature_that_overflows_exits_2(tmp_path, capsys):
+    # a std of 1e300-scale values overflows; standardizing it would zero the feature
+    X, labels = two_gaussians(n=12, p=6, separation=10.0, seed=2)
+    save_matrix(tmp_path / "d.csv", DataMatrix(X.values * 1e300), fmt="csv")
+    np.savetxt(tmp_path / "labels.txt", labels, fmt="%d")
+    output = tmp_path / "records.jsonl"
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"dataset = {tmp_path / 'd.csv'}\nlabels = {tmp_path / 'labels.txt'}\n"
+                    f"knn_k = 3\nsigma2 = auto\nrestarts = 2\noutput = {output}\n")
+    assert main(["experiment", "--config", str(conf)]) == 2
+    out = capsys.readouterr()
+    assert "error: feature 0: its mean or standard deviation overflows" in out.err
+    assert "{" not in out.out and not output.exists()
 
 
 def test_experiment_image_dims_apply_to_two_gaussians(tmp_path, capsys):

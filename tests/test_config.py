@@ -31,12 +31,25 @@ def test_experiment_defaults_come_from_the_declaration():
     assert parse_keyvalue_text("# nothing set\n", ExperimentConfig) == ExperimentConfig()
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("", [SolverConfig()]),
+    ("step = auto\nmax_iters = 5", [SolverConfig(step="auto", max_iters=5)]),
+    ("step = 0.5\ngamma = 1, 2", [SolverConfig(step=0.5, gamma1=g, gamma2=g) for g in (1, 2)]),
+    ("loss = frobenius_sq\ngamma1 = 3", [SolverConfig(loss="frobenius_sq", gamma1=3.0)]),
+])
+def test_experiment_solver_keys_lay_over_solver_defaults(text, expected):
+    assert parse_keyvalue_text(text, ExperimentConfig).solver_configs() == expected
+
+
 @pytest.mark.parametrize("text", [
     "corrupt_after_standardize = no", "corrupt_after_standardize = 1",
     "knn_k = 5.5", "knn_k = 1e3", "restarts = ten",
     "epsilon = nan", "fraction = inf", "sigma2 = 0", "sigma2 = Auto", "step = -inf",
     "gamma = 1,,2", "gamma = 1, nan",
     "gamma = 1\ngamma2 = 2",
+    "knn_k = 0", "restarts = 0", "n = -3", "n = 0", "p = 0",
+    "image_height = 0\nimage_width = 4", "image_width = -1\nimage_height = 4",
+    "rank_threshold = -1", "seed = -1", "data_seed = -1", "corruption_seed = -2",
 ])
 def test_experiment_bad_values_name_source_and_key(text):
     key = text.split("=", 1)[0].strip()

@@ -4,6 +4,7 @@ import pytest
 from frpcag.frames import (FrameDimensionError, FrameFormatError, FrameSequence,
                            load_frames, read_pgm, save_frames,
                            separate_background, synthetic_sequence, write_pgm)
+from frpcag.solver import SolverConfig
 
 
 def test_pgm_roundtrip(tmp_path):
@@ -91,7 +92,7 @@ def test_synthetic_sequence_ground_truth():
 
 def test_separate_background_recovers_truth():
     seq, background, mask = synthetic_sequence(count=30, h=20, w=20, square=5, seed=3)
-    bg, fg, result = separate_background(seq, K=8, gamma1=1.0, gamma2=1.0)
+    bg, fg, result = separate_background(seq, SolverConfig(epsilon=1e-8), K=8)
     never = ~mask.any(axis=0)
     mae = np.abs(bg.frames[:, never] - background[never][None]).mean()
     assert mae <= 0.02
@@ -105,7 +106,7 @@ def test_separate_background_static_sequence():
     still = np.clip(rng.random((10, 12, 12)), 0.05, 0.95)
     still[:] = still[0]
     seq = FrameSequence(still)
-    bg, fg, result = separate_background(seq, K=5, gamma1=1.0, gamma2=1.0)
+    bg, fg, result = separate_background(seq, SolverConfig(epsilon=1e-8), K=5)
     X = seq.to_matrix().values
     assert np.abs(result.S.values).sum() <= 0.01 * np.abs(X).sum()
 

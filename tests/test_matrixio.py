@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,24 @@ def test_standardize_row_oracle():
     assert abs(Z[0].mean()) < 1e-12
     assert abs(Z[0].std(ddof=1) - 1.0) < 1e-12
     assert np.array_equal(Z[1], np.zeros(3))
+
+
+@pytest.mark.parametrize("row", [[1e300, -1e300, 1e300],   # std overflows
+                                 [1e308, 1e308, 1e308]])   # the mean's sum overflows
+def test_standardize_overflow_names_the_feature(row):
+    X = DataMatrix(np.array([[1.0, 2.0, 3.0], row]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        with pytest.raises(ValueError, match="feature 1: its mean or standard deviation"):
+            standardize(X)
+
+
+def test_standardize_matches_the_row_formula_bit_for_bit():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((6, 9)) * 10.0 ** rng.integers(-100, 150, size=(6, 1))
+    centered = values - values.mean(axis=1, keepdims=True)
+    std = values.std(axis=1, ddof=1, keepdims=True)
+    assert np.array_equal(standardize(DataMatrix(values)).values, centered / std)
 
 
 def test_standardize_idempotent():
