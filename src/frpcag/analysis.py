@@ -119,6 +119,17 @@ def make_lowrank_on_graphs(L1: SparseGraph, L2: SparseGraph, k1: int, k2: int,
     return LowRankOnGraphs(Xstar=Xstar, k1=k1, k2=k2, C=C, Qk1=Qk1, Pk2=Pk2)
 
 
+def _bound_gammas(lam: np.ndarray, om: np.ndarray, k1: int, k2: int, gamma: float):
+    """recovery_gammas from the lowest eigenvalues of L1 and L2, ascending:
+    at least k1 + 1 and k2 + 1 of them, or all when the graph has fewer."""
+    if k1 >= lam.size or k2 >= om.size:
+        raise ValueError("k1, k2 must leave at least one eigenvalue above the band")
+    if lam[k1] <= 1e-12 or om[k2] <= 1e-12:
+        raise DegenerateEigengapError(
+            "eigenvalue above the retained band is zero; the bound's gammas are undefined")
+    return gamma / lam[k1], gamma / om[k2]
+
+
 def recovery_gammas(L1: SparseGraph, L2: SparseGraph, k1: int, k2: int, gamma: float):
     """gamma1 = gamma/lambda_{k1+1}, gamma2 = gamma/omega_{k2+1} for the bound.
 
@@ -127,12 +138,7 @@ def recovery_gammas(L1: SparseGraph, L2: SparseGraph, k1: int, k2: int, gamma: f
     """
     lam = partial_eigs(L1, min(k1 + 1, L1.vertex_count)).values
     om = partial_eigs(L2, min(k2 + 1, L2.vertex_count)).values
-    if k1 >= L1.vertex_count or k2 >= L2.vertex_count:
-        raise ValueError("k1, k2 must leave at least one eigenvalue above the band")
-    if lam[k1] <= 1e-12 or om[k2] <= 1e-12:
-        raise DegenerateEigengapError(
-            "eigenvalue above the retained band is zero; the bound's gammas are undefined")
-    return gamma / lam[k1], gamma / om[k2]
+    return _bound_gammas(lam, om, k1, k2, gamma)
 
 
 def check_recovery_bound(Xstar: LowRankOnGraphs, E, gamma: float,
@@ -141,15 +147,16 @@ def check_recovery_bound(Xstar: LowRankOnGraphs, E, gamma: float,
     """Evaluate both sides of the recovery bound for a solved instance.
 
     The solver must have run on X = Xstar + E with gamma1 = gamma/lambda_{k1+1}
-    and gamma2 = gamma/omega_{k2+1}; this is re-derived and verified here.
+    and gamma2 = gamma/omega_{k2+1}; this is re-derived and verified here,
+    from the same full eigendecompositions that give the bound's projections.
     """
     E = _values(E)
     Xs = Xstar.Xstar.values
     X = Xs + E
     k1, k2 = Xstar.k1, Xstar.k2
-    lam, Q = eigh(L1.laplacian.toarray())
-    om, P = eigh(L2.laplacian.toarray())
-    g1, g2 = recovery_gammas(L1, L2, k1, k2, gamma)
+    eigs1, eigs2 = partial_eigs(L1, L1.vertex_count), partial_eigs(L2, L2.vertex_count)
+    lam, Q, om, P = eigs1.values, eigs1.vectors, eigs2.values, eigs2.vectors
+    g1, g2 = _bound_gammas(lam, om, k1, k2, gamma)
     for got, want, name in ((cfg.gamma1, g1, "gamma1"), (cfg.gamma2, g2, "gamma2")):
         if abs(got - want) > 1e-9 * max(1.0, abs(want)):
             raise ValueError(f"solver ran with {name}={got}, bound requires {want}")

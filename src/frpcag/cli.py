@@ -53,7 +53,7 @@ def cmd_graph(args) -> int:
 
 def cmd_solve(args) -> int:
     from .graph import load_graph_coo
-    from .matrixio import DataMatrix, load_matrix, save_matrix
+    from .matrixio import load_matrix, save_matrix
     from .solver import SolverConfig, fista_solve, save_trace_csv
 
     base = parse_keyvalue(args.config, SolverConfig) if args.config else SolverConfig()
@@ -63,7 +63,7 @@ def cmd_solve(args) -> int:
     G1 = load_graph_coo(args.graph1, X.sample_count)
     G2 = load_graph_coo(args.graph2, X.feature_count)
     result = fista_solve(X, G1, G2, cfg)
-    save_matrix(args.output_u, DataMatrix(result.U.values), fmt="binary-f64")
+    save_matrix(args.output_u, result.U, fmt="binary-f64")
     if args.output_trace:
         save_trace_csv(result.objective_trace, args.output_trace)
     print(f"iterations={result.iterations} objective={result.objective_trace[-1]:.17g} "
@@ -92,14 +92,11 @@ def _experiment_data(cfg, source):
     from .evalcluster import two_gaussians
     from .matrixio import load_labels, load_matrix
 
-    dims = None if cfg.image_height is None else (cfg.image_height, cfg.image_width)
     if cfg.dataset == "two-gaussians":
-        X, labels = two_gaussians(n=cfg.n, p=cfg.p, separation=cfg.separation,
-                                  seed=cfg.data_seed)
-        return dataclasses.replace(X, image_dims=dims), labels
+        return two_gaussians(n=cfg.n, p=cfg.p, separation=cfg.separation, seed=cfg.data_seed)
     if cfg.labels is None:
         raise ConfigError(f"{source}: file datasets need a 'labels' path")
-    X = load_matrix(cfg.dataset, cfg.format, image_dims=dims)
+    X = load_matrix(cfg.dataset, cfg.format)
     labels = load_labels(cfg.labels)
     if labels.size != X.sample_count:
         raise ConfigError(f"{source}: {labels.size} labels for {X.sample_count} samples")

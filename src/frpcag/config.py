@@ -1,5 +1,6 @@
 """Key = value configuration files (one assignment per line, # comments),
-read against a dataclass that declares each key's type and default."""
+read against a dataclass that declares each key's type and default, and the
+number grammar that the config and data file readers share."""
 
 import math
 import typing
@@ -11,6 +12,12 @@ Floats = Tuple[float, ...]  # one finite number or a comma-separated list
 
 class ConfigError(ValueError):
     """Raised for unparseable lines, unknown keys or bad values."""
+
+
+def plain_number_text(text: str) -> bool:
+    """False for text with '_' or a non-ASCII character: Python's int and float
+    read "1_0" as 10 and non-ASCII digits as digits, which every reader refuses."""
+    return text.isascii() and "_" not in text
 
 
 def _convert(kind, text: str):
@@ -26,6 +33,8 @@ def _convert(kind, text: str):
         return tuple(_convert(float, item) for item in text.split(","))
     if kind == AutoOrPositive and text == "auto":
         return text
+    if not plain_number_text(text):
+        raise ValueError("expected a number in ASCII digits, without '_'")
     value = int(text) if kind is int else float(text)
     if not math.isfinite(value):
         raise ValueError("expected a finite number")
@@ -72,5 +81,10 @@ def parse_keyvalue_text(text: str, schema, source: str = "<config>"):
 
 
 def parse_keyvalue(path, schema):
-    with open(path) as fh:
-        return parse_keyvalue_text(fh.read(), schema, source=str(path))
+    """parse_keyvalue_text on a UTF-8 file; ConfigError names the file for other bytes."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return parse_keyvalue_text(text, schema, source=str(path))

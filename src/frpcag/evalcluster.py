@@ -131,7 +131,7 @@ class ExperimentConfig:
     fraction: float = 0.25
     corruption_seed: int = 0
     corrupt_after_standardize: bool = False
-    image_height: Optional[int] = None  # set both or neither
+    image_height: Optional[int] = None  # both or neither; for corruption = block only
     image_width: Optional[int] = None
     knn_k: int = 10
     sigma2: AutoOrPositive = 1.0
@@ -153,9 +153,9 @@ class ExperimentConfig:
             raise ValueError("use either 'gamma' or 'gamma1'/'gamma2'")
         if (self.image_height is None) != (self.image_width is None):
             raise ValueError("set both 'image_height' and 'image_width', or neither")
-        if self.image_height is not None and min(self.image_height, self.image_width) < 1:
-            raise ValueError(f"image_dims ({self.image_height}, {self.image_width}): "
-                             "image_height and image_width must be >= 1")
+        if (self.image_height is None) == (self.corruption == "block"):
+            raise ValueError("'image_height' and 'image_width' give the image_dims that "
+                             "corruption = block needs and no other corruption takes")
         for key, low in (("n", 1), ("p", 1), ("knn_k", 1), ("restarts", 1), ("seed", 0),
                          ("data_seed", 0), ("corruption_seed", 0), ("rank_threshold", 0)):
             if getattr(self, key) < low:
@@ -168,7 +168,8 @@ class ExperimentConfig:
     def corruption_spec(self) -> Optional[CorruptionSpec]:
         """The corruption recipe, or None when corruption is "none"."""
         return None if self.corruption == "none" else CorruptionSpec(
-            kind=self.corruption, fraction=self.fraction, seed=self.corruption_seed)
+            self.corruption, self.fraction, self.corruption_seed,
+            None if self.image_height is None else (self.image_height, self.image_width))
 
     def solver_configs(self) -> List[SolverConfig]:
         """One SolverConfig per gamma of the sweep; unset keys keep its defaults."""

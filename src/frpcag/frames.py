@@ -41,7 +41,7 @@ class FrameSequence:
     def to_matrix(self) -> DataMatrix:
         """Vectorize frames (row-major) into columns of a p x T matrix."""
         T, h, w = self.frames.shape
-        return DataMatrix(self.frames.reshape(T, h * w).T, image_dims=(h, w))
+        return DataMatrix(self.frames.reshape(T, h * w).T)
 
 
 def read_pgm(path) -> np.ndarray:

@@ -7,6 +7,8 @@ from typing import Union
 import numpy as np
 import scipy.sparse as sp
 
+from .config import plain_number_text
+
 
 class EigenSolverError(RuntimeError):
     """Eigensolver failed to converge within its iteration cap."""
@@ -301,10 +303,10 @@ def load_graph_coo(path, vertex_count: int) -> SparseGraph:
     """Read a COO triplet file into a SparseGraph of vertex_count vertices.
 
     Raises GraphFormatError, naming the line, unless the file is UTF-8 text
-    of at least one 'i j weight' line with non-negative indices, a finite
-    non-negative weight, no self-loop and no repeated (i, j) pair; and for an
-    asymmetric adjacency, a vertex without edges or a vertex degree that
-    overflows. Raises its subclass GraphSizeError, before any matrix is
+    of at least one 'i j weight' line, in ASCII without '_', with
+    non-negative indices, a finite non-negative weight, no self-loop and no
+    repeated (i, j) pair; and for an asymmetric adjacency, a vertex without
+    edges or a vertex degree that overflows. Raises its subclass GraphSizeError, before any matrix is
     allocated, for an index >= vertex_count or a largest index + 1 below
     vertex_count.
     """
@@ -316,7 +318,7 @@ def load_graph_coo(path, vertex_count: int) -> SparseGraph:
                 if not line:
                     continue
                 parts = line.split()
-                if len(parts) != 3:
+                if len(parts) != 3 or not plain_number_text(line):
                     raise GraphFormatError(f"{path}: expected 'i j weight' on line {lineno}")
                 try:
                     i, j, w = int(parts[0]), int(parts[1]), float(parts[2])

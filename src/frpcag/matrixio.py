@@ -9,6 +9,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .config import plain_number_text
+
 BINARY_MAGIC = b"FRPM"
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
@@ -19,14 +21,9 @@ class MatrixFormatError(ValueError):
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """Dense p x n matrix: rows are features, columns are samples.
-
-    image_dims, when present, is (h, w) with h * w = p and marks columns as
-    vectorized images (required for block corruption).
-    """
+    """Dense p x n matrix of finite values: rows are features, columns are samples."""
 
     values: np.ndarray
-    image_dims: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -34,10 +31,6 @@ class DataMatrix:
             raise ValueError(f"expected a p x n matrix with p, n >= 1, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix entries must all be finite")
-        if self.image_dims is not None:
-            h, w = self.image_dims
-            if h < 1 or w < 1 or h * w != values.shape[0]:
-                raise ValueError(f"image_dims {self.image_dims} inconsistent with p={values.shape[0]}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -56,15 +49,30 @@ class CorruptionSpec:
     kind: str  # "block" or "missing"
     fraction: float
     seed: int = 0
+    image_dims: Optional[Tuple[int, int]] = None  # (h, w) of the column images: block only
 
     def __post_init__(self):
         if self.kind not in ("block", "missing"):
             raise ValueError(f"unknown corruption kind {self.kind!r}")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"fraction must lie in [0, 1], got {self.fraction}")
+        if (self.image_dims is None) == (self.kind == "block"):
+            raise ValueError(f"{self.kind} corruption "
+                             f"{'needs' if self.kind == 'block' else 'takes no'} image_dims")
+        if self.image_dims is not None and min(self.image_dims) < 1:
+            raise ValueError(f"image_dims {self.image_dims} must both be >= 1")
 
 
-def load_matrix(path, fmt: str = "csv", image_dims=None) -> DataMatrix:
+def _number_lines(fh, path):
+    """The lines of fh; MatrixFormatError names one that holds an underscore or
+    a non-ASCII character, which float() would read as part of a number."""
+    for lineno, line in enumerate(fh, start=1):
+        if not plain_number_text(line):
+            raise MatrixFormatError(f"{path}: non-numeric cell on line {lineno}")
+        yield line
+
+
+def load_matrix(path, fmt: str = "csv") -> DataMatrix:
     """Load a DataMatrix from disk.
 
     fmt "csv" reads numeric RFC-4180 cells, one feature per row; fmt
@@ -77,7 +85,7 @@ def load_matrix(path, fmt: str = "csv", image_dims=None) -> DataMatrix:
         rows = []
         try:
             with open(path, "r", encoding="utf-8", newline="") as fh:
-                for lineno, record in enumerate(csv.reader(fh), start=1):
+                for lineno, record in enumerate(csv.reader(_number_lines(fh, path)), start=1):
                     if not record:
                         continue
                     try:
@@ -96,7 +104,7 @@ def load_matrix(path, fmt: str = "csv", image_dims=None) -> DataMatrix:
             raise MatrixFormatError(f"{path}: {exc}") from exc
         if not rows:
             raise MatrixFormatError(f"{path}: empty file")
-        return DataMatrix(np.array(rows, dtype=np.float64), image_dims=image_dims)
+        return DataMatrix(np.array(rows, dtype=np.float64))
     if fmt == "binary-f64":
         with open(path, "rb") as fh:
             header = fh.read(20)
@@ -112,7 +120,7 @@ def load_matrix(path, fmt: str = "csv", image_dims=None) -> DataMatrix:
         values = np.frombuffer(payload, dtype="<f8").reshape((p, n), order="F")
         if not np.all(np.isfinite(values)):
             raise MatrixFormatError(f"{path}: non-finite entry in the payload")
-        return DataMatrix(values.copy(), image_dims=image_dims)
+        return DataMatrix(values.copy())
     raise ValueError(f"unknown matrix format {fmt!r}")
 
 
@@ -179,14 +187,15 @@ def standardize(X: DataMatrix) -> DataMatrix:
                          "deviation overflows, so it cannot be standardized")
     centered = values - mean
     out = np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
-    return DataMatrix(out, image_dims=X.image_dims)
+    return DataMatrix(out)
 
 
 def corrupt(X: DataMatrix, spec: CorruptionSpec):
     """Apply a corruption spec to every sample, deterministically under spec.seed.
 
-    kind "block": one square occlusion per image, side round(sqrt(fraction*h*w))
-    clipped to the image, placed uniformly at random and filled with 1.
+    kind "block": one square occlusion per image of spec.image_dims = (h, w),
+    side round(sqrt(fraction*h*w)) clipped to the image, placed uniformly at
+    random and filled with 1; ValueError unless h * w = p.
     kind "missing": ceil(fraction*p) distinct pixels per sample set to 0.
 
     Returns (corrupted DataMatrix, boolean mask of corrupted entries).
@@ -196,9 +205,10 @@ def corrupt(X: DataMatrix, spec: CorruptionSpec):
     mask = np.zeros(values.shape, dtype=bool)
     p, n = values.shape
     if spec.kind == "block":
-        if X.image_dims is None:
-            raise ValueError("block corruption requires image_dims on the data matrix")
-        h, w = X.image_dims
+        h, w = spec.image_dims
+        if h * w != p:
+            raise ValueError(f"image_dims {spec.image_dims} give {h * w} pixels, "
+                             f"but the matrix has p={p} features")
         side = int(round(np.sqrt(spec.fraction * h * w)))
         side = min(side, h, w)
         if side > 0:
@@ -217,4 +227,4 @@ def corrupt(X: DataMatrix, spec: CorruptionSpec):
                 idx = rng.choice(p, size=count, replace=False)
                 values[idx, j] = 0.0
                 mask[idx, j] = True
-    return DataMatrix(values, image_dims=X.image_dims), mask
+    return DataMatrix(values), mask

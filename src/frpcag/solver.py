@@ -56,7 +56,8 @@ class LowRankResult:
 
 
 def _values(X) -> np.ndarray:
-    return X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=np.float64)
+    """X's values; an array is checked as a DataMatrix is (finite, 2-D, non-empty)."""
+    return (X if isinstance(X, DataMatrix) else DataMatrix(X)).values
 
 
 def _check_dims(U, L1: SparseGraph, L2: SparseGraph):
@@ -188,7 +189,6 @@ def fista_solve(X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> LowRa
     """
     Xv = np.ascontiguousarray(_values(X))
     _check_dims(Xv, L1, L2)
-    image_dims = X.image_dims if isinstance(X, DataMatrix) else None
     lam = auto_step(L1, L2, cfg.gamma1, cfg.gamma2) if cfg.step == "auto" else float(cfg.step)
     c1, c2 = -2.0 * lam * cfg.gamma1, -2.0 * lam * cfg.gamma2
     blocks = _row_blocks(*Xv.shape)
@@ -242,9 +242,7 @@ def fista_solve(X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> LowRa
             if diff < cfg.epsilon * base or diff == 0.0:
                 converged = True
                 break
-    Uout = DataMatrix(U, image_dims=image_dims)
-    Sout = DataMatrix(Xv - U, image_dims=image_dims)
-    return LowRankResult(U=Uout, S=Sout, objective_trace=trace,
+    return LowRankResult(U=DataMatrix(U), S=DataMatrix(Xv - U), objective_trace=trace,
                          iterations=iterations, converged=converged)
 
 

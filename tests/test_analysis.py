@@ -112,6 +112,14 @@ def test_covariance_constant_matrix():
     assert np.abs(covariance(np.full((3, 5), 2.7))).max() < 1e-12
 
 
+@pytest.mark.parametrize("call", [covariance, economic_svd])
+def test_non_finite_array_is_refused_on_entry(call):
+    X = np.ones((3, 4))
+    X[1, 2] = np.nan
+    with pytest.raises(ValueError, match="matrix entries must all be finite"):
+        call(X)
+
+
 def test_covariance_hand_instance():
     X = np.array([[1.0, -1.0], [1.0, -1.0]])
     C = covariance(X)  # global mean 0, C = X X^T / 2

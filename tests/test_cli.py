@@ -64,6 +64,8 @@ def test_graph_missing_input_exits_1(tmp_path):
 @pytest.mark.parametrize("fmt, content", [
     ("csv", b"1,2,3\n4,nan,6\n"),
     ("csv", b"1,2,3\n4,\xff5,6\n"),
+    ("csv", b"1,2,3\n1_0,5,6\n"),  # Python's float reads 1_0 as 10
+    ("csv", "1,2,3\n4,\u0662,6\n".encode()),  # and ARABIC-INDIC DIGIT TWO as 2
     ("binary-f64", b"FRPM" + struct.pack("<QQ", 1, 3) + struct.pack("<3d", 1, np.inf, 3)),
 ])
 def test_graph_bad_matrix_file_exits_1(tmp_path, fmt, content):
@@ -497,7 +499,8 @@ def test_experiment_bool_values_are_strict(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("knn_k", "5.5"), ("gamma", "nan"), ("gamma", "1, inf"),
-                                        ("sigma2", "-1"), ("loss", "l2"), ("gamma1", "3")])
+                                        ("sigma2", "-1"), ("loss", "l2"), ("gamma1", "3"),
+                                        ("knn_k", "1_0"), ("knn_k", "\u0665")])
 def test_experiment_bad_value_exits_2(tmp_path, capsys, key, value):
     status, records, err = experiment_records(tmp_path, capsys, **{key: value})
     assert status == 2 and records == []
@@ -519,6 +522,8 @@ def test_experiment_graph_with_a_vertex_without_edges_exits_2(tmp_path, capsys):
     {"corruption": "missing", "fraction": "2"},
     {"cluster_on": "v"},
     {"image_height": "16"},
+    {"corruption": "block"},  # block corruption needs the image keys
+    {"image_height": "4", "image_width": "4", "corruption": "missing"},  # and only it
 ])
 def test_experiment_bad_key_exits_2_before_data_loads(tmp_path, capsys, settings):
     # the dataset does not exist, so any check left until after loading exits 1
@@ -536,6 +541,20 @@ def test_experiment_out_of_range_key_exits_2_before_data_loads(tmp_path, capsys,
     conf.write_text(f"dataset = missing.bin\nlabels = missing.txt\n{key} = {value}\n")
     assert main(["experiment", "--config", str(conf)]) == 2
     assert f"{conf}: {key} must be >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["experiment"],
+    ["solve", "--input", "x.csv", "--graph1", "g1.coo", "--graph2", "g2.coo",
+     "--output-u", "u.bin"],
+])
+def test_config_not_utf8_exits_2_naming_the_file(tmp_path, capsys, command):
+    conf = tmp_path / "latin1.conf"
+    conf.write_bytes(b"# r\xe9glages\nmax_iters = 5\n")
+    assert main([*command, "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {conf}: 'utf-8' codec can't decode byte 0xe9" in err
+    assert "Traceback" not in err
 
 
 def test_experiment_feature_that_overflows_exits_2(tmp_path, capsys):

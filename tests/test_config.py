@@ -49,6 +49,9 @@ def test_experiment_solver_keys_lay_over_solver_defaults(text, expected):
     "gamma = 1\ngamma2 = 2",
     "knn_k = 0", "restarts = 0", "n = -3", "n = 0", "p = 0",
     "image_height = 0\nimage_width = 4", "image_width = -1\nimage_height = 4",
+    "image_height = 4\nimage_width = 4\ncorruption = missing",
+    "image_height = 4\nimage_width = 4\ncorruption = none",
+    "knn_k = 1_0", "knn_k = \u0661\u0660", "fraction = 0.2_5", "gamma = 1, \u0662",
     "rank_threshold = -1", "seed = -1", "data_seed = -1", "corruption_seed = -2",
 ])
 def test_experiment_bad_values_name_source_and_key(text):
@@ -58,7 +61,8 @@ def test_experiment_bad_values_name_source_and_key(text):
 
 
 @pytest.mark.parametrize("text", ["gamma1 = nan", "step = inf", "max_iters = 0",
-                                  "loss = l2", "gamma3 = 1"])
+                                  "loss = l2", "gamma3 = 1", "max_iters = 1_000",
+                                  "step = \u0660.5"])
 def test_solver_config_text_rejects(text):
     with pytest.raises(ConfigError):
         parse_keyvalue_text(text, SolverConfig)

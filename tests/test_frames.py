@@ -4,6 +4,7 @@ import pytest
 from frpcag.frames import (FrameDimensionError, FrameFormatError, FrameSequence,
                            load_frames, read_pgm, save_frames,
                            separate_background, synthetic_sequence, write_pgm)
+from frpcag.matrixio import CorruptionSpec, corrupt
 from frpcag.solver import SolverConfig
 
 
@@ -74,10 +75,14 @@ def test_load_frames_empty_dir(tmp_path):
 
 def test_to_matrix_vectorization():
     frames = np.arange(24, dtype=np.float64).reshape(2, 3, 4) / 24
-    X = FrameSequence(frames).to_matrix()
+    seq = FrameSequence(frames)
+    X = seq.to_matrix()
     assert X.feature_count == 12 and X.sample_count == 2
-    assert X.image_dims == (3, 4)
     assert np.array_equal(X.values[:, 0], frames[0].ravel())
+    # the frame shape is the image_dims of a block occlusion, row by row
+    _, mask = corrupt(X, CorruptionSpec("block", 0.75, image_dims=seq.shape))
+    block = mask[:, 0].reshape(seq.shape)
+    assert block.sum() == 9 and block.all(axis=0).sum() == 3  # 3 x 3 in a 3 x 4 frame
 
 
 def test_synthetic_sequence_ground_truth():

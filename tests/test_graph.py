@@ -363,6 +363,10 @@ def test_coo_bad_file(tmp_path):
     ("0 1 -0.5\n1 0 -0.5\n", "finite and non-negative on line 1"),
     ("0 1 1\n", "symmetric"),
     ("0 1 1e308\n1 0 1e308\n0 2 1e308\n2 0 1e308\n", "overflow a vertex degree"),
+    # Python's int and float read digit-group underscores and non-ASCII digits
+    ("0 1 1\n1 0 1\n0 1_0 1\n1_0 0 1\n", "expected 'i j weight' on line 3"),
+    ("0 1 1_0\n1 0 1_0\n", "expected 'i j weight' on line 1"),
+    ("\u0660 \u0661 1\n\u0661 \u0660 1\n", "expected 'i j weight' on line 1"),
 ])
 def test_coo_rejects_bad_indices_and_weights(tmp_path, text, message):
     path = tmp_path / "bad.coo"

@@ -86,12 +86,15 @@ def test_datamatrix_invariants():
         DataMatrix(np.array([[np.inf, 1.0]]))
     with pytest.raises(ValueError):
         DataMatrix(np.zeros((0, 3)))
-    with pytest.raises(ValueError):
-        DataMatrix(np.zeros((4, 2)), image_dims=(3, 3))
-    with pytest.raises(ValueError):
-        DataMatrix(np.zeros((6, 2)), image_dims=(-2, -3))
-    X = DataMatrix(np.zeros((6, 2)), image_dims=(2, 3))
+    with pytest.raises(ValueError, match=r"image_dims \(3, 3\) give 9 pixels"):
+        corrupt(DataMatrix(np.zeros((4, 2))), CorruptionSpec("block", 0.5, image_dims=(3, 3)))
+    with pytest.raises(ValueError, match="must both be >= 1"):
+        CorruptionSpec("block", 0.5, image_dims=(-2, -3))
+    with pytest.raises(ValueError, match="missing corruption takes no image_dims"):
+        CorruptionSpec("missing", 0.5, image_dims=(2, 3))
+    X = DataMatrix(np.zeros((6, 2)))
     assert X.feature_count == 6 and X.sample_count == 2
+    assert corrupt(X, CorruptionSpec("block", 0.5, image_dims=(2, 3)))[1].any()
 
 
 def test_standardize_row_oracle():
@@ -131,9 +134,9 @@ def test_standardize_idempotent():
 
 def test_corrupt_fraction_zero_identity():
     rng = np.random.default_rng(4)
-    X = DataMatrix(rng.standard_normal((16, 6)), image_dims=(4, 4))
-    for kind in ("block", "missing"):
-        Y, mask = corrupt(X, CorruptionSpec(kind=kind, fraction=0.0, seed=1))
+    X = DataMatrix(rng.standard_normal((16, 6)))
+    for kind, dims in (("block", (4, 4)), ("missing", None)):
+        Y, mask = corrupt(X, CorruptionSpec(kind=kind, fraction=0.0, seed=1, image_dims=dims))
         assert np.array_equal(Y.values, X.values)
         assert not mask.any()
 
@@ -148,8 +151,8 @@ def test_corrupt_missing_count_per_column():
 
 def test_corrupt_block_geometry_and_fill():
     rng = np.random.default_rng(6)
-    X = DataMatrix(rng.standard_normal((36, 5)), image_dims=(6, 6))
-    Y, mask = corrupt(X, CorruptionSpec(kind="block", fraction=0.25, seed=3))
+    X = DataMatrix(rng.standard_normal((36, 5)))
+    Y, mask = corrupt(X, CorruptionSpec(kind="block", fraction=0.25, seed=3, image_dims=(6, 6)))
     side = round(np.sqrt(0.25 * 36))
     for j in range(5):
         col = mask[:, j].reshape(6, 6)
@@ -162,15 +165,15 @@ def test_corrupt_block_geometry_and_fill():
 
 def test_corrupt_only_masked_entries_change():
     rng = np.random.default_rng(7)
-    X = DataMatrix(rng.standard_normal((25, 8)), image_dims=(5, 5))
-    for kind in ("block", "missing"):
-        Y, mask = corrupt(X, CorruptionSpec(kind=kind, fraction=0.3, seed=8))
+    X = DataMatrix(rng.standard_normal((25, 8)))
+    for kind, dims in (("block", (5, 5)), ("missing", None)):
+        Y, mask = corrupt(X, CorruptionSpec(kind=kind, fraction=0.3, seed=8, image_dims=dims))
         assert np.array_equal(Y.values[~mask], X.values[~mask])
 
 
 def test_corrupt_deterministic_under_seed():
     rng = np.random.default_rng(9)
-    X = DataMatrix(rng.standard_normal((16, 4)), image_dims=(4, 4))
+    X = DataMatrix(rng.standard_normal((16, 4)))
     spec = CorruptionSpec(kind="missing", fraction=0.5, seed=13)
     Y1, m1 = corrupt(X, spec)
     Y2, m2 = corrupt(X, spec)

@@ -460,6 +460,21 @@ def test_solver_config_from_keyvalue_file():
         parse_keyvalue_text("gamma3 = 1", SolverConfig)
 
 
+@pytest.mark.parametrize("call", [
+    lambda X, G1, G2: fista_solve(X, G1, G2, SolverConfig()),
+    lambda X, G1, G2: objective(X, np.zeros_like(X), G1, G2, SolverConfig()),
+    lambda X, G1, G2: objective(np.zeros_like(X), X, G1, G2, SolverConfig()),
+    lambda X, G1, G2: gradient_smooth(X, G1, G2, 1.0, 1.0),
+    lambda X, G1, G2: prox_fidelity(np.zeros_like(X), X, 1.0),
+], ids=["fista_solve", "objective_U", "objective_X", "gradient_smooth", "prox_fidelity"])
+def test_non_finite_array_is_refused_on_entry(call):
+    # an array gets the checks of a DataMatrix, so a NaN is not reported as divergence
+    X, G1, G2 = make_instance(6, 8, seed=24)
+    X[2, 3] = np.nan
+    with pytest.raises(ValueError, match="matrix entries must all be finite"):
+        call(X, G1, G2)
+
+
 def test_fista_accepts_datamatrix():
     X, G1, G2 = make_instance(4, 5, seed=23)
     dm = DataMatrix(X)
