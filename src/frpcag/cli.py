@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .config import ConfigError, auto_or_positive, parse_keyvalue
+from .config import ConfigError, auto_or_positive, number_type, parse_keyvalue
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -24,10 +24,10 @@ EXIT_DATA = 4
 
 def _add_solver_flags(p) -> None:
     """The solver flags that solve and background share; each defaults to unset."""
-    p.add_argument("--gamma1", type=float)
-    p.add_argument("--gamma2", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
+    p.add_argument("--gamma1", type=number_type(float))
+    p.add_argument("--gamma2", type=number_type(float))
+    p.add_argument("--epsilon", type=number_type(float))
+    p.add_argument("--max-iters", dest="max_iters", type=number_type(int))
 
 
 def _solver_config(args, base):
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["csv", "binary-f64"], default="csv")
     p.add_argument("--axis", choices=["samples", "features"], default="samples")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=number_type(int), default=10)
     p.add_argument("--sigma2", type=auto_or_positive, default=1.0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_graph)
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("background", help="separate static background from PGM frames")
     p.add_argument("--frames-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=number_type(int), default=10)
     p.add_argument("--sigma2", type=auto_or_positive, default="auto")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_background)

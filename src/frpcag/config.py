@@ -1,6 +1,7 @@
 """Key = value configuration files (one assignment per line, # comments),
 read against a dataclass that declares each key's type and default, and the
-number grammar that the config and data file readers share."""
+number grammar that config values, command-line flags and the data file
+readers share."""
 
 import math
 import typing
@@ -14,10 +15,23 @@ class ConfigError(ValueError):
     """Raised for unparseable lines, unknown keys or bad values."""
 
 
-def plain_number_text(text: str) -> bool:
-    """False for text with '_' or a non-ASCII character: Python's int and float
-    read "1_0" as 10 and non-ASCII digits as digits, which every reader refuses."""
-    return text.isascii() and "_" not in text
+def plain_number_text(text) -> bool:
+    """False for str or bytes with a non-ASCII character, '_' or a separator
+    0x1c-0x1f: Python's int and float read "1_0" as 10 and non-ASCII digits
+    as digits; float refuses the separators, which numpy skips as whitespace."""
+    refused = "_\x1c\x1d\x1e\x1f" if isinstance(text, str) else b"_\x1c\x1d\x1e\x1f"
+    return text.isascii() and not any(c in text for c in refused)
+
+
+def number_type(kind):
+    """An argparse type that reads text in the number grammar as kind (int or
+    float), named after kind for argparse's messages. The range is the caller's."""
+    def read(text: str):
+        if not plain_number_text(text):
+            raise ValueError("expected a number in ASCII digits, without '_'")
+        return kind(text)
+    read.__name__ = kind.__name__
+    return read
 
 
 def _convert(kind, text: str):
@@ -33,9 +47,7 @@ def _convert(kind, text: str):
         return tuple(_convert(float, item) for item in text.split(","))
     if kind == AutoOrPositive and text == "auto":
         return text
-    if not plain_number_text(text):
-        raise ValueError("expected a number in ASCII digits, without '_'")
-    value = int(text) if kind is int else float(text)
+    value = number_type(int if kind is int else float)(text)
     if not math.isfinite(value):
         raise ValueError("expected a finite number")
     if kind == AutoOrPositive and value <= 0:

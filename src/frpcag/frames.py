@@ -2,6 +2,7 @@
 low-rank background separation."""
 
 import os
+import re
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -10,6 +11,13 @@ import numpy as np
 from .graph import build_graph, knn_exact
 from .matrixio import DataMatrix
 from .solver import SolverConfig, fista_solve
+
+
+# P5, then width, height and maxval in ASCII digits (\d in a bytes pattern),
+# at most 18 after leading zeros, each after whitespace and '#' comments that
+# run to the end of their line; then the one whitespace byte before the raster
+_PGM_HEADER = re.compile(rb"(?:\s|#[^\r\n]*)*P5" + 3 * rb"\s(?:\s|#[^\r\n]*)*0*(\d{1,18})"
+                         + rb"\s")
 
 
 class FrameFormatError(ValueError):
@@ -49,30 +57,14 @@ def read_pgm(path) -> np.ndarray:
     floats in [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens = []
-    pos = 0
-    while len(tokens) < 4 and pos < len(data):
-        ch = data[pos:pos + 1]
-        if ch == b"#":  # comment runs to end of line
-            while pos < len(data) and data[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(data) and not data[pos:pos + 1].isspace():
-                pos += 1
-            tokens.append(data[start:pos])
-    if len(tokens) < 4 or tokens[0] != b"P5":
-        raise FrameFormatError(f"{path}: not a binary PGM (P5) file")
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError as exc:
-        raise FrameFormatError(f"{path}: bad PGM header") from exc
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise FrameFormatError(f"{path}: bad PGM header: expected P5, then width, height "
+                               "and maxval in ASCII digits")
+    w, h, maxval = map(int, header.groups())
     if not (w > 0 and h > 0 and 0 < maxval < 256):
         raise FrameFormatError(f"{path}: unsupported PGM header {w}x{h} maxval={maxval}")
-    pos += 1  # single whitespace byte after maxval
-    raster = data[pos:pos + h * w]
+    raster = data[header.end():header.end() + h * w]
     if len(raster) != h * w:
         raise FrameFormatError(f"{path}: truncated raster")
     img = np.frombuffer(raster, dtype=np.uint8).reshape(h, w)

@@ -7,7 +7,7 @@ from typing import Union
 import numpy as np
 import scipy.sparse as sp
 
-from .config import plain_number_text
+from .matrixio import _read_table
 
 
 class EigenSolverError(RuntimeError):
@@ -295,8 +295,8 @@ def save_graph_coo(graph: SparseGraph, path) -> None:
     coo = graph.adjacency.tocoo()
     order = np.lexsort((coo.col, coo.row))
     with open(path, "w") as fh:
-        for i, j, w in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{i} {j} {w:.17g}\n")
+        fh.writelines(map("{} {} {:.17g}\n".format, coo.row[order].tolist(),
+                          coo.col[order].tolist(), coo.data[order].tolist()))
 
 
 def load_graph_coo(path, vertex_count: int) -> SparseGraph:
@@ -306,49 +306,50 @@ def load_graph_coo(path, vertex_count: int) -> SparseGraph:
     of at least one 'i j weight' line, in ASCII without '_', with
     non-negative indices, a finite non-negative weight, no self-loop and no
     repeated (i, j) pair; and for an asymmetric adjacency, a vertex without
-    edges or a vertex degree that overflows. Raises its subclass GraphSizeError, before any matrix is
-    allocated, for an index >= vertex_count or a largest index + 1 below
-    vertex_count.
+    edges or a vertex degree that overflows. Raises its subclass GraphSizeError
+    for an index >= vertex_count, naming its line, or a largest index + 1 below
+    vertex_count; no matrix is allocated before.
     """
-    edges = {}  # (i, j) -> weight, in file order
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 3 or not plain_number_text(line):
-                    raise GraphFormatError(f"{path}: expected 'i j weight' on line {lineno}")
-                try:
-                    i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-                except ValueError as exc:
-                    raise GraphFormatError(f"{path}: bad triplet on line {lineno}") from exc
-                if i < 0 or j < 0:
-                    raise GraphFormatError(f"{path}: negative vertex index on line {lineno}")
-                if max(i, j) >= vertex_count:
-                    raise GraphSizeError(
-                        f"{path}: vertex index {max(i, j)} on line {lineno} needs "
-                        f"{max(i, j) + 1} vertices, expected {vertex_count}")
-                if not (math.isfinite(w) and w >= 0):
-                    raise GraphFormatError(
-                        f"{path}: weight must be finite and non-negative on line {lineno}")
-                if i == j:
-                    raise GraphFormatError(f"{path}: self-loop on line {lineno}")
-                if (i, j) in edges:
-                    raise GraphFormatError(f"{path}: repeated edge {i} {j} on line {lineno}")
-                edges[i, j] = w
-    except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from exc
-    if not edges:
+    def checks(rows):
+        i, j, w = rows["i"], rows["j"], rows["w"]
+        top = np.maximum(i, j)
+        order = np.lexsort((j, i))  # stable: a repeated pair sorts after its first line
+        repeated = np.zeros(len(rows), dtype=bool)
+        repeated[order[1:]] = (i[order[1:]] == i[order[:-1]]) & (j[order[1:]] == j[order[:-1]])
+        return [
+            (np.minimum(i, j) < 0, GraphFormatError,
+             lambda r, line: f"negative vertex index on line {line}"),
+            (top >= vertex_count, GraphSizeError,
+             lambda r, line: f"vertex index {top[r]} on line {line} needs {int(top[r]) + 1} "
+                             f"vertices, expected {vertex_count}"),
+            (~(np.isfinite(w) & (w >= 0)), GraphFormatError,
+             lambda r, line: f"weight must be finite and non-negative on line {line}"),
+            (i == j, GraphFormatError, lambda r, line: f"self-loop on line {line}"),
+            (repeated, GraphFormatError,
+             lambda r, line: f"repeated edge {i[r]} {j[r]} on line {line}")]
+
+    def refuse(number, line, above):
+        parts = line.split()
+        if len(parts) != 3:
+            return GraphFormatError, f"expected 'i j weight' on line {number}"
+        try:  # Python's int reads an index past int64, which np.loadtxt refuses
+            row = np.array([(int(parts[0]), int(parts[1]), float(parts[2]))],
+                           dtype=[("i", object), ("j", object), ("w", np.float64)])
+        except ValueError:
+            return GraphFormatError, f"bad triplet on line {number}"
+        cls, describe = next((cls, describe) for bad, cls, describe in checks(row) if bad[0])
+        return cls, describe(0, number)
+
+    rows = _read_table(path, GraphFormatError, "expected 'i j weight' on line {}",
+                       checks, refuse, dtype=[("i", np.int64), ("j", np.int64), ("w", np.float64)],
+                       ndmin=1)
+    if rows.size == 0:
         raise GraphFormatError(f"{path}: no edges")
-    index = np.array(list(edges), dtype=np.int64)
-    largest = int(index.max())
+    largest = int(max(rows["i"].max(), rows["j"].max()))
     if largest + 1 < vertex_count:
         raise GraphSizeError(f"{path}: largest vertex index {largest} gives {largest + 1} "
                              f"vertices, expected {vertex_count}")
-    weights = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
-    A = sp.coo_matrix((weights, (index[:, 0], index[:, 1])),
+    A = sp.coo_matrix((rows["w"], (rows["i"], rows["j"])),
                       shape=(vertex_count, vertex_count)).tocsr()
     A.eliminate_zeros()
     if (abs(A - A.T) > 1e-12).nnz > 0:

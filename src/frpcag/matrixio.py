@@ -1,10 +1,10 @@
 """Data matrix ingestion, feature standardization and corruption generators."""
 
-import csv
-import math
 import re
 import struct
+import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Tuple
 
 import numpy as np
@@ -12,7 +12,8 @@ import numpy as np
 from .config import plain_number_text
 
 BINARY_MAGIC = b"FRPM"
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+_FIELD_LIMIT = 131072  # characters in one CSV cell, the csv module's default limit
+_BREAK = re.compile(rb"[,\r\n]")
 
 
 class MatrixFormatError(ValueError):
@@ -63,13 +64,82 @@ class CorruptionSpec:
             raise ValueError(f"image_dims {self.image_dims} must both be >= 1")
 
 
-def _number_lines(fh, path):
-    """The lines of fh; MatrixFormatError names one that holds an underscore or
-    a non-ASCII character, which float() would read as part of a number."""
-    for lineno, line in enumerate(fh, start=1):
-        if not plain_number_text(line):
-            raise MatrixFormatError(f"{path}: non-numeric cell on line {lineno}")
-        yield line
+def _read_table(path, error, syntax: str, checks, refuse=None, field_limit=None, **args):
+    """The rows np.loadtxt(**args) parses from the text table at path, or the
+    error of its first offending line. A line offends when it is not
+    plain_number_text (error, syntax formatted by its number) or holds a
+    ','-separated cell longer than field_limit; when np.loadtxt refuses it
+    (refuse(number, line, rows above) gives the class and message, else
+    syntax); or when its row fails checks(rows), a list of (mask of failing
+    rows, class, describe(row, line)) in the order they apply to one row.
+    Text that is not UTF-8 fails where line-by-line decoding meets it.
+    """
+    def first_failure(rows):  # (row, class, describe), or None
+        return min(((int(np.argmax(bad)), cls, describe) for bad, cls, describe
+                    in checks(rows) if bad.any()), key=lambda found: found[0], default=None)
+
+    args["comments"] = None  # a '#' line is refused, not skipped
+    with warnings.catch_warnings(), open(path, "rb") as fh:
+        warnings.simplefilter("ignore", UserWarning)  # an empty table is the caller's error
+        # one pass over the bytes and one parse of the path; a file that fails
+        # is read again line by line. When every 64 KB block holds a ',' or a
+        # line end, no cell is longer than _FIELD_LIMIT
+        if all(plain_number_text(block) and _BREAK.search(block)
+               for block in iter(lambda: fh.read(1 << 16), b"")):
+            try:
+                rows = np.loadtxt(path, encoding="ascii", **args)
+            except ValueError:
+                rows = None
+            if rows is not None and first_failure(rows) is None:
+                return rows
+        number, line = 0, ""  # the last line read
+
+        def lines(count=None):
+            nonlocal number, line
+            with open(path, encoding="utf-8") as text:
+                for number, line in enumerate(islice(text, count), start=1):
+                    if not plain_number_text(line):
+                        raise error(f"{path}: {syntax.format(number)}")
+                    if field_limit and max(map(len, line.split(","))) > field_limit:
+                        raise error(f"{path}: field larger than field limit ({field_limit})")
+                    yield line
+
+        offence, count = None, None  # parse every line, then the lines above an offence
+        while True:
+            try:
+                rows = np.loadtxt(lines(count), **args)
+                break
+            except UnicodeDecodeError as exc:
+                offence, count = error(f"{path}: {exc}"), number
+            except error as exc:
+                offence, count = exc, number - 1
+            except ValueError:  # np.loadtxt refused the last line read
+                offence, count = (number, line), number - 1
+        failed = first_failure(rows)
+        if failed:
+            row, cls, describe = failed
+            np.loadtxt(lines(count), max_rows=row + 1, **args)  # stops on the row's line
+            raise cls(f"{path}: {describe(row, number)}")
+        if isinstance(offence, tuple):
+            cls, message = refuse(*offence, rows) if refuse else (error, syntax.format(offence[0]))
+            offence = cls(f"{path}: {message}")
+        if offence:
+            raise offence
+        return rows
+
+
+def _csv_refusal(number, line, above):
+    """Why np.loadtxt refused a CSV line below the rows above."""
+    try:
+        row = np.loadtxt([line], delimiter=",", quotechar='"', comments=None, ndmin=1)
+        if not np.isfinite(row).all():
+            return MatrixFormatError, f"non-finite cell on line {number}"
+        if len(above) and row.size != above.shape[1]:
+            return MatrixFormatError, (f"ragged row on line {number} "
+                                       f"({row.size} cells, expected {above.shape[1]})")
+    except ValueError:
+        pass  # a cell that is not a number; a line that parses continues a quoted cell
+    return MatrixFormatError, f"non-numeric cell on line {number}"
 
 
 def load_matrix(path, fmt: str = "csv") -> DataMatrix:
@@ -82,29 +152,13 @@ def load_matrix(path, fmt: str = "csv") -> DataMatrix:
     file cannot be read.
     """
     if fmt == "csv":
-        rows = []
-        try:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                for lineno, record in enumerate(csv.reader(_number_lines(fh, path)), start=1):
-                    if not record:
-                        continue
-                    try:
-                        rows.append([float(cell) for cell in record])
-                    except ValueError as exc:
-                        raise MatrixFormatError(
-                            f"{path}: non-numeric cell on line {lineno}") from exc
-                    if not all(map(math.isfinite, rows[-1])):
-                        raise MatrixFormatError(f"{path}: non-finite cell on line {lineno}")
-                    if len(rows[-1]) != len(rows[0]):
-                        raise MatrixFormatError(
-                            f"{path}: ragged row on line {lineno} "
-                            f"({len(rows[-1])} cells, expected {len(rows[0])})"
-                        )
-        except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a field past the size limit
-            raise MatrixFormatError(f"{path}: {exc}") from exc
-        if not rows:
+        rows = _read_table(path, MatrixFormatError, "non-numeric cell on line {}",
+                           lambda rows: [(~np.isfinite(rows).all(axis=1), MatrixFormatError,
+                                          lambda row, line: f"non-finite cell on line {line}")],
+                           _csv_refusal, _FIELD_LIMIT, delimiter=",", quotechar='"', ndmin=2)
+        if rows.size == 0:
             raise MatrixFormatError(f"{path}: empty file")
-        return DataMatrix(np.array(rows, dtype=np.float64))
+        return DataMatrix(rows)
     if fmt == "binary-f64":
         with open(path, "rb") as fh:
             header = fh.read(20)
@@ -131,32 +185,20 @@ def load_labels(path) -> np.ndarray:
     integer within int64 (such as "1 2", "abc" or "nan"), for text that is not
     UTF-8 and for a file without labels; OSError when the file cannot be read.
     """
-    labels = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                # 19 digits at most, so int() stays far below its digit limit
-                if not (_INTEGER.fullmatch(line) and len(line.lstrip("+-0")) <= 19
-                        and -2**63 <= int(line) < 2**63):
-                    raise MatrixFormatError(f"{path}: expected one integer on line {lineno}")
-                labels.append(int(line))
-    except UnicodeDecodeError as exc:
-        raise MatrixFormatError(f"{path}: {exc}") from exc
-    if not labels:
+    syntax = "expected one integer on line {}"
+    rows = _read_table(path, MatrixFormatError, syntax, lambda rows: [(
+        np.full(len(rows), rows.shape[1] != 1), MatrixFormatError,
+        lambda row, line: syntax.format(line))], dtype=np.int64, ndmin=2)
+    if rows.size == 0:
         raise MatrixFormatError(f"{path}: no labels")
-    return np.array(labels, dtype=np.int64)
+    return rows.ravel()
 
 
 def save_matrix(path, X: DataMatrix, fmt: str = "csv") -> None:
     """Write a DataMatrix; binary-f64 round-trips bit-exactly."""
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in X.values:
-                writer.writerow([repr(float(v)) for v in row])
+        with open(path, "w", newline="") as fh:  # the csv module's CRLF line ends
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in X.values.tolist())
     elif fmt == "binary-f64":
         with open(path, "wb") as fh:
             fh.write(BINARY_MAGIC)

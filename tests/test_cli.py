@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import struct
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import frpcag.evalcluster
 import frpcag.frames
 import frpcag.solver
-from frpcag.cli import main
+from frpcag.cli import build_parser, main
 from frpcag.evalcluster import two_gaussians
 from frpcag.frames import load_frames, save_frames, synthetic_sequence, write_pgm
 from frpcag.graph import build_graph, knn_exact, load_graph_coo, save_graph_coo
@@ -365,6 +366,25 @@ def test_background_bad_solver_flag_exits_2_before_reading_frames(tmp_path, caps
                  "--out-dir", str(tmp_path / "out"), flag, value]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661"])  # int and float read 10 and 1
+def test_every_numeric_flag_exits_2_outside_the_number_grammar(capsys, value):
+    # every flag with a converter, of every command, with the command's
+    # required flags given; argparse exits before any file is read
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    seen = set()
+    for command, sub in subparsers.choices.items():
+        required = [arg for a in sub._actions if a.required for arg in (a.option_strings[0], "x")]
+        for flag in (a.option_strings[0] for a in sub._actions if a.type is not None):
+            seen.add(flag)
+            with pytest.raises(SystemExit) as exited:
+                main([command, *required, flag, value])
+            assert exited.value.code == 2
+            assert f"argument {flag}: invalid" in capsys.readouterr().err
+    assert seen >= {"--k", "--sigma2", "--gamma1", "--gamma2", "--epsilon", "--max-iters",
+                    "--step"}
 
 
 def test_background_command(tmp_path):

@@ -42,6 +42,19 @@ def test_pgm_errors(tmp_path):
         read_pgm(short)
 
 
+@pytest.mark.parametrize("header", [
+    b"P5 2_0 2 255\n",        # int() reads 2_0 as 20
+    b"P5 \xd9\xa2 2 255\n",  # an Arabic-Indic 2
+    b"P5 +2 2 255\n", b"P5 2 2 2\xd9\xa5\xd9\xa5\n", b"P5#c\n2 2 255\n", b"P6 2 2 255\n",
+    b"P5 2 2 255",            # no whitespace byte before the raster
+])
+def test_pgm_header_outside_ascii_digits_is_refused(tmp_path, header):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(header + bytes(40))
+    with pytest.raises(FrameFormatError, match="h.pgm: bad PGM header"):
+        read_pgm(path)
+
+
 def test_pgm_value_above_maxval(tmp_path):
     path = tmp_path / "m.pgm"
     path.write_bytes(b"P5 5 4 100\n" + bytes([100] * 19) + bytes([250]))

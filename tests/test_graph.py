@@ -345,6 +345,21 @@ def test_coo_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_coo_reader_memory_below_four_files(tmp_path):
+    # a sample graph of the solve workload's size; the line-by-line oracle holds 8x
+    g = build_graph(knn_exact(np.random.default_rng(0).standard_normal((100, 2000)), 10))
+    path = tmp_path / "g.coo"
+    save_graph_coo(g, path)
+    tracemalloc.start()
+    try:
+        h = load_graph_coo(path, 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (h.adjacency != g.adjacency).nnz == 0
+    assert peak < 4 * path.stat().st_size
+
+
 def test_coo_bad_file(tmp_path):
     bad = tmp_path / "bad.coo"
     bad.write_text("0 1\n")

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -74,6 +75,21 @@ def test_csv_rejects_oversized_field(tmp_path):
     path.write_text("1," + "9" * 200_000 + "\n")  # past the csv module's field limit
     with pytest.raises(MatrixFormatError, match="field larger than field limit"):
         load_matrix(path, "csv")
+
+
+def test_csv_reader_memory_below_three_matrices(tmp_path):
+    # the solve workload's shape and digits; the line-by-line oracle holds 5x
+    X = np.random.default_rng(0).standard_normal((100, 2000))
+    path = tmp_path / "x.csv"
+    np.savetxt(path, X, fmt="%.17g", delimiter=",")
+    tracemalloc.start()
+    try:
+        Y = load_matrix(path, "csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(Y.values, X)
+    assert peak < 3 * X.nbytes
 
 
 def test_load_missing_file_is_oserror(tmp_path):
