@@ -14,10 +14,12 @@ from .solver import SolverConfig, fista_solve
 
 
 # P5, then width, height and maxval in ASCII digits (\d in a bytes pattern),
-# at most 18 after leading zeros, each after whitespace and '#' comments that
-# run to the end of their line; then the one whitespace byte before the raster
-_PGM_HEADER = re.compile(rb"(?:\s|#[^\r\n]*)*P5" + 3 * rb"\s(?:\s|#[^\r\n]*)*0*(\d{1,18})"
-                         + rb"\s")
+# at most 18 after leading zeros, each after whitespace and '#' comments; then
+# the one whitespace byte before the raster. A comment runs to the end of its
+# line, never to a '#' or space inside it, so a header that fails to match
+# fails in linear time
+_SKIP = rb"(?:\s|#[^\r\n]*(?![^\r\n]))*"
+_PGM_HEADER = re.compile(_SKIP + rb"P5" + 3 * (rb"\s" + _SKIP + rb"0*(\d{1,18})") + rb"\s")
 
 
 class FrameFormatError(ValueError):

@@ -310,39 +310,40 @@ def load_graph_coo(path, vertex_count: int) -> SparseGraph:
     for an index >= vertex_count, naming its line, or a largest index + 1 below
     vertex_count; no matrix is allocated before.
     """
-    def checks(rows):
+    def valid(rows):  # the checks of edge, on arrays
         i, j, w = rows["i"], rows["j"], rows["w"]
-        top = np.maximum(i, j)
-        order = np.lexsort((j, i))  # stable: a repeated pair sorts after its first line
-        repeated = np.zeros(len(rows), dtype=bool)
-        repeated[order[1:]] = (i[order[1:]] == i[order[:-1]]) & (j[order[1:]] == j[order[:-1]])
-        return [
-            (np.minimum(i, j) < 0, GraphFormatError,
-             lambda r, line: f"negative vertex index on line {line}"),
-            (top >= vertex_count, GraphSizeError,
-             lambda r, line: f"vertex index {top[r]} on line {line} needs {int(top[r]) + 1} "
-                             f"vertices, expected {vertex_count}"),
-            (~(np.isfinite(w) & (w >= 0)), GraphFormatError,
-             lambda r, line: f"weight must be finite and non-negative on line {line}"),
-            (i == j, GraphFormatError, lambda r, line: f"self-loop on line {line}"),
-            (repeated, GraphFormatError,
-             lambda r, line: f"repeated edge {i[r]} {j[r]} on line {line}")]
+        return (np.minimum(i, j).min(initial=0) >= 0
+                and np.maximum(i, j).max(initial=0) < vertex_count
+                and np.all(np.isfinite(w) & (w >= 0) & (i != j))
+                and len(np.unique(i * vertex_count + j)) == len(rows))
 
-    def refuse(number, line, above):
+    seen = set()
+
+    def edge(number, line, above):
         parts = line.split()
+        if not parts:
+            return None
         if len(parts) != 3:
-            return GraphFormatError, f"expected 'i j weight' on line {number}"
+            raise ValueError(line)
         try:  # Python's int reads an index past int64, which np.loadtxt refuses
-            row = np.array([(int(parts[0]), int(parts[1]), float(parts[2]))],
-                           dtype=[("i", object), ("j", object), ("w", np.float64)])
+            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
-            return GraphFormatError, f"bad triplet on line {number}"
-        cls, describe = next((cls, describe) for bad, cls, describe in checks(row) if bad[0])
-        return cls, describe(0, number)
+            raise GraphFormatError(f"{path}: bad triplet on line {number}") from None
+        if min(i, j) < 0:
+            raise GraphFormatError(f"{path}: negative vertex index on line {number}")
+        if max(i, j) >= vertex_count:
+            raise GraphSizeError(f"{path}: vertex index {max(i, j)} on line {number} needs "
+                                 f"{max(i, j) + 1} vertices, expected {vertex_count}")
+        problem = ("weight must be finite and non-negative" if not (math.isfinite(w) and w >= 0)
+                   else "self-loop" if i == j else f"repeated edge {i} {j}" if (i, j) in seen
+                   else None)
+        if problem:
+            raise GraphFormatError(f"{path}: {problem} on line {number}")
+        seen.add((i, j))
+        return i, j, w
 
-    rows = _read_table(path, GraphFormatError, "expected 'i j weight' on line {}",
-                       checks, refuse, dtype=[("i", np.int64), ("j", np.int64), ("w", np.float64)],
-                       ndmin=1)
+    rows = _read_table(path, GraphFormatError, "expected 'i j weight' on line {}", valid, edge,
+                       dtype=[("i", np.int64), ("j", np.int64), ("w", np.float64)], ndmin=1)
     if rows.size == 0:
         raise GraphFormatError(f"{path}: no edges")
     largest = int(max(rows["i"].max(), rows["j"].max()))

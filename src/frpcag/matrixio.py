@@ -1,10 +1,10 @@
 """Data matrix ingestion, feature standardization and corruption generators."""
 
+import csv
 import re
 import struct
 import warnings
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional, Tuple
 
 import numpy as np
@@ -64,82 +64,70 @@ class CorruptionSpec:
             raise ValueError(f"image_dims {self.image_dims} must both be >= 1")
 
 
-def _read_table(path, error, syntax: str, checks, refuse=None, field_limit=None, **args):
-    """The rows np.loadtxt(**args) parses from the text table at path, or the
-    error of its first offending line. A line offends when it is not
-    plain_number_text (error, syntax formatted by its number) or holds a
-    ','-separated cell longer than field_limit; when np.loadtxt refuses it
-    (refuse(number, line, rows above) gives the class and message, else
-    syntax); or when its row fails checks(rows), a list of (mask of failing
-    rows, class, describe(row, line)) in the order they apply to one row.
-    Text that is not UTF-8 fails where line-by-line decoding meets it.
+def _read_table(path, error, syntax: str, valid, parse, **args):
+    """The rows of the text table at path, or the error of its first offending line.
+
+    When every byte is in the number grammar of plain_number_text, every
+    64 KB block holds a ',' or a line end (so no CSV cell is longer than
+    _FIELD_LIMIT), np.loadtxt(path, **args) parses the text and valid(rows)
+    holds, those rows are returned without Python work per line. Otherwise
+    the file is read again one line at a time, and text that is not UTF-8
+    fails where decoding meets it. parse(number, line, rows above) gives the
+    row of a line in the number grammar, None for a blank one, or raises the
+    line's error; error(syntax formatted by the line number) names a line
+    outside the grammar or one where parse raises another ValueError or an
+    OverflowError.
     """
-    def first_failure(rows):  # (row, class, describe), or None
-        return min(((int(np.argmax(bad)), cls, describe) for bad, cls, describe
-                    in checks(rows) if bad.any()), key=lambda found: found[0], default=None)
-
     args["comments"] = None  # a '#' line is refused, not skipped
-    with warnings.catch_warnings(), open(path, "rb") as fh:
+    with open(path, "rb") as fh:
+        plain = all(plain_number_text(block) and _BREAK.search(block)
+                    for block in iter(lambda: fh.read(1 << 16), b""))
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # an empty table is the caller's error
-        # one pass over the bytes and one parse of the path; a file that fails
-        # is read again line by line. When every 64 KB block holds a ',' or a
-        # line end, no cell is longer than _FIELD_LIMIT
-        if all(plain_number_text(block) and _BREAK.search(block)
-               for block in iter(lambda: fh.read(1 << 16), b"")):
-            try:
-                rows = np.loadtxt(path, encoding="ascii", **args)
-            except ValueError:
-                rows = None
-            if rows is not None and first_failure(rows) is None:
+        # numpy releases from 1.23 that still carry this deprecation read '1.5'
+        # in an integer field as 1 with only this warning
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            if plain and valid(rows := np.loadtxt(path, encoding="ascii", **args)):
                 return rows
-        number, line = 0, ""  # the last line read
-
-        def lines(count=None):
-            nonlocal number, line
-            with open(path, encoding="utf-8") as text:
-                for number, line in enumerate(islice(text, count), start=1):
-                    if not plain_number_text(line):
-                        raise error(f"{path}: {syntax.format(number)}")
-                    if field_limit and max(map(len, line.split(","))) > field_limit:
-                        raise error(f"{path}: field larger than field limit ({field_limit})")
-                    yield line
-
-        offence, count = None, None  # parse every line, then the lines above an offence
-        while True:
-            try:
-                rows = np.loadtxt(lines(count), **args)
-                break
-            except UnicodeDecodeError as exc:
-                offence, count = error(f"{path}: {exc}"), number
-            except error as exc:
-                offence, count = exc, number - 1
-            except ValueError:  # np.loadtxt refused the last line read
-                offence, count = (number, line), number - 1
-        failed = first_failure(rows)
-        if failed:
-            row, cls, describe = failed
-            np.loadtxt(lines(count), max_rows=row + 1, **args)  # stops on the row's line
-            raise cls(f"{path}: {describe(row, number)}")
-        if isinstance(offence, tuple):
-            cls, message = refuse(*offence, rows) if refuse else (error, syntax.format(offence[0]))
-            offence = cls(f"{path}: {message}")
-        if offence:
-            raise offence
-        return rows
-
-
-def _csv_refusal(number, line, above):
-    """Why np.loadtxt refused a CSV line below the rows above."""
+        except (ValueError, DeprecationWarning):  # the line-by-line pass names the offence
+            pass
+    rows = []
     try:
-        row = np.loadtxt([line], delimiter=",", quotechar='"', comments=None, ndmin=1)
-        if not np.isfinite(row).all():
-            return MatrixFormatError, f"non-finite cell on line {number}"
-        if len(above) and row.size != above.shape[1]:
-            return MatrixFormatError, (f"ragged row on line {number} "
-                                       f"({row.size} cells, expected {above.shape[1]})")
-    except ValueError:
-        pass  # a cell that is not a number; a line that parses continues a quoted cell
-    return MatrixFormatError, f"non-numeric cell on line {number}"
+        with open(path, encoding="utf-8") as text:
+            for number, line in enumerate(text, start=1):
+                try:
+                    if not plain_number_text(line):
+                        raise ValueError(line)
+                    row = parse(number, line, rows)
+                except error:
+                    raise
+                except (ValueError, OverflowError):  # the line breaks the syntax
+                    raise error(f"{path}: {syntax.format(number)}") from None
+                if row is not None:
+                    rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from exc
+    return np.array(rows, dtype=args.get("dtype", float))
+
+
+def _csv_row(path, number: int, line: str, above):
+    """The cells of one CSV line (None for an empty line); ValueError for a
+    cell that is not a number, MatrixFormatError for a cell past the csv
+    module's size limit, one that is not finite or a width other than that of
+    the first row above."""
+    line = line.rstrip("\n")  # each line end reads as "\n"
+    if not line:
+        return None
+    if max(len(cell) - cell.count('"') for cell in line.split(",")) > _FIELD_LIMIT:
+        raise MatrixFormatError(f"{path}: field larger than field limit ({_FIELD_LIMIT})")
+    row = np.loadtxt([line], delimiter=",", quotechar='"', comments=None, ndmin=1)
+    if not np.isfinite(row).all():
+        raise MatrixFormatError(f"{path}: non-finite cell on line {number}")
+    if above and row.size != above[0].size:
+        raise MatrixFormatError(f"{path}: ragged row on line {number} "
+                                f"({row.size} cells, expected {above[0].size})")
+    return row
 
 
 def load_matrix(path, fmt: str = "csv") -> DataMatrix:
@@ -153,9 +141,9 @@ def load_matrix(path, fmt: str = "csv") -> DataMatrix:
     """
     if fmt == "csv":
         rows = _read_table(path, MatrixFormatError, "non-numeric cell on line {}",
-                           lambda rows: [(~np.isfinite(rows).all(axis=1), MatrixFormatError,
-                                          lambda row, line: f"non-finite cell on line {line}")],
-                           _csv_refusal, _FIELD_LIMIT, delimiter=",", quotechar='"', ndmin=2)
+                           lambda rows: np.isfinite(rows).all(),
+                           lambda *line: _csv_row(path, *line),
+                           delimiter=",", quotechar='"', ndmin=2)
         if rows.size == 0:
             raise MatrixFormatError(f"{path}: empty file")
         return DataMatrix(rows)
@@ -185,10 +173,10 @@ def load_labels(path) -> np.ndarray:
     integer within int64 (such as "1 2", "abc" or "nan"), for text that is not
     UTF-8 and for a file without labels; OSError when the file cannot be read.
     """
-    syntax = "expected one integer on line {}"
-    rows = _read_table(path, MatrixFormatError, syntax, lambda rows: [(
-        np.full(len(rows), rows.shape[1] != 1), MatrixFormatError,
-        lambda row, line: syntax.format(line))], dtype=np.int64, ndmin=2)
+    rows = _read_table(path, MatrixFormatError, "expected one integer on line {}",
+                       lambda rows: rows.shape[1] == 1,
+                       lambda number, line, above: np.int64(line) if line.strip() else None,
+                       dtype=np.int64, ndmin=2)
     if rows.size == 0:
         raise MatrixFormatError(f"{path}: no labels")
     return rows.ravel()
@@ -197,8 +185,10 @@ def load_labels(path) -> np.ndarray:
 def save_matrix(path, X: DataMatrix, fmt: str = "csv") -> None:
     """Write a DataMatrix; binary-f64 round-trips bit-exactly."""
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:  # the csv module's CRLF line ends
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in X.values.tolist())
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            for row in X.values:
+                writer.writerow([repr(float(v)) for v in row])
     elif fmt == "binary-f64":
         with open(path, "wb") as fh:
             fh.write(BINARY_MAGIC)

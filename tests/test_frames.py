@@ -47,6 +47,10 @@ def test_pgm_errors(tmp_path):
     b"P5 \xd9\xa2 2 255\n",  # an Arabic-Indic 2
     b"P5 +2 2 255\n", b"P5 2 2 2\xd9\xa5\xd9\xa5\n", b"P5#c\n2 2 255\n", b"P6 2 2 255\n",
     b"P5 2 2 255",            # no whitespace byte before the raster
+    # a comment must run to its line end: otherwise each '#' or space in it
+    # doubles the ways a failing match splits it, and the match hangs
+    b"P5\n" + b"#" * 64 + b"\n2_0 2 255\n", b"#" * 64 + b"\nP5 2 2 x\n",
+    b"P5 2\n" + b"# " * 64 + b"\n2 \xd9\xa5\n",
 ])
 def test_pgm_header_outside_ascii_digits_is_refused(tmp_path, header):
     path = tmp_path / "h.pgm"

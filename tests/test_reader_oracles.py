@@ -14,6 +14,7 @@ import csv
 import io
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -167,3 +168,36 @@ def test_an_offence_past_the_first_decoded_chunk_keeps_file_order(tmp_path, last
     for reader in (load_labels, oracles.load_labels):
         with pytest.raises(MatrixFormatError, match=message):
             reader(path)
+
+
+@pytest.mark.parametrize("length", [131_072, 131_073])
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_csv_field_limit_boundary_matches_its_oracle(tmp_path, length, quote):
+    # the csv module refuses a cell of more than 131,072 characters, its
+    # quotes and line end not counted; np.loadtxt has no limit
+    path = tmp_path / "m.csv"
+    path.write_text(f"1,{quote}{'0' * length}{quote}\n2,3\n")
+    assert outcome(load_matrix, path) == outcome(oracles.load_matrix_csv, path)
+
+
+@pytest.mark.parametrize("reader, content, message", [
+    (load_labels, "0\n1.5\n", "expected one integer on line 2"),
+    (lambda path: load_graph_coo(path, 2), "0 1 1\n1.5 0 1\n", "bad triplet on line 2"),
+])
+def test_an_integer_field_that_numpy_truncates_is_refused(tmp_path, monkeypatch, reader,
+                                                          content, message):
+    # numpy 1.23 up to the end of that deprecation parses "1.5" in an integer
+    # field as 1 with a DeprecationWarning; the reader refuses such a table
+    loadtxt = np.loadtxt
+
+    def truncating(source, dtype=float, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        floats = [(name, float) for name in np.dtype(dtype).names or ()] or float
+        return loadtxt(source, dtype=floats, **kwargs).astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", truncating)
+    path = tmp_path / "input"
+    path.write_text(content)
+    with pytest.raises((MatrixFormatError, GraphFormatError), match=message):
+        reader(path)
