@@ -7,10 +7,9 @@ numpy nor scipy; each module is imported when one of its names is asked for.
 import importlib
 
 _EXPORTS = {
-    "analysis": ("BoundReport", "LowRankOnGraphs", "SvdTriplet", "alignment_energy",
-                 "alignment_ratio", "check_recovery_bound", "covariance", "economic_svd",
-                 "make_lowrank_on_graphs", "rank_estimate", "shape_interaction",
-                 "recovery_gammas"),
+    "analysis": ("BoundReport", "LowRankOnGraphs", "SvdTriplet", "alignment_ratio",
+                 "check_recovery_bound", "covariance", "economic_svd",
+                 "make_lowrank_on_graphs", "rank_estimate", "recovery_gammas"),
     "evalcluster": ("ClusterResult", "ExperimentConfig", "PreparedExperiment",
                     "clustering_error", "kmeans", "prepare_experiment", "run_gamma",
                     "two_gaussians"),

@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigh
 
-from .graph import GraphEigs, SparseGraph, partial_eigs
+from .graph import SparseGraph, partial_eigs
 from .matrixio import DataMatrix
 from .solver import LowRankResult, SolverConfig, _fidelity, _values
 
@@ -184,31 +184,3 @@ def rank_estimate(sigma: np.ndarray, threshold: float) -> int:
     if sigma.size == 0:
         return 0
     return int(np.count_nonzero(sigma > threshold * sigma[0]))
-
-
-def shape_interaction(W: np.ndarray) -> np.ndarray:
-    """Projector W W^T onto the span of the principal components."""
-    W = np.asarray(W, dtype=np.float64)
-    return W @ W.T
-
-
-def alignment_energy(triplet: SvdTriplet, L1eigs: GraphEigs, L2eigs: GraphEigs,
-                     gamma1: float, gamma2: float) -> float:
-    """Tikhonov energy expanded in the Laplacian bases.
-
-    sum_{i,j} sigma_i^2 * (g1*lambda_j*(w_i.q_j)^2 + g2*omega_j*(v_i.p_j)^2),
-    which equals g1*tr(U L1 U^T) + g2*tr(U^T L2 U) when full eigenbases are
-    supplied.
-    """
-    n, p = triplet.W.shape[0], triplet.V.shape[0]
-    if L1eigs.count != n or L1eigs.vectors.shape[0] != n:
-        raise ValueError("L1eigs must be the full n x n eigenbasis")
-    if L2eigs.count != p or L2eigs.vectors.shape[0] != p:
-        raise ValueError("L2eigs must be the full p x p eigenbasis")
-    s2 = triplet.sigma ** 2
-    M1 = triplet.W.T @ L1eigs.vectors  # c x n
-    M2 = triplet.V.T @ L2eigs.vectors  # c x p
-    e1 = s2 @ ((M1 ** 2) @ L1eigs.values)
-    e2 = s2 @ ((M2 ** 2) @ L2eigs.values)
-    return float(gamma1 * e1 + gamma2 * e2)
-

@@ -7,12 +7,12 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
+import scipy.sparse as sp
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from . import analysis
 from .config import AutoOrPositive, Floats
-from .graph import SparseGraph, build_graph, knn_exact, partial_eigs
+from .graph import SparseGraph, _sq_distances, build_graph, knn_exact, partial_eigs
 from .matrixio import CorruptionSpec, DataMatrix, corrupt, standardize
 from .solver import SolverConfig, fista_solve
 
@@ -24,12 +24,45 @@ class ClusterResult:
     inertia_trace: List[float] = field(default_factory=list)
 
 
-def _kmeans_once(cols: np.ndarray, k: int, rng) -> tuple:
-    """One k-means++ seeded Lloyd run; returns (labels, inertia, trace)."""
-    n = cols.shape[0]
-    centers = np.empty((k, cols.shape[1]))
+def _nearest_centers(points: np.ndarray, sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the nearest column of centers (p x k) to each column of points
+    (p x n, squared norms sq), the lower on a tie, as cdist's argmin gives it.
+
+    Scores |c|^2 - 2 a.c from one matrix product keep an item's lowest-scoring
+    center when its two lowest scores lie more than knn_exact's window 2E
+    apart, with max_b |b|^2 taken over the centers; every other item, a
+    window that is not finite included, is measured against all k centers.
+    """
+    (p, n), k = points.shape, centers.shape[1]
+    if k == 1:
+        return np.zeros(n, dtype=np.int64)
+    f64 = np.finfo(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are measured
+        csq = np.einsum("ij,ij->j", centers, centers)
+        scores = points.T @ (-2 * centers)  # scaling by -2 is exact
+        scores += csq
+        slack = 4 * (p + 4) * (f64.eps * (sq + csq.max()) + f64.tiny)
+        two = np.partition(scores, 1, axis=1)
+        doubt = np.flatnonzero(~(two[:, 1] - two[:, 0] > slack))
+    labels = scores.argmin(axis=1)
+    if doubt.size:
+        items = np.take(points, doubt, axis=1)
+        diff = np.empty_like(items)
+        labels[doubt] = np.argmin([_sq_distances(items, centers[:, c:c + 1], diff)
+                                   for c in range(k)], axis=0)
+    return labels
+
+
+def _kmeans_once(points: np.ndarray, k: int, rng, scratch: np.ndarray) -> tuple:
+    """One k-means++ seeded Lloyd run on the columns of points (p x n, C
+    order); returns (labels, inertia, trace). Every distance it samples from
+    or reports is graph._sq_distances's, cdist's value bit for bit, measured
+    in scratch, an array of points' shape."""
+    n = points.shape[1]
+    cols = points.T  # one row per item
+    centers = np.empty((k, points.shape[0]))
     centers[0] = cols[rng.integers(n)]
-    d2 = cdist(cols, centers[:1], "sqeuclidean").ravel()
+    d2 = _sq_distances(points, centers[0][:, None], scratch)
     for c in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -37,14 +70,17 @@ def _kmeans_once(cols: np.ndarray, k: int, rng) -> tuple:
             centers[c] = cols[rng.choice(n, p=probs)]
         else:  # all remaining points coincide with chosen centers
             centers[c] = cols[rng.integers(n)]
-        d2 = np.minimum(d2, cdist(cols, centers[c:c + 1], "sqeuclidean").ravel())
+        d2 = np.minimum(d2, _sq_distances(points, centers[c][:, None], scratch))
 
+    sq = np.einsum("ij,ij->j", points, points)
     labels = np.full(n, -1, dtype=np.int64)
     trace = []
     for _ in range(300):
-        dist = cdist(cols, centers, "sqeuclidean")
-        new_labels = dist.argmin(axis=1)
-        assigned = dist[np.arange(n), new_labels]
+        columns = np.ascontiguousarray(centers.T)
+        new_labels = _nearest_centers(points, sq, columns)
+        # the labels are in range; mode "clip" lets np.take write into scratch directly
+        np.take(columns, new_labels, axis=1, out=scratch, mode="clip")
+        assigned = _sq_distances(points, scratch, scratch)
         trace.append(float(assigned.sum()))
         if np.array_equal(new_labels, labels):
             break
@@ -66,16 +102,19 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 10, seed: int = 0) -> Clu
     points holds one item per column. Deterministic under seed; empty
     clusters are re-seeded to the point farthest from its assigned centroid.
     """
-    cols = np.asarray(points, dtype=np.float64).T
-    n = cols.shape[0]
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[0] < 1:
+        raise ValueError(f"points must be a p x n array with p >= 1, got shape {points.shape}")
+    n = points.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     best = None
+    scratch = np.empty_like(points)
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        labels, inertia, trace = _kmeans_once(cols, k, rng)
+        labels, inertia, trace = _kmeans_once(points, k, rng, scratch)
         if best is None or inertia < best[1]:
             best = (labels, inertia, trace)
     return ClusterResult(labels=best[0], inertia=best[1], inertia_trace=best[2])
@@ -84,9 +123,10 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 10, seed: int = 0) -> Clu
 def clustering_error(pred, truth) -> float:
     """1 - best-assignment accuracy between two labelings.
 
-    The predicted-to-true label matching is optimized with the Hungarian
-    algorithm on the contingency table, so the metric is invariant to
-    relabeling either side.
+    The predicted-to-true label matching maximizes the matched count of the
+    contingency table, so the metric is invariant to relabeling either side.
+    It is a full matching of the table + 1, in which every pair is an edge;
+    the shift adds the same min(rows, columns) to every full matching.
     """
     pred = np.asarray(pred)
     truth = np.asarray(truth)
@@ -96,7 +136,7 @@ def clustering_error(pred, truth) -> float:
     _, ti = np.unique(truth, return_inverse=True)
     table = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
     np.add.at(table, (pi, ti), 1)
-    rows, cols = linear_sum_assignment(-table)
+    rows, cols = min_weight_full_bipartite_matching(sp.csr_matrix(table + 1), maximize=True)
     matched = table[rows, cols].sum()
     return 1.0 - matched / pred.size
 

@@ -119,7 +119,7 @@ def separate_background(seq: FrameSequence, cfg: SolverConfig, K: int = 10,
 
     Builds one graph over frames and one over pixels, solves the dual-graph
     objective that cfg sets on the vectorized sequence, and returns
-    (background frames, |S| foreground-magnitude frames, LowRankResult).
+    (background frames, |X - U| foreground-magnitude frames, LowRankResult).
     Frames stay in the [0, 1] intensity scale throughout.
     """
     X = seq.to_matrix()
@@ -129,7 +129,7 @@ def separate_background(seq: FrameSequence, cfg: SolverConfig, K: int = 10,
     result = fista_solve(X, G1, G2, cfg)
     T = seq.count
     background = np.clip(result.U.values.T.reshape(T, h, w), 0.0, 1.0)
-    foreground = np.clip(np.abs(result.S.values.T.reshape(T, h, w)), 0.0, 1.0)
+    foreground = np.clip(np.abs((X.values - result.U.values).T.reshape(T, h, w)), 0.0, 1.0)
     return FrameSequence(background), FrameSequence(foreground), result
 
 

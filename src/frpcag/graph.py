@@ -84,15 +84,18 @@ class GraphEigs:
 # float64 elements in one block of candidate scores (4 MB); a block of rows
 # then also has fewer than this many candidate pairs (or one row's n - 1)
 _BLOCK_ELEMENTS = 1 << 19
+# float64 elements in each of the two gathered chunks of candidate pairs
+# (512 KB), or 64 pairs when the dimension is larger, so that rows stay long
+_CHUNK_ELEMENTS = 1 << 16
 
 
 def knn_exact(points: np.ndarray, K: int) -> NeighborList:
     """Exact K nearest neighbors under the Euclidean metric.
 
     points is a 2-D array of finite values with one vector per column.
-    Distances are computed as scipy.spatial.distance.cdist computes them,
-    bit for bit: the square root of the squared differences summed in index
-    order. Ties are broken by the lower vertex index; the diagonal (self) is
+    Distances are the square roots of _sq_distances, the one exact-distance
+    kernel, which k-means shares: scipy.spatial.distance.cdist's values, bit
+    for bit. Ties are broken by the lower vertex index; the diagonal (self) is
     never listed.
 
     Rows are processed in blocks of at most _BLOCK_ELEMENTS scores
@@ -119,26 +122,26 @@ def knn_exact(points: np.ndarray, K: int) -> NeighborList:
         raise ValueError(f"K must satisfy 1 <= K < n, got K={K}, n={n}")
     if not np.isfinite([points.min(), points.max()]).all():  # NaN propagates to both
         raise ValueError("points must be finite")
-    cols = np.ascontiguousarray(points.T)  # one row per vector
+    points = np.ascontiguousarray(points)  # the distance kernel gathers its columns
     indices = np.empty((n, K), dtype=np.int64)
     distances = np.empty((n, K), dtype=np.float64)
     f64 = np.finfo(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow take every column
-        sq = np.einsum("ij,ij->i", cols, cols)
+        sq = np.einsum("ij,ij->j", points, points)
         slack = 4 * (p + 4) * (f64.eps * (sq + sq.max()) + f64.tiny)
         block = max(1, min(n, _BLOCK_ELEMENTS // n))
-        chunk = max(1, (1 << 15) // p)  # pairs whose differences (256 KB) stay in cache
         # one set of block buffers for the whole search, so the memory held
         # does not depend on how the allocator reuses freed blocks
-        lhs = -2 * cols.T  # scaling by -2 is exact
+        rhs = -2 * points  # scaling by -2 is exact
         score_buf = np.empty((block, n))
         part_buf = np.empty((block, n))
         inside_buf = np.empty((block, n), dtype=bool)
+        pair_buf = np.empty((2, p * max(64, _CHUNK_ELEMENTS // p)))
         for start in range(0, n, block):
             stop = min(start + block, n)
             rows = np.arange(start, stop)
             scores, part, inside = (buf[:stop - start] for buf in (score_buf, part_buf, inside_buf))
-            np.matmul(cols[start:stop], lhs, out=scores)
+            np.matmul(points[:, start:stop].T, rhs, out=scores)
             scores += sq[rows, None]
             scores += sq
             scores[rows - start, rows] = np.inf
@@ -149,24 +152,49 @@ def knn_exact(points: np.ndarray, K: int) -> NeighborList:
             inside[~np.isfinite(window)] = True  # such a row measures every column
             inside[rows - start, rows] = False
             indices[start:stop], distances[start:stop] = _nearest_candidates(
-                cols, start, inside, K, chunk)
+                points, start, inside, K, pair_buf)
     return NeighborList(indices, distances)
 
 
-def _nearest_candidates(cols: np.ndarray, first: int, inside: np.ndarray, K: int, chunk: int):
+def _sq_distances(a: np.ndarray, b: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the columns of a and b, pair by
+    pair: cdist's "sqeuclidean", bit for bit, the squares summed in index order.
+
+    a and b are p x m, or p x 1 against every column of the other; diff is
+    C-ordered p x m scratch and may be a or b. np.add.reduce over axis 0 adds
+    the rows of a C-ordered diff one after another, but sums a single,
+    contiguous column pairwise, so that goes through cumsum. As in cdist, a
+    sum that overflows is inf, without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(a, b, out=diff)
+        np.square(diff, out=diff)
+        if diff.shape[1] == 1:
+            return np.cumsum(diff, axis=0)[-1]
+        return np.add.reduce(diff, axis=0)
+
+
+def _nearest_candidates(points: np.ndarray, first: int, inside: np.ndarray, K: int,
+                        pair_buf: np.ndarray):
     """The K nearest of each row's candidate columns, sorted by (distance, index).
 
-    Row r of the boolean mask inside is vertex first + r; its distances are
-    measured with cdist's arithmetic, chunk pairs at a time.
+    Row r of the boolean mask inside is vertex first + r, column first + r
+    of the C-ordered p x n points. Its distances are the square roots of
+    _sq_distances, on the columns of chunks of pairs that np.take gathers
+    into the two rows of pair_buf, each p times a chunk long.
     """
     r, c = np.nonzero(inside)  # candidate pairs, by row and then column
     d = np.empty(r.size)
+    p = points.shape[0]
+    chunk = pair_buf.shape[1] // p
     for lo in range(0, r.size, chunk):
-        diff = cols[c[lo:lo + chunk]]
-        diff -= cols[first + r[lo:lo + chunk]]
-        np.square(diff, out=diff)
-        np.cumsum(diff, axis=1, out=diff)  # adds in index order, as cdist does
-        np.sqrt(diff[:, -1], out=d[lo:lo + chunk])
+        m = min(chunk, r.size - lo)
+        a, b = (row[:p * m].reshape(p, m) for row in pair_buf)  # C-ordered
+        # the indices are in range; mode "clip" lets np.take write into a and b directly
+        np.take(points, c[lo:lo + m], axis=1, out=a, mode="clip")
+        np.take(points, first + r[lo:lo + m], axis=1, out=b, mode="clip")
+        d[lo:lo + m] = _sq_distances(a, b, a)
+    np.sqrt(d, out=d)
     # by row, then distance; the sort is stable and c ascends within a row,
     # so ties keep the lower index
     order = np.lexsort((d, r))

@@ -14,6 +14,10 @@ from .config import plain_number_text
 BINARY_MAGIC = b"FRPM"
 _FIELD_LIMIT = 131072  # characters in one CSV cell, the csv module's default limit
 _BREAK = re.compile(rb"[,\r\n]")
+# A CSV line whose last cell is a quoted one left open, as the csv module
+# reads it: a quote opens a cell only as its first character, "" inside the
+# cell is one quote, and after the closing quote the cell runs on to a ','
+_OPEN_CELL = re.compile(r'(?:(?:"(?:[^"]|"")*"(?!")[^,]*|[^",][^,]*|),)*"(?:[^"]|"")*\Z')
 
 
 class MatrixFormatError(ValueError):
@@ -71,12 +75,14 @@ def _read_table(path, error, syntax: str, valid, parse, **args):
     64 KB block holds a ',' or a line end (so no CSV cell is longer than
     _FIELD_LIMIT), np.loadtxt(path, **args) parses the text and valid(rows)
     holds, those rows are returned without Python work per line. Otherwise
-    the file is read again one line at a time, and text that is not UTF-8
-    fails where decoding meets it. parse(number, line, rows above) gives the
-    row of a line in the number grammar, None for a blank one, or raises the
-    line's error; error(syntax formatted by the line number) names a line
-    outside the grammar or one where parse raises another ValueError or an
-    OverflowError.
+    the file is read again one record at a time, and text that is not UTF-8
+    fails where decoding meets it. A record is a line, or with a quotechar
+    in args, the lines up to the one that closes a quoted cell, as a csv
+    record runs on. parse(number, record, rows above) gives the row of a
+    record in the number grammar, None for a blank one, or raises the
+    record's error, with number its last line; error(syntax formatted by
+    that number) names a record outside the grammar or one where parse
+    raises another ValueError or an OverflowError.
     """
     args["comments"] = None  # a '#' line is refused, not skipped
     with open(path, "rb") as fh:
@@ -95,14 +101,14 @@ def _read_table(path, error, syntax: str, valid, parse, **args):
     rows = []
     try:
         with open(path, encoding="utf-8") as text:
-            for number, line in enumerate(text, start=1):
+            for number, record in _records(text, "quotechar" in args):
                 try:
-                    if not plain_number_text(line):
-                        raise ValueError(line)
-                    row = parse(number, line, rows)
+                    if not plain_number_text(record):
+                        raise ValueError(record)
+                    row = parse(number, record, rows)
                 except error:
                     raise
-                except (ValueError, OverflowError):  # the line breaks the syntax
+                except (ValueError, OverflowError):  # the record breaks the syntax
                     raise error(f"{path}: {syntax.format(number)}") from None
                 if row is not None:
                     rows.append(row)
@@ -111,8 +117,23 @@ def _read_table(path, error, syntax: str, valid, parse, **args):
     return np.array(rows, dtype=args.get("dtype", float))
 
 
+def _records(lines, quoted: bool):
+    """(number of its last line, text) of each record of lines: one line, or
+    when quoted, the lines up to the one that closes a quoted CSV cell."""
+    parts, inside = [], False
+    for number, line in enumerate(lines, start=1):
+        parts.append(line)
+        if quoted and (inside or '"' in line):  # an open cell runs on as if it began the line
+            inside = bool(_OPEN_CELL.match('"' + line if inside else line))
+        if not inside:
+            yield number, "".join(parts)
+            parts = []
+    if parts:  # a quoted cell left open at the end of the file
+        yield number, "".join(parts)
+
+
 def _csv_row(path, number: int, line: str, above):
-    """The cells of one CSV line (None for an empty line); ValueError for a
+    """The cells of one CSV record (None for an empty one); ValueError for a
     cell that is not a number, MatrixFormatError for a cell past the csv
     module's size limit, one that is not finite or a width other than that of
     the first row above."""

@@ -49,7 +49,6 @@ class SolverConfig:
 @dataclass(frozen=True)
 class LowRankResult:
     U: DataMatrix
-    S: DataMatrix  # X - U, exactly
     objective_trace: List[float]
     iterations: int
     converged: bool
@@ -242,8 +241,8 @@ def fista_solve(X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> LowRa
             if diff < cfg.epsilon * base or diff == 0.0:
                 converged = True
                 break
-    return LowRankResult(U=DataMatrix(U), S=DataMatrix(Xv - U), objective_trace=trace,
-                         iterations=iterations, converged=converged)
+    return LowRankResult(U=DataMatrix(U), objective_trace=trace, iterations=iterations,
+                         converged=converged)
 
 
 def save_trace_csv(trace, path) -> None:

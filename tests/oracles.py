@@ -3,7 +3,9 @@
 The dense solutions factor or invert full Laplacians, so they are for small
 instances only. The text readers are line-by-line forms of `load_matrix`'s
 csv branch, `load_graph_coo` and `load_labels`: Python parses and checks
-each line in file order, with the csv module for CSV records.
+each line in file order, with the csv module for CSV records. `kmeans` and
+`clustering_error` are the package's forms on scipy.spatial.distance.cdist
+and scipy.optimize.linear_sum_assignment.
 """
 
 import csv
@@ -13,8 +15,11 @@ import re
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh, solve
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
-from frpcag.graph import GraphFormatError, GraphSizeError, SparseGraph, _sparse_graph
+from frpcag.analysis import SvdTriplet
+from frpcag.graph import GraphEigs, GraphFormatError, GraphSizeError, SparseGraph, _sparse_graph
 from frpcag.matrixio import DataMatrix, MatrixFormatError
 from frpcag.solver import _check_dims, _values
 
@@ -59,6 +64,91 @@ def sequential_prox(X, L1: SparseGraph, L2: SparseGraph, gamma1: float,
     Z = solve(A2, X, assume_a="pos")
     A1 = np.eye(n) + gamma1 * L1.laplacian.toarray()
     return solve(A1, Z.T, assume_a="pos").T
+
+
+def shape_interaction(W: np.ndarray) -> np.ndarray:
+    """Projector W W^T onto the span of the principal components."""
+    W = np.asarray(W, dtype=np.float64)
+    return W @ W.T
+
+
+def alignment_energy(triplet: SvdTriplet, L1eigs: GraphEigs, L2eigs: GraphEigs,
+                     gamma1: float, gamma2: float) -> float:
+    """Tikhonov energy expanded in the Laplacian bases.
+
+    sum_{i,j} sigma_i^2 * (g1*lambda_j*(w_i.q_j)^2 + g2*omega_j*(v_i.p_j)^2),
+    which equals g1*tr(U L1 U^T) + g2*tr(U^T L2 U) when full eigenbases are
+    supplied.
+    """
+    n, p = triplet.W.shape[0], triplet.V.shape[0]
+    if L1eigs.count != n or L1eigs.vectors.shape[0] != n:
+        raise ValueError("L1eigs must be the full n x n eigenbasis")
+    if L2eigs.count != p or L2eigs.vectors.shape[0] != p:
+        raise ValueError("L2eigs must be the full p x p eigenbasis")
+    s2 = triplet.sigma ** 2
+    M1 = triplet.W.T @ L1eigs.vectors  # c x n
+    M2 = triplet.V.T @ L2eigs.vectors  # c x p
+    e1 = s2 @ ((M1 ** 2) @ L1eigs.values)
+    e2 = s2 @ ((M2 ** 2) @ L2eigs.values)
+    return float(gamma1 * e1 + gamma2 * e2)
+
+
+def _kmeans_once(cols: np.ndarray, k: int, rng) -> tuple:
+    """One k-means++ seeded Lloyd run; returns (labels, inertia, trace)."""
+    n = cols.shape[0]
+    centers = np.empty((k, cols.shape[1]))
+    centers[0] = cols[rng.integers(n)]
+    d2 = cdist(cols, centers[:1], "sqeuclidean").ravel()
+    for c in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            probs = d2 / total
+            centers[c] = cols[rng.choice(n, p=probs)]
+        else:  # all remaining points coincide with chosen centers
+            centers[c] = cols[rng.integers(n)]
+        d2 = np.minimum(d2, cdist(cols, centers[c:c + 1], "sqeuclidean").ravel())
+
+    labels = np.full(n, -1, dtype=np.int64)
+    trace = []
+    for _ in range(300):
+        dist = cdist(cols, centers, "sqeuclidean")
+        new_labels = dist.argmin(axis=1)
+        assigned = dist[np.arange(n), new_labels]
+        trace.append(float(assigned.sum()))
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            members = labels == c
+            if members.any():
+                centers[c] = cols[members].mean(axis=0)
+            else:  # re-seed an empty cluster to the farthest point
+                far = int(assigned.argmax())
+                centers[c] = cols[far]
+                assigned[far] = 0.0
+    return labels, trace[-1], trace
+
+
+def kmeans(points: np.ndarray, k: int, restarts: int = 10, seed: int = 0) -> tuple:
+    """kmeans with every distance from cdist; returns the (labels, inertia,
+    trace) of the minimum-inertia restart."""
+    cols = np.asarray(points, dtype=np.float64).T
+    best = None
+    for r in range(restarts):
+        run = _kmeans_once(cols, k, np.random.default_rng([seed, r]))
+        if best is None or run[1] < best[1]:
+            best = run
+    return best
+
+
+def clustering_error(pred, truth) -> float:
+    """clustering_error with the Hungarian algorithm on the contingency table."""
+    _, pi = np.unique(np.asarray(pred), return_inverse=True)
+    _, ti = np.unique(np.asarray(truth), return_inverse=True)
+    table = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
+    np.add.at(table, (pi, ti), 1)
+    rows, cols = linear_sum_assignment(-table)
+    return 1.0 - table[rows, cols].sum() / pi.size
 
 
 def _number_lines(fh, path):

@@ -4,7 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from frpcag.evalcluster import (ExperimentConfig, clustering_error, kmeans,
                                 prepare_experiment, run_gamma, two_gaussians)
 from frpcag.matrixio import standardize
@@ -64,9 +67,60 @@ def test_kmeans_inertia_trace_non_increasing():
     assert np.all(np.diff(trace) <= 1e-9)
 
 
+def kmeans_points(p, n, kind, seed):
+    """Items with ties ("integers": few distinct coordinates), duplicate points
+    ("duplicates": n draws of n // 3 + 1 points) or in general position, at
+    magnitudes from 1e-150 to 1e150 ("scaled")."""
+    rng = np.random.default_rng(seed)
+    if kind == "integers":
+        return rng.integers(-2, 3, (p, n)).astype(float)
+    if kind == "duplicates":
+        distinct = rng.standard_normal((p, n // 3 + 1))
+        return distinct[:, rng.integers(0, distinct.shape[1], n)]
+    scale = 10.0 ** rng.integers(-150, 151) if kind == "scaled" else 1.0
+    return rng.standard_normal((p, n)) * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(1, 12), n=st.integers(1, 24), below_n=st.integers(0, 23),
+       kind=st.sampled_from(["normal", "integers", "duplicates", "scaled"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(p=9, n=1, below_n=0, kind="normal", seed=0)  # n = 1
+@example(p=8, n=12, below_n=0, kind="duplicates", seed=1)  # k = n with duplicate points
+@example(p=10, n=16, below_n=0, kind="integers", seed=2)  # k = n with ties
+def test_kmeans_matches_its_cdist_oracle(p, n, below_n, kind, seed):
+    # every distance through cdist, as kmeans measured before its screen
+    points = kmeans_points(p, n, kind, seed)
+    k = max(1, n - below_n)
+    got = kmeans(points, k, restarts=3, seed=seed)
+    labels, inertia, trace = oracles.kmeans(points, k, restarts=3, seed=seed)
+    assert np.array_equal(got.labels, labels)
+    assert got.inertia == inertia
+    assert got.inertia_trace == trace
+
+
+def test_kmeans_matches_its_cdist_oracle_with_one_member_clusters():
+    # 12 items around 3 centres and 3 outliers: k = 6 leaves clusters of one item
+    rng = np.random.default_rng(15)
+    points = np.concatenate([rng.standard_normal((9, 4)) * 0.1 + shift
+                             for shift in (0.0, 5.0, -5.0)]
+                            + [rng.standard_normal((9, 3)) * 40], axis=1)
+    got = kmeans(points, 6, restarts=5, seed=16)
+    labels, inertia, trace = oracles.kmeans(points, 6, restarts=5, seed=16)
+    assert np.bincount(labels).min() == 1
+    assert np.array_equal(got.labels, labels) and got.inertia == inertia
+    assert got.inertia_trace == trace
+
+
 def test_kmeans_k_too_large():
     with pytest.raises(ValueError):
         kmeans(np.zeros((2, 3)), 4)
+
+
+@pytest.mark.parametrize("points", [np.zeros((0, 3)), np.zeros(3)], ids=["p=0", "1-d"])
+def test_kmeans_refuses_points_without_a_coordinate_axis(points):
+    with pytest.raises(ValueError, match="p x n array with p >= 1"):
+        kmeans(points, 1)
 
 
 def test_clustering_error_identical_and_relabeled():
@@ -99,6 +153,18 @@ def test_clustering_error_zero_iff_relabeling():
     pred2 = pred.copy()
     pred2[0] = pred2[0] + 1  # break one point
     assert clustering_error(pred2, truth) > 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+@example(1, 5, 7, 0)  # one predicted label against five true ones
+@example(6, 2, 30, 1)
+def test_clustering_error_matches_its_hungarian_oracle(pred_labels, true_labels, n, seed):
+    # the contingency table is rectangular unless both sides use as many labels
+    rng = np.random.default_rng(seed)
+    pred = rng.integers(0, pred_labels, n) * 3 - 1
+    truth = rng.integers(0, true_labels, n)
+    assert clustering_error(pred, truth) == oracles.clustering_error(pred, truth)
 
 
 def test_clustering_error_length_mismatch():

@@ -118,7 +118,7 @@ def test_separate_background_recovers_truth():
     never = ~mask.any(axis=0)
     mae = np.abs(bg.frames[:, never] - background[never][None]).mean()
     assert mae <= 0.02
-    S = result.S.values.T.reshape(seq.count, 20, 20)
+    S = (seq.to_matrix().values - result.U.values).T.reshape(seq.count, 20, 20)
     energy = (S ** 2).sum()
     assert (S[mask] ** 2).sum() >= 0.9 * energy
 
@@ -130,7 +130,7 @@ def test_separate_background_static_sequence():
     seq = FrameSequence(still)
     bg, fg, result = separate_background(seq, SolverConfig(epsilon=1e-8), K=5)
     X = seq.to_matrix().values
-    assert np.abs(result.S.values).sum() <= 0.01 * np.abs(X).sum()
+    assert np.abs(X - result.U.values).sum() <= 0.01 * np.abs(X).sum()
 
 
 def test_save_frames_roundtrip(tmp_path):

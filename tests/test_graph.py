@@ -74,6 +74,25 @@ def test_knn_matches_cdist_argsort_oracle(problem):
     assert nb.distances.tobytes() == distances.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 3), st.integers(-150, 150), st.integers(0, 2 ** 32 - 1))
+@example(p=200, m=1, exponent=0, seed=0)  # one pair: a contiguous p x 1 difference
+@example(p=8, m=2, exponent=154, seed=1)  # squares near overflow
+def test_distance_kernel_matches_cdist(p, m, exponent, seed):
+    # cdist sums the squared differences in index order; np.add.reduce sums a
+    # contiguous run pairwise, which can differ from p = 8 on
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, p, m)) * 10.0 ** exponent
+    pairs = cdist(a.T, b.T, "sqeuclidean").diagonal()
+    assert graph._sq_distances(a, b, np.empty((p, m))).tobytes() == pairs.tobytes()
+    # one column against every column, on either side
+    against = cdist(a.T, b[:, :1].T, "sqeuclidean")[:, 0]
+    assert graph._sq_distances(a, b[:, :1], np.empty((p, m))).tobytes() == against.tobytes()
+    against = cdist(a[:, :1].T, b.T, "sqeuclidean")[0]
+    assert graph._sq_distances(a[:, :1], b, np.empty((p, m))).tobytes() == against.tobytes()
+    assert graph._sq_distances(a, b, a).tobytes() == pairs.tobytes()  # in place
+
+
 @pytest.mark.parametrize("make_points", [
     # the pixel graph of 104 frames of 64x64: one dense n x n float64 is 134 MB
     lambda rng: rng.integers(0, 256, (104, 4096)) / 255.0,

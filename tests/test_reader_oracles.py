@@ -41,7 +41,8 @@ def text(lines):
 CELLS = st.sampled_from([b"0", b"1", b"-2.5", b"+1", b"01", b".5", b"1.", b"1e308", b"1e309",
                          b"-1e-320", b"nan", b"inf", b"-Infinity", b"x", b"", b" 1 ",
                          b"\x0b1\x0c", b"1\x1c", b'"1"', b'" 2 "', b'"x"', b'"1"2', b'"',
-                         b'""', b'"1,2"', b"1_0", b"#1", b"1 2", b"\xe2\x80\x832", *NON_ASCII])
+                         b'""', b'"1,2"', b"1_0", b"#1", b"1 2", b"\xe2\x80\x832", *NON_ASCII,
+                         b'"1\n"', b'"1""\n"', b'"1,\n2"', b'1"', b' "1"'])
 CSV = text(st.lists(CELLS, min_size=1, max_size=4).map(b",".join))
 
 INDICES = st.sampled_from([b"0", b"1", b"2", b"3", b"+1", b"01", b"-1", b"1.5", b"a",
@@ -132,6 +133,20 @@ def test_labels_reader_matches_its_oracle(content):
 def test_csv_quoted_line_break_matches_its_oracle(tmp_path, cells):
     path = tmp_path / "m.csv"
     path.write_text(",".join(cells) + "\n3,4\n")
+    assert outcome(load_matrix, path) == outcome(oracles.load_matrix_csv, path)
+
+
+@pytest.mark.parametrize("content", [
+    b'"1\n",2\n3,' + b"0" * 131_072,
+    b'"1\r\n\r\n",2\r\n3,' + b"0" * 131_072,
+    b'1,"2\n' + b"0" * 131_072,
+    b'1,2\n3,"4\n' + b"0" * 131_072 + b'"\n',
+])
+def test_csv_quoted_line_break_in_a_file_read_line_by_line_matches_its_oracle(tmp_path, content):
+    # a cell of more than 64 KB without a ',' or a line end sends the file
+    # past np.loadtxt to the pass that reads one record at a time
+    path = tmp_path / "m.csv"
+    path.write_bytes(content)
     assert outcome(load_matrix, path) == outcome(oracles.load_matrix_csv, path)
 
 

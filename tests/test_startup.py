@@ -60,3 +60,13 @@ def test_commands_but_experiment_load_only_numpy_and_scipy_sparse(tmp_path):
         modules = loaded_modules("-m", "frpcag.cli", *argv, cwd=tmp_path)
         assert {"numpy", "scipy.sparse"} <= modules
         assert [m for m in HEAVY if m in modules] == [], argv[0]
+
+
+def test_experiment_loads_neither_scipy_optimize_nor_scipy_spatial(tmp_path):
+    (tmp_path / "exp.conf").write_text("n = 30\np = 8\nknn_k = 4\ngamma = 1, 3\n"
+                                       "max_iters = 20\nrestarts = 2\n")
+    modules = loaded_modules("-m", "frpcag.cli", "experiment", "--config", "exp.conf",
+                             cwd=tmp_path)
+    assert {"numpy", "scipy.sparse", "scipy.sparse.csgraph"} <= modules
+    assert [m for m in modules if m.split(".")[:2] in (["scipy", "optimize"],
+                                                       ["scipy", "spatial"])] == []
