@@ -333,7 +333,8 @@ def load_graph_coo(path, vertex_count: int) -> SparseGraph:
     Raises GraphFormatError, naming the line, unless the file is UTF-8 text
     of at least one 'i j weight' line, in ASCII without '_', with
     non-negative indices, a finite non-negative weight, no self-loop and no
-    repeated (i, j) pair; and for an asymmetric adjacency, a vertex without
+    repeated (i, j) pair; and for an adjacency whose two directions of an
+    edge differ by more than 1e-12 times the larger weight, a vertex without
     edges or a vertex degree that overflows. Raises its subclass GraphSizeError
     for an index >= vertex_count, naming its line, or a largest index + 1 below
     vertex_count; no matrix is allocated before.
@@ -381,7 +382,9 @@ def load_graph_coo(path, vertex_count: int) -> SparseGraph:
     A = sp.coo_matrix((rows["w"], (rows["i"], rows["j"])),
                       shape=(vertex_count, vertex_count)).tocsr()
     A.eliminate_zeros()
-    if (abs(A - A.T) > 1e-12).nnz > 0:
+    T = A.T.tocsr()  # both canonical: sorted indices, no duplicates
+    if not (np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices)
+            and np.all(abs(A.data - T.data) <= 1e-12 * np.maximum(A.data, T.data))):
         raise GraphFormatError(f"{path}: adjacency must be symmetric")
     try:
         return _sparse_graph(A)

@@ -12,12 +12,7 @@ import numpy as np
 from .config import plain_number_text
 
 BINARY_MAGIC = b"FRPM"
-_FIELD_LIMIT = 131072  # characters in one CSV cell, the csv module's default limit
 _BREAK = re.compile(rb"[,\r\n]")
-# A CSV line whose last cell is a quoted one left open, as the csv module
-# reads it: a quote opens a cell only as its first character, "" inside the
-# cell is one quote, and after the closing quote the cell runs on to a ','
-_OPEN_CELL = re.compile(r'(?:(?:"(?:[^"]|"")*"(?!")[^,]*|[^",][^,]*|),)*"(?:[^"]|"")*\Z')
 
 
 class MatrixFormatError(ValueError):
@@ -69,20 +64,20 @@ class CorruptionSpec:
 
 
 def _read_table(path, error, syntax: str, valid, parse, **args):
-    """The rows of the text table at path, or the error of its first offending line.
+    """The rows of the text table at path, or the error of its first offending record.
 
     When every byte is in the number grammar of plain_number_text, every
-    64 KB block holds a ',' or a line end (so no CSV cell is longer than
-    _FIELD_LIMIT), np.loadtxt(path, **args) parses the text and valid(rows)
-    holds, those rows are returned without Python work per line. Otherwise
-    the file is read again one record at a time, and text that is not UTF-8
-    fails where decoding meets it. A record is a line, or with a quotechar
-    in args, the lines up to the one that closes a quoted cell, as a csv
-    record runs on. parse(number, record, rows above) gives the row of a
-    record in the number grammar, None for a blank one, or raises the
-    record's error, with number its last line; error(syntax formatted by
-    that number) names a record outside the grammar or one where parse
-    raises another ValueError or an OverflowError.
+    64 KB block holds a ',' or a line end (so no CSV cell reaches the csv
+    module's limit of 131,072 characters), np.loadtxt(path, **args) parses
+    the text and valid(rows) holds, those rows are returned without Python
+    work per line. Otherwise the file is read again one record at a time:
+    a line, or with a quotechar in args, the cells of a csv.reader record.
+    parse(number, record, rows above) gives the row of a record, None for a
+    blank one, or raises the record's error, with number its last line (csv.reader's
+    line_num). error(syntax formatted by that number) names a line
+    outside the grammar or a record where parse raises another ValueError or
+    an OverflowError; text that is not UTF-8 and a csv.Error fail with their
+    own message, where the pass meets them.
     """
     args["comments"] = None  # a '#' line is refused, not skipped
     with open(path, "rb") as fh:
@@ -96,15 +91,22 @@ def _read_table(path, error, syntax: str, valid, parse, **args):
         try:
             if plain and valid(rows := np.loadtxt(path, encoding="ascii", **args)):
                 return rows
-        except (ValueError, DeprecationWarning):  # the line-by-line pass names the offence
+        except (ValueError, DeprecationWarning):  # the record-by-record pass names the offence
             pass
-    rows = []
+    rows, number = [], 0
+
+    def plain_lines(text):
+        nonlocal number
+        for number, line in enumerate(text, start=1):
+            if not plain_number_text(line):
+                raise error(f"{path}: {syntax.format(number)}")
+            yield line
+
     try:
-        with open(path, encoding="utf-8") as text:
-            for number, record in _records(text, "quotechar" in args):
+        with open(path, encoding="utf-8", newline="") as text:
+            records = plain_lines(text)
+            for record in csv.reader(records) if "quotechar" in args else records:
                 try:
-                    if not plain_number_text(record):
-                        raise ValueError(record)
                     row = parse(number, record, rows)
                 except error:
                     raise
@@ -112,42 +114,23 @@ def _read_table(path, error, syntax: str, valid, parse, **args):
                     raise error(f"{path}: {syntax.format(number)}") from None
                 if row is not None:
                     rows.append(row)
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a cell past the size limit
         raise error(f"{path}: {exc}") from exc
     return np.array(rows, dtype=args.get("dtype", float))
 
 
-def _records(lines, quoted: bool):
-    """(number of its last line, text) of each record of lines: one line, or
-    when quoted, the lines up to the one that closes a quoted CSV cell."""
-    parts, inside = [], False
-    for number, line in enumerate(lines, start=1):
-        parts.append(line)
-        if quoted and (inside or '"' in line):  # an open cell runs on as if it began the line
-            inside = bool(_OPEN_CELL.match('"' + line if inside else line))
-        if not inside:
-            yield number, "".join(parts)
-            parts = []
-    if parts:  # a quoted cell left open at the end of the file
-        yield number, "".join(parts)
-
-
-def _csv_row(path, number: int, line: str, above):
-    """The cells of one CSV record (None for an empty one); ValueError for a
-    cell that is not a number, MatrixFormatError for a cell past the csv
-    module's size limit, one that is not finite or a width other than that of
-    the first row above."""
-    line = line.rstrip("\n")  # each line end reads as "\n"
-    if not line:
+def _csv_row(path, number: int, cells, above):
+    """The numbers in the cells of one CSV record (None for an empty one);
+    ValueError for a cell that is not a number, MatrixFormatError for one
+    that is not finite or a width other than that of the first row above."""
+    if not cells:
         return None
-    if max(len(cell) - cell.count('"') for cell in line.split(",")) > _FIELD_LIMIT:
-        raise MatrixFormatError(f"{path}: field larger than field limit ({_FIELD_LIMIT})")
-    row = np.loadtxt([line], delimiter=",", quotechar='"', comments=None, ndmin=1)
+    row = [float(cell) for cell in cells]
     if not np.isfinite(row).all():
         raise MatrixFormatError(f"{path}: non-finite cell on line {number}")
-    if above and row.size != above[0].size:
+    if above and len(row) != len(above[0]):
         raise MatrixFormatError(f"{path}: ragged row on line {number} "
-                                f"({row.size} cells, expected {above[0].size})")
+                                f"({len(row)} cells, expected {len(above[0])})")
     return row
 
 
@@ -163,7 +146,7 @@ def load_matrix(path, fmt: str = "csv") -> DataMatrix:
     if fmt == "csv":
         rows = _read_table(path, MatrixFormatError, "non-numeric cell on line {}",
                            lambda rows: np.isfinite(rows).all(),
-                           lambda *line: _csv_row(path, *line),
+                           lambda *record: _csv_row(path, *record),
                            delimiter=",", quotechar='"', ndmin=2)
         if rows.size == 0:
             raise MatrixFormatError(f"{path}: empty file")

@@ -251,8 +251,10 @@ def load_graph_coo(path, vertex_count: int) -> SparseGraph:
     A = sp.coo_matrix((weights, (index[:, 0], index[:, 1])),
                       shape=(vertex_count, vertex_count)).tocsr()
     A.eliminate_zeros()
-    if (abs(A - A.T) > 1e-12).nnz > 0:
-        raise GraphFormatError(f"{path}: adjacency must be symmetric")
+    for (i, j), w in edges.items():  # an edge listed one way only faces a weight of 0
+        back = edges.get((j, i), 0.0)
+        if abs(w - back) > 1e-12 * max(w, back):
+            raise GraphFormatError(f"{path}: adjacency must be symmetric")
     try:
         return _sparse_graph(A)
     except ValueError as exc:
