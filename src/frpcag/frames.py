@@ -32,7 +32,11 @@ class FrameDimensionError(ValueError):
 
 @dataclass(frozen=True)
 class FrameSequence:
-    """T grayscale frames of identical size, intensities in [0, 1]."""
+    """T grayscale frames of identical size, intensities in [0, 1].
+
+    frames may be C-ordered, or the (T, h, w) view of a C-ordered p x T
+    matrix that load_frames reads; to_matrix copies neither.
+    """
 
     frames: np.ndarray  # (T, h, w)
 
@@ -97,15 +101,18 @@ def load_frames(directory) -> Tuple[FrameSequence, list]:
     names = sorted(f for f in os.listdir(directory) if f.lower().endswith(".pgm"))
     if not names:
         raise FrameFormatError(f"{directory}: no .pgm frames found")
-    frames = []
-    for name in names:
+    # each raster goes straight into its column of the C-ordered p x T matrix
+    # that the solver takes, and the frames are a (T, h, w) view of it
+    for t, name in enumerate(names):
         img = read_pgm(os.path.join(directory, name))
-        if frames and img.shape != frames[0].shape:
+        if t == 0:
+            h, w = img.shape
+            X = np.empty((h * w, len(names)))
+        elif img.shape != (h, w):
             raise FrameDimensionError(
-                f"{name} is {img.shape[1]}x{img.shape[0]}, "
-                f"expected {frames[0].shape[1]}x{frames[0].shape[0]}")
-        frames.append(img)
-    return FrameSequence(np.stack(frames)), names
+                f"{name} is {img.shape[1]}x{img.shape[0]}, expected {w}x{h}")
+        X[:, t] = img.ravel()
+    return FrameSequence(X.T.reshape(len(names), h, w)), names
 
 
 def save_frames(directory, seq: FrameSequence, names) -> None:
@@ -129,8 +136,11 @@ def separate_background(seq: FrameSequence, cfg: SolverConfig, K: int = 10,
     result = fista_solve(X, G1, G2, cfg)
     T = seq.count
     background = np.clip(result.U.values.T.reshape(T, h, w), 0.0, 1.0)
-    foreground = np.clip(np.abs((X.values - result.U.values).T.reshape(T, h, w)), 0.0, 1.0)
-    return FrameSequence(background), FrameSequence(foreground), result
+    foreground = np.subtract(X.values, result.U.values)  # one buffer, then in place
+    np.abs(foreground, out=foreground)
+    np.clip(foreground, 0.0, 1.0, out=foreground)
+    return (FrameSequence(background), FrameSequence(foreground.T.reshape(T, h, w)),
+            result)
 
 
 def synthetic_sequence(count: int = 100, h: int = 32, w: int = 32,

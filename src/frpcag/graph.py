@@ -99,18 +99,20 @@ def knn_exact(points: np.ndarray, K: int) -> NeighborList:
     never listed.
 
     Rows are processed in blocks of at most _BLOCK_ELEMENTS scores
-    s = |a|^2 + |b|^2 - 2 a.b, computed by one matrix product. With p the
-    dimension and eps the machine epsilon, s differs from the square of
-    the distance by at most E = 2 (p + 4) (eps (|a|^2 + max_b |b|^2) +
-    the smallest normal float64): to first order, the rounding of the
-    product, the norms and the distance's own sum and square root is at most
-    (2p + 6) eps (|a|^2 + max_b |b|^2), and underflow adds less than 3p
-    times the smallest subnormal. Every column scoring above the K-th
-    smallest score plus 2E is then farther than K others, so only the
-    columns inside that window are measured again and sorted by
-    (distance, index). A row whose window is not finite (norms that
-    overflow) is measured against every other column. A block's candidate
-    pairs are at most its scores, so the same budget bounds both.
+    s = |b|^2 - 2 a.b for row a and column b, computed by one matrix
+    product. s is the square of the distance less |a|^2, which is the same
+    for every column of the row, so it orders the row's columns as the
+    distance does. With p the dimension and eps the machine epsilon, s
+    differs from the computed square of the distance, less |a|^2, by at most
+    E = 2 (p + 4) (eps (|a|^2 + max_b |b|^2) + the smallest normal float64):
+    to first order, the rounding of the product, the norm and the distance's
+    own sum and square root is at most (2p + 6) eps (|a|^2 + max_b |b|^2),
+    and underflow adds less than 3p times the smallest subnormal. Every
+    column scoring above the K-th smallest score plus 2E is then farther
+    than K others, so only the columns inside that window are measured
+    again and sorted by (distance, index). A row whose window is not finite
+    (norms that overflow) is measured against every other column. A block's
+    candidate pairs are at most its scores, so the same budget bounds both.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -132,7 +134,6 @@ def knn_exact(points: np.ndarray, K: int) -> NeighborList:
         block = max(1, min(n, _BLOCK_ELEMENTS // n))
         # one set of block buffers for the whole search, so the memory held
         # does not depend on how the allocator reuses freed blocks
-        rhs = -2 * points  # scaling by -2 is exact
         score_buf = np.empty((block, n))
         part_buf = np.empty((block, n))
         inside_buf = np.empty((block, n), dtype=bool)
@@ -141,8 +142,9 @@ def knn_exact(points: np.ndarray, K: int) -> NeighborList:
             stop = min(start + block, n)
             rows = np.arange(start, stop)
             scores, part, inside = (buf[:stop - start] for buf in (score_buf, part_buf, inside_buf))
-            np.matmul(points[:, start:stop].T, rhs, out=scores)
-            scores += sq[rows, None]
+            # scaling by -2 is exact: scaling the block's columns, not all
+            # of points, gives the same bits
+            np.matmul(-2 * points[:, start:stop].T, points, out=scores)
             scores += sq
             scores[rows - start, rows] = np.inf
             np.copyto(part, scores)

@@ -67,11 +67,13 @@ def _read_table(path, error, syntax: str, valid, parse, **args):
     """The rows of the text table at path, or the error of its first offending record.
 
     When every byte is in the number grammar of plain_number_text, every
-    64 KB block holds a ',' or a line end (so no CSV cell reaches the csv
-    module's limit of 131,072 characters), np.loadtxt(path, **args) parses
-    the text and valid(rows) holds, those rows are returned without Python
-    work per line. Otherwise the file is read again one record at a time:
-    a line, or with a quotechar in args, the cells of a csv.reader record.
+    64 KB block holds a ',' or a line end and none the quotechar of args (so
+    no CSV cell reaches the csv module's limit of 131,072 characters: a
+    quoted cell could hide its length in line breaks), np.loadtxt(path,
+    **args) parses the text and valid(rows) holds, those rows are returned
+    without Python work per line. Otherwise the file is read again one
+    record at a time: a line, or with a quotechar in args, the cells of a
+    csv.reader record.
     parse(number, record, rows above) gives the row of a record, None for a
     blank one, or raises the record's error, with number its last line (csv.reader's
     line_num). error(syntax formatted by that number) names a line
@@ -80,8 +82,10 @@ def _read_table(path, error, syntax: str, valid, parse, **args):
     own message, where the pass meets them.
     """
     args["comments"] = None  # a '#' line is refused, not skipped
+    quote = args.get("quotechar", "").encode()
     with open(path, "rb") as fh:
         plain = all(plain_number_text(block) and _BREAK.search(block)
+                    and not (quote and quote in block)
                     for block in iter(lambda: fh.read(1 << 16), b""))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # an empty table is the caller's error

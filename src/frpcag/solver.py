@@ -79,10 +79,13 @@ def _fidelity(R: np.ndarray, loss: str, out=None) -> float:
 _BLOCK_ELEMENTS = 1 << 14
 
 
-def _row_blocks(p: int, n: int):
-    """Row slices of U; at least 32 rows keep the CSR kernel's inner loop long."""
+def _row_blocks(L2: SparseGraph, n: int):
+    """Row slices of a p x n U, each with its CSR rows of L2; at least 32 rows
+    keep the CSR kernel's inner loop long."""
+    p = L2.vertex_count
     rows = max(32, _BLOCK_ELEMENTS // n)
-    return [slice(lo, min(lo + rows, p)) for lo in range(0, p, rows)]
+    return [(blk, L2.laplacian[blk])
+            for blk in (slice(lo, min(lo + rows, p)) for lo in range(0, p, rows))]
 
 
 def _l1_rows(U_blk: np.ndarray, L1: SparseGraph, c1: float, out: np.ndarray) -> None:
@@ -90,32 +93,34 @@ def _l1_rows(U_blk: np.ndarray, L1: SparseGraph, c1: float, out: np.ndarray) -> 
     np.multiply((L1.laplacian @ U_blk.T).T, c1, out=out)
 
 
-def _add_l2(U: np.ndarray, L2: SparseGraph, c2: float, Q: np.ndarray, blocks) -> float:
-    """Q += c2 * L2 U by row blocks (L2 U mixes rows: one full product); returns vdot(U, Q)."""
-    L2U = L2.laplacian @ U
+def _add_l2(U: np.ndarray, c2: float, Q: np.ndarray, blocks) -> float:
+    """Q += c2 * L2 U by row blocks; returns vdot(U, Q).
+
+    A block's rows of L2 U are its CSR rows of L2 times all of U: the CSR
+    kernel computes each row alone, so they are the rows of the full product.
+    """
     value = 0.0
-    for blk in blocks:
-        part = L2U[blk]
+    for blk, L2_rows in blocks:
+        part = L2_rows @ U
         part *= c2
         Q[blk] += part
         value += float(np.vdot(U[blk], Q[blk]))
     return value
 
 
-def _smooth(U: np.ndarray, L1: SparseGraph, L2: SparseGraph, c1: float, c2: float):
+def _smooth(U: np.ndarray, L1: SparseGraph, c1: float, c2: float, blocks):
     """Q = c1*U L1 + c2*L2 U and vdot(U, Q), one row block at a time.
 
     With c = gamma these are P(U) = gamma1*U L1 + gamma2*L2 U and the smooth
     value tr(U^T P(U)); the gradient of the smooth part is 2*P(U).
-    fista_solve's loop runs the same block steps. Dimensions are the caller's
-    to check.
+    blocks are the _row_blocks of L2, and fista_solve's loop runs the same
+    block steps. Dimensions are the caller's to check.
     """
     U = np.ascontiguousarray(U)
     Q = np.empty_like(U)
-    blocks = _row_blocks(*U.shape)
-    for blk in blocks:
+    for blk, _ in blocks:
         _l1_rows(U[blk], L1, c1, Q[blk])
-    return Q, _add_l2(U, L2, c2, Q, blocks)
+    return Q, _add_l2(U, c2, Q, blocks)
 
 
 def _shrink_residual(R: np.ndarray, lam: float, loss: str, scratch=None) -> None:
@@ -130,7 +135,7 @@ def objective(U, X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> floa
     """phi(U - X) + gamma1*tr(U L1 U^T) + gamma2*tr(U^T L2 U)."""
     U, X = _values(U), _values(X)
     _check_dims(U, L1, L2)
-    _, smooth = _smooth(U, L1, L2, cfg.gamma1, cfg.gamma2)
+    _, smooth = _smooth(U, L1, cfg.gamma1, cfg.gamma2, _row_blocks(L2, U.shape[1]))
     return _fidelity(U - X, cfg.loss) + smooth
 
 
@@ -139,7 +144,7 @@ def gradient_smooth(U, L1: SparseGraph, L2: SparseGraph, gamma1: float,
     """Gradient of the smooth part: 2*(gamma1*U L1 + gamma2*L2 U)."""
     U = _values(U)
     _check_dims(U, L1, L2)
-    return _smooth(U, L1, L2, 2.0 * gamma1, 2.0 * gamma2)[0]
+    return _smooth(U, L1, 2.0 * gamma1, 2.0 * gamma2, _row_blocks(L2, U.shape[1]))[0]
 
 
 def prox_fidelity(U, X, lam: float, loss: str = "l1") -> np.ndarray:
@@ -183,32 +188,33 @@ def fista_solve(X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> LowRa
 
     The elementwise work and U L1 run in one pass over row blocks that stay
     in cache, so Y and the prox residual exist only per block; L2 U follows
-    as one full product. A non-finite U makes the objective non-finite, which
-    raises DivergedError.
+    block by block, each block's CSR rows of L2 (sliced once per call) times
+    U. So the loop holds no p x n array beyond X and four buffers. A
+    C-ordered X is used as it is, without a copy. A non-finite U makes the
+    objective non-finite, which raises DivergedError.
     """
     Xv = np.ascontiguousarray(_values(X))
     _check_dims(Xv, L1, L2)
     lam = auto_step(L1, L2, cfg.gamma1, cfg.gamma2) if cfg.step == "auto" else float(cfg.step)
     c1, c2 = -2.0 * lam * cfg.gamma1, -2.0 * lam * cfg.gamma2
-    blocks = _row_blocks(*Xv.shape)
+    blocks = _row_blocks(L2, Xv.shape[1])
 
-    # Four p x n buffers plus the L2 U product: U and U_prev swap each
-    # iteration, as do Q and Q_prev
+    # Four p x n buffers: U and U_prev swap each iteration, as do Q and Q_prev
     U, U_prev = Xv.copy(), Xv.copy()
-    Y_buf, R_buf = np.empty((2, blocks[0].stop, Xv.shape[1]))
+    Y_buf, R_buf = np.empty((2, blocks[0][0].stop, Xv.shape[1]))
     t, beta = 1.0, 0.0
     trace: List[float] = []
     converged = False
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked explicitly
-        Q, _ = _smooth(Xv, L1, L2, c1, c2)
+        Q, _ = _smooth(Xv, L1, c1, c2, blocks)
         Q_prev = Q.copy()
         for _ in range(cfg.max_iters):
             iterations += 1
             t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
             beta_next = (t - 1.0) / t_next
             fidelity = base = diff = 0.0
-            for blk in blocks:
+            for blk, _ in blocks:
                 Yb, Rb = Y_buf[:blk.stop - blk.start], R_buf[:blk.stop - blk.start]
                 np.subtract(U[blk], U_prev[blk], out=Yb)  # Y = U + beta*(U - U_prev)
                 Yb *= beta
@@ -232,7 +238,7 @@ def fista_solve(X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> LowRa
                 _l1_rows(U_new, L1, c1, Q_prev[blk])
             U, U_prev = U_prev, U
             Q, Q_prev = Q_prev, Q
-            value = fidelity + _add_l2(U, L2, c2, Q, blocks) / (-2.0 * lam)
+            value = fidelity + _add_l2(U, c2, Q, blocks) / (-2.0 * lam)
             if not np.isfinite(value):
                 raise DivergedError(f"non-finite values at iteration {iterations} with step "
                                     f"{lam:g}; reduce the step size")

@@ -6,6 +6,7 @@ from frpcag.frames import (FrameDimensionError, FrameFormatError, FrameSequence,
                            separate_background, synthetic_sequence, write_pgm)
 from frpcag.matrixio import CorruptionSpec, corrupt
 from frpcag.solver import SolverConfig
+from memtrace import traced_peak
 
 
 def test_pgm_roundtrip(tmp_path):
@@ -100,6 +101,43 @@ def test_to_matrix_vectorization():
     _, mask = corrupt(X, CorruptionSpec("block", 0.75, image_dims=seq.shape))
     block = mask[:, 0].reshape(seq.shape)
     assert block.sum() == 9 and block.all(axis=0).sum() == 3  # 3 x 3 in a 3 x 4 frame
+
+
+def quantized_sequence(tmp_path, **shape):
+    """A C-ordered synthetic sequence on the 8-bit grid, and the same frames
+    written to PGM files and read back."""
+    seq, _, _ = synthetic_sequence(**shape)
+    seq = FrameSequence(np.rint(seq.frames * 255) / 255)
+    save_frames(tmp_path, seq, [f"f{t:03d}.pgm" for t in range(seq.count)])
+    return seq, load_frames(tmp_path)[0]
+
+
+def test_loaded_frames_are_a_view_of_a_c_ordered_matrix(tmp_path):
+    seq, back = quantized_sequence(tmp_path, count=5, h=8, w=9, square=2)
+    X = back.to_matrix().values
+    assert X.flags.c_contiguous and np.shares_memory(X, back.frames)
+    assert np.array_equal(back.frames, seq.frames)
+    assert np.array_equal(X, seq.to_matrix().values)
+
+
+def test_separate_background_is_the_same_on_loaded_frames(tmp_path):
+    seq, back = quantized_sequence(tmp_path, count=24, h=12, w=10, square=3, seed=6)
+    cfg = SolverConfig(epsilon=1e-8)
+    for a, b in zip(separate_background(seq, cfg, K=6), separate_background(back, cfg, K=6)):
+        if isinstance(a, FrameSequence):
+            assert np.array_equal(a.frames, b.frames)
+        else:
+            assert np.array_equal(a.U.values, b.U.values)
+            assert a.objective_trace == b.objective_trace
+
+
+def test_separate_background_memory_on_loaded_frames(tmp_path):
+    # the background workload's shape: 104 frames of 64 x 64; the solve is
+    # the peak, with four p x n buffers beside frames it does not copy
+    _, back = quantized_sequence(tmp_path, count=104, h=64, w=64)
+    cfg = SolverConfig(max_iters=10)
+    _, peak = traced_peak(lambda: separate_background(back, cfg, K=10))
+    assert peak <= 5.5 * back.frames.nbytes
 
 
 def test_synthetic_sequence_ground_truth():

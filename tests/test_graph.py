@@ -1,4 +1,3 @@
-import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -13,6 +12,7 @@ from frpcag import graph
 from frpcag.graph import (GraphFormatError, GraphSizeError, NeighborList, build_graph,
                           knn_exact, load_graph_coo, partial_eigs, resolve_sigma2,
                           save_graph_coo, spectral_norm)
+from memtrace import traced_peak
 
 
 def brute_force_knn(points, K):
@@ -102,24 +102,14 @@ def test_distance_kernel_matches_cdist(p, m, exponent, seed):
 ], ids=["pixels-104x4096", "gaussian-100x2000"])
 def test_knn_memory_below_dense_matrix(make_points):
     points = make_points(np.random.default_rng(0))
-    tracemalloc.start()
-    try:
-        knn_exact(points, 10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: knn_exact(points, 10))
     assert peak < 24 * 2**20
 
 
 def test_knn_memory_bounded_when_every_pair_ties():
     # 2048 copies of one point: every other point is a candidate of every row
     points = np.zeros((4, 2048))
-    tracemalloc.start()
-    try:
-        nb = knn_exact(points, 10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    nb, peak = traced_peak(lambda: knn_exact(points, 10))
     assert peak < 40 * 2**20
     assert nb.indices[0].tolist() == list(range(1, 11))
     assert nb.indices[5].tolist() == [0, 1, 2, 3, 4, 6, 7, 8, 9, 10]
@@ -370,12 +360,7 @@ def test_coo_reader_memory_below_four_files(tmp_path):
     g = build_graph(knn_exact(np.random.default_rng(0).standard_normal((100, 2000)), 10))
     path = tmp_path / "g.coo"
     save_graph_coo(g, path)
-    tracemalloc.start()
-    try:
-        h = load_graph_coo(path, 2000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    h, peak = traced_peak(lambda: load_graph_coo(path, 2000))
     assert (h.adjacency != g.adjacency).nnz == 0
     assert peak < 4 * path.stat().st_size
 

@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 
 from frpcag.matrixio import (CorruptionSpec, DataMatrix, MatrixFormatError,
                              corrupt, load_matrix, save_matrix, standardize)
+from memtrace import traced_peak
 
 
 def test_load_csv_literal(tmp_path):
@@ -82,12 +82,7 @@ def test_csv_reader_memory_below_three_matrices(tmp_path):
     X = np.random.default_rng(0).standard_normal((100, 2000))
     path = tmp_path / "x.csv"
     np.savetxt(path, X, fmt="%.17g", delimiter=",")
-    tracemalloc.start()
-    try:
-        Y = load_matrix(path, "csv")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    Y, peak = traced_peak(lambda: load_matrix(path, "csv"))
     assert np.array_equal(Y.values, X)
     assert peak < 3 * X.nbytes
 

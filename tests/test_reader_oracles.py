@@ -200,12 +200,13 @@ def test_an_offence_past_the_first_decoded_chunk_keeps_file_order(tmp_path, last
 @pytest.mark.parametrize("quote", ["", '"'])
 def test_csv_field_limit_boundary_matches_its_oracle(tmp_path, length, quote):
     # the csv module refuses a cell of more than 131,072 characters, its
-    # quotes and line end not counted and a quoted ',' counted; np.loadtxt
-    # has no limit
+    # quotes and line end not counted and a quoted ',' or line break counted;
+    # np.loadtxt has no limit
     path = tmp_path / "m.csv"
     half = length // 2
     for content in (f"1,{quote}{'0' * length}{quote}\n2,3\n",
-                    f"{quote}{'0' * half},{'0' * (length - 1 - half)}{quote}\n"):
+                    f"{quote}{'0' * half},{'0' * (length - 1 - half)}{quote}\n",
+                    f"{quote}{chr(10) * (length - 1)}1{quote}"):
         path.write_text(content)
         assert outcome(load_matrix, path) == outcome(oracles.load_matrix_csv, path)
 
