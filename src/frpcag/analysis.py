@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 from .graph import SparseGraph, partial_eigs
 from .matrixio import DataMatrix
@@ -88,6 +88,13 @@ def alignment_ratio(P: np.ndarray, C: np.ndarray):
     Returns Gamma = P^T C P and the stationarity ratio
     s_r = ||diag(Gamma)||_2 / ||Gamma||_F, which is 1 exactly when P
     diagonalizes C.
+
+    s_r depends on the basis P takes inside a repeated eigenvalue, which no
+    eigensolver fixes: a graph with c connected components has c zero
+    Laplacian eigenvalues, and any rotation of their eigenvectors is as
+    good. On the benchmark's sweep (seed 2, 4 components) s_r read 0.73427
+    and 0.74467 under syevr with 1 and 2 BLAS threads, and 0.7349446154
+    and 0.7349446170 under syevd.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:

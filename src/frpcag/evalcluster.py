@@ -7,8 +7,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from . import analysis
 from .config import AutoOrPositive, Floats
@@ -120,13 +118,56 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 10, seed: int = 0) -> Clu
     return ClusterResult(labels=best[0], inertia=best[1], inertia_trace=best[2])
 
 
+def _max_matched(table: np.ndarray) -> int:
+    """Largest sum of table entries over matchings of its rows to its
+    columns, each used at most once, for a non-negative integer table.
+
+    Kuhn-Munkres with potentials on the costs -table, the side with fewer
+    labels as rows: each row joins the matching along a shortest augmenting
+    path, each step of which is one pass over all columns. Among the columns
+    the path can reach next at least cost, a free one ends it at once, which
+    keeps tables of many equal counts to a few steps a row. The costs and
+    potentials are integers, so every reduced cost is exact.
+    """
+    if table.shape[0] > table.shape[1]:
+        table = table.T
+    rows, cols = table.shape
+    cost = np.zeros((rows, cols + 1), dtype=np.int64)  # column 0 is the search root
+    cost[:, 1:] = -table
+    u = np.zeros(rows, dtype=np.int64)
+    v = np.zeros(cols + 1, dtype=np.int64)
+    owner = np.full(cols + 1, -1, dtype=np.int64)  # the row matched to each column
+    big = np.iinfo(np.int64).max
+    for i in range(rows):
+        owner[0], j = i, 0
+        minv = np.full(cols + 1, big)  # least reduced cost from the tree to each column
+        way = np.zeros(cols + 1, dtype=np.int64)  # the tree column each one is reached from
+        used = np.zeros(cols + 1, dtype=bool)
+        while owner[j] >= 0:  # grow the tree until it reaches a free column
+            used[j] = True
+            row = owner[j]
+            reduced = cost[row] - u[row] - v
+            closer = ~used & (reduced < minv)
+            minv[closer] = reduced[closer]
+            way[closer] = j
+            free = np.where(used, big, minv)
+            delta = free.min()
+            j = int(np.argmax((free == delta) * (1 + (owner < 0))))  # a free column first
+            u[owner[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+        while j:  # flip the path back to the root
+            owner[j] = owner[way[j]]
+            j = way[j]
+    matched = np.flatnonzero(owner[1:] >= 0)
+    return int(table[owner[1:][matched], matched].sum())
+
+
 def clustering_error(pred, truth) -> float:
     """1 - best-assignment accuracy between two labelings.
 
     The predicted-to-true label matching maximizes the matched count of the
     contingency table, so the metric is invariant to relabeling either side.
-    It is a full matching of the table + 1, in which every pair is an edge;
-    the shift adds the same min(rows, columns) to every full matching.
     """
     pred = np.asarray(pred)
     truth = np.asarray(truth)
@@ -136,9 +177,7 @@ def clustering_error(pred, truth) -> float:
     _, ti = np.unique(truth, return_inverse=True)
     table = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
     np.add.at(table, (pi, ti), 1)
-    rows, cols = min_weight_full_bipartite_matching(sp.csr_matrix(table + 1), maximize=True)
-    matched = table[rows, cols].sum()
-    return 1.0 - matched / pred.size
+    return 1.0 - _max_matched(table) / pred.size
 
 
 def two_gaussians(n: int = 200, p: int = 40, separation: float = 10.0,

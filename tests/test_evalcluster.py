@@ -156,14 +156,40 @@ def test_clustering_error_zero_iff_relabeling():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
 @example(1, 5, 7, 0)  # one predicted label against five true ones
+@example(5, 1, 7, 0)  # and one true label against five predicted ones
 @example(6, 2, 30, 1)
+@example(40, 2, 400, 2)  # strongly rectangular, either way round
+@example(2, 40, 400, 3)
+@example(40, 40, 400, 4)
 def test_clustering_error_matches_its_hungarian_oracle(pred_labels, true_labels, n, seed):
     # the contingency table is rectangular unless both sides use as many labels
     rng = np.random.default_rng(seed)
     pred = rng.integers(0, pred_labels, n) * 3 - 1
     truth = rng.integers(0, true_labels, n)
+    assert clustering_error(pred, truth) == oracles.clustering_error(pred, truth)
+
+
+@pytest.mark.parametrize("pred_labels, true_labels, per_cell",
+                         [(1, 1, 3), (1, 7, 2), (9, 1, 1), (6, 6, 2), (40, 40, 1), (3, 40, 2),
+                          (40, 5, 3)])
+def test_clustering_error_on_tables_of_equal_counts(pred_labels, true_labels, per_cell):
+    # every cell of the contingency table holds per_cell items, so every full
+    # matching is optimal and the error is 1 - 1 / max(pred_labels, true_labels)
+    pred, truth = (np.repeat(grid.ravel(), per_cell) for grid in
+                   np.meshgrid(np.arange(pred_labels), np.arange(true_labels)))
+    want = 1.0 - 1.0 / max(pred_labels, true_labels)
+    assert clustering_error(pred, truth) == pytest.approx(want, abs=1e-15)
+    assert clustering_error(pred, truth) == oracles.clustering_error(pred, truth)
+
+
+def test_clustering_error_matches_its_hungarian_oracle_on_500_labels():
+    # 500 labels a side, each true label spread over three predicted ones
+    rng = np.random.default_rng(20)
+    pred = rng.integers(0, 500, 20000)
+    truth = (pred + rng.integers(0, 3, pred.size)) % 500
+    assert np.unique(pred).size == np.unique(truth).size == 500
     assert clustering_error(pred, truth) == oracles.clustering_error(pred, truth)
 
 

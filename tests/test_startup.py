@@ -62,11 +62,17 @@ def test_commands_but_experiment_load_only_numpy_and_scipy_sparse(tmp_path):
         assert [m for m in HEAVY if m in modules] == [], argv[0]
 
 
-def test_experiment_loads_neither_scipy_optimize_nor_scipy_spatial(tmp_path):
+def test_experiment_loads_only_numpy_and_scipy_sparse(tmp_path):
     (tmp_path / "exp.conf").write_text("n = 30\np = 8\nknn_k = 4\ngamma = 1, 3\n"
                                        "max_iters = 20\nrestarts = 2\n")
     modules = loaded_modules("-m", "frpcag.cli", "experiment", "--config", "exp.conf",
                              cwd=tmp_path)
-    assert {"numpy", "scipy.sparse", "scipy.sparse.csgraph"} <= modules
-    assert [m for m in modules if m.split(".")[:2] in (["scipy", "optimize"],
-                                                       ["scipy", "spatial"])] == []
+    assert {"numpy", "scipy.sparse"} <= modules
+    assert [m for m in (*HEAVY, "scipy.sparse.csgraph") if m in modules] == []
+
+
+@pytest.mark.parametrize("module", ["frpcag.analysis", "frpcag.evalcluster"])
+def test_spectral_and_clustering_modules_load_no_scipy_solvers(module):
+    modules = loaded_modules("-c", f"import {module}")
+    assert [m for m in ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+            if m in modules] == []
