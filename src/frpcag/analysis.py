@@ -2,7 +2,6 @@
 synthesis on graph eigenbases, and the recovery-bound verifier."""
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.linalg import eigh
@@ -46,18 +45,16 @@ class BoundReport:
     om_ratio: float   # omega_k2 / omega_{k2+1}
 
 
-def economic_svd(U, c: Optional[int] = None) -> SvdTriplet:
+def economic_svd(U) -> SvdTriplet:
     """SVD through the eigendecomposition of the smaller Gram matrix.
 
     When p <= n, V and sigma come from eigendecomposing U U^T, then
     W = U^T V Sigma^{-1}; when p > n, W and sigma come from U^T U, then
-    V = U W Sigma^{-1}. Keeps the c largest triplets (all, when c is None),
-    restricted to numerically positive singular values.
+    V = U W Sigma^{-1}. Keeps every triplet with a numerically positive
+    singular value.
     """
     U = _values(U)
     p, n = U.shape
-    if c is not None and not 0 <= c <= min(p, n):
-        raise ValueError(f"c must lie in [0, min(p, n)], got {c}")
     M = U.T if p > n else U  # M M^T is the smaller Gram matrix
     evals, evecs = eigh(M @ M.T)
     order = np.argsort(evals)[::-1]
@@ -67,10 +64,9 @@ def economic_svd(U, c: Optional[int] = None) -> SvdTriplet:
     # floor sits at eps * lambda_max
     cutoff = evals[0] * max(p, n) * np.finfo(np.float64).eps if sigma.size else 0.0
     rank = int(np.count_nonzero(evals > max(cutoff, 0.0)))
-    keep = rank if c is None else min(c, rank)
-    left = evecs[:, order[:keep]]
-    sigma = sigma[:keep]
-    right = (M.T @ left) / sigma if keep else np.zeros((M.shape[1], 0))
+    left = evecs[:, order[:rank]]
+    sigma = sigma[:rank]
+    right = (M.T @ left) / sigma if rank else np.zeros((M.shape[1], 0))
     V, W = (right, left) if p > n else (left, right)
     return SvdTriplet(V=V, sigma=sigma, W=W)
 
@@ -92,9 +88,7 @@ def alignment_ratio(P: np.ndarray, C: np.ndarray):
     s_r depends on the basis P takes inside a repeated eigenvalue, which no
     eigensolver fixes: a graph with c connected components has c zero
     Laplacian eigenvalues, and any rotation of their eigenvectors is as
-    good. On the benchmark's sweep (seed 2, 4 components) s_r read 0.73427
-    and 0.74467 under syevr with 1 and 2 BLAS threads, and 0.7349446154
-    and 0.7349446170 under syevd.
+    good.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:

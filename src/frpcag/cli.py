@@ -56,8 +56,7 @@ def cmd_solve(args) -> int:
     from .matrixio import load_matrix, save_matrix
     from .solver import SolverConfig, fista_solve, save_trace_csv
 
-    base = parse_keyvalue(args.config, SolverConfig) if args.config else SolverConfig()
-    cfg = _solver_config(args, base)
+    cfg = _solver_config(args, SolverConfig())
 
     X = load_matrix(args.input, args.format)
     G1 = load_graph_coo(args.graph1, X.sample_count)
@@ -150,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "binary-f64"], default="csv")
     p.add_argument("--graph1", required=True, help="sample graph (n x n) COO file")
     p.add_argument("--graph2", required=True, help="feature graph (p x p) COO file")
-    p.add_argument("--config", help="key = value solver config; flags override it")
     _add_solver_flags(p)
     p.add_argument("--loss", choices=["l1", "frobenius_sq"])
     p.add_argument("--step", type=auto_or_positive, metavar="STEP")

@@ -40,7 +40,7 @@ def test_economic_svd_diagonal():
 def test_economic_svd_matches_dense_oracle():
     rng = np.random.default_rng(1)
     U = rng.standard_normal((5, 8))
-    trip = economic_svd(U, c=5)
+    trip = economic_svd(U)
     ref = np.linalg.svd(U, compute_uv=False)
     assert np.abs(trip.sigma - ref).max() <= 1e-8 * ref[0]
 
@@ -100,11 +100,6 @@ def test_economic_svd_decomposes_the_smaller_gram(monkeypatch):
     economic_svd(rng.standard_normal((300, 20)))
     economic_svd(rng.standard_normal((20, 300)))
     assert shapes == [(20, 20), (20, 20)]
-
-
-def test_economic_svd_c_out_of_range():
-    with pytest.raises(ValueError):
-        economic_svd(np.zeros((3, 4)), c=4)
 
 
 def test_covariance_constant_matrix():

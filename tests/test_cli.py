@@ -220,19 +220,12 @@ def test_graph_writes_what_solve_reads(content, axis, k, sigma2):
             load_graph_coo(out, X.sample_count if axis == "samples" else X.feature_count)
 
 
-def test_solve_config_file_with_flag_override(tmp_path, dataset):
-    data, _ = dataset
-    g1, g2 = build_graphs(tmp_path, data)
-    conf = tmp_path / "solver.conf"
-    conf.write_text("loss = l1\ngamma1 = 5\ngamma2 = 5\nmax_iters = 3\n")
-    assert main(["solve", "--input", str(data), "--graph1", str(g1),
-                 "--graph2", str(g2), "--config", str(conf), "--gamma1", "0",
-                 "--gamma2", "0", "--output-u", str(tmp_path / "u.bin")]) == 0
-    bad = tmp_path / "bad.conf"
-    bad.write_text("gamma_one = 5\n")
-    assert main(["solve", "--input", str(data), "--graph1", str(g1),
-                 "--graph2", str(g2), "--config", str(bad),
-                 "--output-u", str(tmp_path / "u.bin")]) == 2
+def test_solve_takes_no_config_file(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", "x.csv", "--graph1", "g1.coo", "--graph2", "g2.coo",
+              "--config", "solver.conf", "--output-u", "u.bin"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [
@@ -563,11 +556,7 @@ def test_experiment_out_of_range_key_exits_2_before_data_loads(tmp_path, capsys,
     assert f"{conf}: {key} must be >= " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
-    ["experiment"],
-    ["solve", "--input", "x.csv", "--graph1", "g1.coo", "--graph2", "g2.coo",
-     "--output-u", "u.bin"],
-])
+@pytest.mark.parametrize("command", [["experiment"]])
 def test_config_not_utf8_exits_2_naming_the_file(tmp_path, capsys, command):
     conf = tmp_path / "latin1.conf"
     conf.write_bytes(b"# r\xe9glages\nmax_iters = 5\n")
@@ -724,8 +713,8 @@ REQUIRED = {"graph": ["--input", "--output"],
             "background": ["--frames-dir", "--out-dir"],
             "experiment": ["--config"]}
 OPTIONAL = {"graph": ["--format", "--axis", "--k", "--sigma2"],
-            "solve": ["--format", "--config", "--gamma1", "--gamma2", "--loss", "--step",
-                      "--epsilon", "--max-iters", "--output-trace"],
+            "solve": ["--format", "--gamma1", "--gamma2", "--loss", "--step", "--epsilon",
+                      "--max-iters", "--output-trace"],
             "background": ["--k", "--gamma1", "--gamma2", "--sigma2", "--epsilon",
                            "--max-iters"],
             "experiment": []}

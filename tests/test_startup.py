@@ -71,8 +71,18 @@ def test_experiment_loads_only_numpy_and_scipy_sparse(tmp_path):
     assert [m for m in (*HEAVY, "scipy.sparse.csgraph") if m in modules] == []
 
 
-@pytest.mark.parametrize("module", ["frpcag.analysis", "frpcag.evalcluster"])
+SOLVERS = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+
+@pytest.mark.parametrize("module", ["frpcag.analysis", "frpcag.evalcluster", "frpcag.graph"])
 def test_spectral_and_clustering_modules_load_no_scipy_solvers(module):
     modules = loaded_modules("-c", f"import {module}")
-    assert [m for m in ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
-            if m in modules] == []
+    assert [m for m in SOLVERS if m in modules] == []
+
+
+def test_partial_eigs_of_a_few_pairs_loads_no_scipy_solvers():
+    modules = loaded_modules("-c", "import numpy as np\n"
+                             "from frpcag.graph import build_graph, knn_exact, partial_eigs\n"
+                             "points = np.random.default_rng(0).standard_normal((8, 500))\n"
+                             "partial_eigs(build_graph(knn_exact(points, 8), 'auto'), 5)\n")
+    assert [m for m in SOLVERS if m in modules] == []
