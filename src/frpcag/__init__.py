@@ -13,9 +13,9 @@ _EXPORTS = {
     "evalcluster": ("ClusterResult", "ExperimentConfig", "PreparedExperiment",
                     "clustering_error", "kmeans", "prepare_experiment", "run_gamma",
                     "two_gaussians"),
-    "frames": ("FrameSequence", "separate_background", "synthetic_sequence"),
-    "graph": ("GraphEigs", "NeighborList", "SparseGraph", "build_graph", "knn_exact",
-              "load_graph_coo", "partial_eigs", "save_graph_coo", "spectral_norm"),
+    "frames": ("separate_background", "synthetic_sequence"),
+    "graph": ("NeighborList", "SparseGraph", "build_graph", "knn_exact", "load_graph_coo",
+              "partial_eigs", "save_graph_coo", "spectral_norm"),
     "matrixio": ("CorruptionSpec", "DataMatrix", "corrupt", "load_matrix", "save_matrix",
                  "standardize"),
     "solver": ("DivergedError", "LowRankResult", "SolverConfig", "fista_solve",

@@ -112,8 +112,8 @@ def make_lowrank_on_graphs(L1: SparseGraph, L2: SparseGraph, k1: int, k2: int,
     n, p = L1.vertex_count, L2.vertex_count
     if not 1 <= k1 <= n or not 1 <= k2 <= p:
         raise ValueError(f"need 1 <= k1 <= n and 1 <= k2 <= p, got k1={k1}, k2={k2}")
-    Qk1 = partial_eigs(L1, k1).vectors
-    Pk2 = partial_eigs(L2, k2).vectors
+    _, Qk1 = partial_eigs(L1, k1)
+    _, Pk2 = partial_eigs(L2, k2)
     rng = np.random.default_rng(seed)
     C = rng.uniform(-coeff_scale, coeff_scale, size=(k2, k1))
     Xstar = DataMatrix(Pk2 @ C @ Qk1.T)
@@ -137,8 +137,8 @@ def recovery_gammas(L1: SparseGraph, L2: SparseGraph, k1: int, k2: int, gamma: f
     Eigenvalues are counted from 1 here, so lambda_{k1+1} is the smallest
     eigenvalue outside the retained band (index k1 of the ascending array).
     """
-    lam = partial_eigs(L1, min(k1 + 1, L1.vertex_count)).values
-    om = partial_eigs(L2, min(k2 + 1, L2.vertex_count)).values
+    lam, _ = partial_eigs(L1, min(k1 + 1, L1.vertex_count))
+    om, _ = partial_eigs(L2, min(k2 + 1, L2.vertex_count))
     return _bound_gammas(lam, om, k1, k2, gamma)
 
 
@@ -155,8 +155,7 @@ def check_recovery_bound(Xstar: LowRankOnGraphs, E, gamma: float,
     Xs = Xstar.Xstar.values
     X = Xs + E
     k1, k2 = Xstar.k1, Xstar.k2
-    eigs1, eigs2 = partial_eigs(L1, L1.vertex_count), partial_eigs(L2, L2.vertex_count)
-    lam, Q, om, P = eigs1.values, eigs1.vectors, eigs2.values, eigs2.vectors
+    (lam, Q), (om, P) = partial_eigs(L1, L1.vertex_count), partial_eigs(L2, L2.vertex_count)
     g1, g2 = _bound_gammas(lam, om, k1, k2, gamma)
     for got, want, name in ((cfg.gamma1, g1, "gamma1"), (cfg.gamma2, g2, "gamma2")):
         if abs(got - want) > 1e-9 * max(1.0, abs(want)):

@@ -75,14 +75,14 @@ def cmd_background(args) -> int:
     from .solver import SolverConfig
 
     cfg = _solver_config(args, SolverConfig(epsilon=1e-8))
-    seq, names = load_frames(args.frames_dir)
-    background, foreground, result = separate_background(seq, cfg, K=args.k,
+    frames, names = load_frames(args.frames_dir)
+    background, foreground, result = separate_background(frames, cfg, K=args.k,
                                                          sigma2=args.sigma2)
     os.makedirs(args.out_dir, exist_ok=True)
     save_frames(args.out_dir, background, [f"bg_{n}" for n in names])
     save_frames(args.out_dir, foreground, [f"fg_{n}" for n in names])
-    h, w = seq.shape
-    print(f"frames={seq.count} size={w}x{h} iterations={result.iterations} "
+    T, h, w = frames.shape
+    print(f"frames={T} size={w}x{h} iterations={result.iterations} "
           f"converged={str(result.converged).lower()}")
     return EXIT_OK
 

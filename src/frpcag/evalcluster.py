@@ -305,7 +305,7 @@ def prepare_experiment(X: DataMatrix, truth, cfg: ExperimentConfig) -> PreparedE
         raw = kmeans(Xs.values, k, restarts=cfg.restarts, seed=cfg.seed)
         error_raw = clustering_error(raw.labels, truth)
     with _stage(timings, "s_r_ms"):
-        P_full = partial_eigs(G2, G2.vertex_count).vectors
+        _, P_full = partial_eigs(G2, G2.vertex_count)
         _, s_r = analysis.alignment_ratio(P_full, analysis.covariance(Xs))
 
     return PreparedExperiment(

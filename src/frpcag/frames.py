@@ -3,7 +3,6 @@ low-rank background separation."""
 
 import os
 import re
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -28,34 +27,6 @@ class FrameFormatError(ValueError):
 
 class FrameDimensionError(ValueError):
     """Raised when frames in a sequence disagree on their dimensions."""
-
-
-@dataclass(frozen=True)
-class FrameSequence:
-    """T grayscale frames of identical size, intensities in [0, 1].
-
-    frames may be C-ordered, or the (T, h, w) view of a C-ordered p x T
-    matrix that load_frames reads; to_matrix copies neither.
-    """
-
-    frames: np.ndarray  # (T, h, w)
-
-    def __post_init__(self):
-        if self.frames.ndim != 3:
-            raise ValueError("frames must be a (T, h, w) array")
-
-    @property
-    def count(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self.frames.shape[1], self.frames.shape[2]
-
-    def to_matrix(self) -> DataMatrix:
-        """Vectorize frames (row-major) into columns of a p x T matrix."""
-        T, h, w = self.frames.shape
-        return DataMatrix(self.frames.reshape(T, h * w).T)
 
 
 def read_pgm(path) -> np.ndarray:
@@ -91,18 +62,18 @@ def write_pgm(path, img: np.ndarray) -> None:
         fh.write(quantized.tobytes())
 
 
-def load_frames(directory) -> Tuple[FrameSequence, list]:
+def load_frames(directory) -> Tuple[np.ndarray, list]:
     """Read all .pgm files in a directory, sorted by name.
 
-    Returns the sequence and the sorted file names. Raises
-    FrameDimensionError when frames disagree on size and FrameFormatError /
-    OSError for unreadable files.
+    Returns the (T, h, w) frames, intensities in [0, 1], and the sorted file
+    names. The frames are a view of the C-ordered p x T matrix, one
+    vectorized frame per column, that separate_background hands the solver
+    without a copy. Raises FrameDimensionError when frames disagree on size
+    and FrameFormatError / OSError for unreadable files.
     """
     names = sorted(f for f in os.listdir(directory) if f.lower().endswith(".pgm"))
     if not names:
         raise FrameFormatError(f"{directory}: no .pgm frames found")
-    # each raster goes straight into its column of the C-ordered p x T matrix
-    # that the solver takes, and the frames are a (T, h, w) view of it
     for t, name in enumerate(names):
         img = read_pgm(os.path.join(directory, name))
         if t == 0:
@@ -112,42 +83,44 @@ def load_frames(directory) -> Tuple[FrameSequence, list]:
             raise FrameDimensionError(
                 f"{name} is {img.shape[1]}x{img.shape[0]}, expected {w}x{h}")
         X[:, t] = img.ravel()
-    return FrameSequence(X.T.reshape(len(names), h, w)), names
+    return X.T.reshape(len(names), h, w), names
 
 
-def save_frames(directory, seq: FrameSequence, names) -> None:
-    for name, frame in zip(names, seq.frames):
+def save_frames(directory, frames: np.ndarray, names) -> None:
+    for name, frame in zip(names, frames):
         write_pgm(os.path.join(directory, name), frame)
 
 
-def separate_background(seq: FrameSequence, cfg: SolverConfig, K: int = 10,
+def separate_background(frames: np.ndarray, cfg: SolverConfig, K: int = 10,
                         sigma2="auto"):
-    """Split a frame sequence into a static background and sparse foreground.
+    """Split (T, h, w) frames into a static background and sparse foreground.
 
-    Builds one graph over frames and one over pixels, solves the dual-graph
-    objective that cfg sets on the vectorized sequence, and returns
-    (background frames, |X - U| foreground-magnitude frames, LowRankResult).
-    Frames stay in the [0, 1] intensity scale throughout.
+    Vectorizes each frame (row-major) into a column of a p x T matrix X,
+    builds one graph over frames and one over pixels, solves the dual-graph
+    objective that cfg sets on X, and returns (background, |X - U|
+    foreground magnitude, LowRankResult), the first two as (T, h, w) arrays.
+    Frames stay in the [0, 1] intensity scale throughout. Raises ValueError
+    unless frames has 3 dimensions.
     """
-    X = seq.to_matrix()
-    h, w = seq.shape
+    if frames.ndim != 3:
+        raise ValueError("frames must be a (T, h, w) array")
+    T, h, w = frames.shape
+    X = DataMatrix(frames.reshape(T, h * w).T)
     G1 = build_graph(knn_exact(X.values, K), sigma2)       # frames
     G2 = build_graph(knn_exact(X.values.T, K), sigma2)     # pixels
     result = fista_solve(X, G1, G2, cfg)
-    T = seq.count
     background = np.clip(result.U.values.T.reshape(T, h, w), 0.0, 1.0)
     foreground = np.subtract(X.values, result.U.values)  # one buffer, then in place
     np.abs(foreground, out=foreground)
     np.clip(foreground, 0.0, 1.0, out=foreground)
-    return (FrameSequence(background), FrameSequence(foreground.T.reshape(T, h, w)),
-            result)
+    return background, foreground.T.reshape(T, h, w), result
 
 
 def synthetic_sequence(count: int = 100, h: int = 32, w: int = 32,
                        square: int = 6, seed: int = 0):
     """Fixed smooth background plus one bright square sweeping the frame.
 
-    Returns (FrameSequence, background image, (T, h, w) occlusion mask).
+    Returns ((T, h, w) frames, background image, (T, h, w) occlusion mask).
     Ground truth for background-separation tests: the background is static,
     the square has intensity 1 and moves every frame.
     """
@@ -168,4 +141,4 @@ def synthetic_sequence(count: int = 100, h: int = 32, w: int = 32,
         frame[top:top + square, left:left + square] = 1.0
         mask[t, top:top + square, left:left + square] = True
         frames[t] = frame
-    return FrameSequence(frames), background, mask
+    return frames, background, mask

@@ -53,7 +53,9 @@ class SparseGraph:
     """Symmetric weighted adjacency with its normalized Laplacian.
 
     Every vertex has an edge, and L = I - D^{-1/2} A D^{-1/2}, whose
-    spectrum lies inside [0, 2].
+    spectrum lies inside [0, 2]. The adjacency is canonical CSR (sorted
+    column indices, no duplicates), as build_graph and load_graph_coo make
+    it, so save_graph_coo writes its edges by row, then column.
     """
 
     adjacency: sp.csr_matrix
@@ -63,18 +65,6 @@ class SparseGraph:
     @property
     def vertex_count(self) -> int:
         return self.adjacency.shape[0]
-
-
-@dataclass(frozen=True)
-class GraphEigs:
-    """The k algebraically smallest eigenpairs of a Laplacian, ascending."""
-
-    values: np.ndarray  # (k,)
-    vectors: np.ndarray  # (n, k), orthonormal columns
-
-    @property
-    def count(self) -> int:
-        return self.values.shape[0]
 
 
 # float64 elements in one block of candidate scores (4 MB); a block of rows
@@ -290,27 +280,30 @@ def spectral_norm(graph: SparseGraph, method: str = "bound", max_iters: int = 50
     return rayleigh
 
 
-def partial_eigs(graph: SparseGraph, k: int) -> GraphEigs:
-    """k algebraically smallest Laplacian eigenpairs, sorted ascending.
+def partial_eigs(graph: SparseGraph, k: int):
+    """The k algebraically smallest Laplacian eigenpairs as numpy.linalg.eigh
+    gives them: (values, vectors), ascending, with one orthonormal
+    eigenvector per column of the C-ordered n x k vectors.
 
     Every eigenpair comes from numpy's dense eigh (LAPACK syevd) on the
-    n x n Laplacian, in O(n^2) memory and O(n^3) time whatever k is.
+    n x n Laplacian, in O(n^2) memory and O(n^3) time whatever k is; the
+    vectors are copied only when k < n. Raises ValueError unless 1 <= k <= n.
     """
     L = graph.laplacian
     n = L.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     values, vectors = np.linalg.eigh(L.toarray())
-    return GraphEigs(values[:k].copy(), vectors[:, :k].copy())
+    return values[:k], np.ascontiguousarray(vectors[:, :k])
 
 
 def save_graph_coo(graph: SparseGraph, path) -> None:
-    """Write the adjacency as 'i j weight' text triplets, 17 significant digits."""
+    """Write the adjacency as 'i j weight' text triplets, 17 significant digits,
+    by row and then column."""
     coo = graph.adjacency.tocoo()
-    order = np.lexsort((coo.col, coo.row))
     with open(path, "w") as fh:
-        fh.writelines(map("{} {} {:.17g}\n".format, coo.row[order].tolist(),
-                          coo.col[order].tolist(), coo.data[order].tolist()))
+        fh.writelines(map("{} {} {:.17g}\n".format, coo.row.tolist(), coo.col.tolist(),
+                          coo.data.tolist()))
 
 
 def load_graph_coo(path, vertex_count: int) -> SparseGraph:

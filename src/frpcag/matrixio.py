@@ -252,14 +252,13 @@ def corrupt(X: DataMatrix, spec: CorruptionSpec):
         side = int(round(np.sqrt(spec.fraction * h * w)))
         side = min(side, h, w)
         if side > 0:
+            # (h, w, n) views of the C-ordered copies: pixel (r, c) is row r * w + c
+            images, hit = values.reshape(h, w, n), mask.reshape(h, w, n)
             for j in range(n):
                 top = rng.integers(0, h - side + 1)
                 left = rng.integers(0, w - side + 1)
-                block = np.zeros((h, w), dtype=bool)
-                block[top:top + side, left:left + side] = True
-                col_mask = block.reshape(p)
-                values[col_mask, j] = 1.0
-                mask[col_mask, j] = True
+                images[top:top + side, left:left + side, j] = 1.0
+                hit[top:top + side, left:left + side, j] = True
     else:  # missing
         count = int(np.ceil(spec.fraction * p))
         for j in range(n):

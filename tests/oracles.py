@@ -19,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from frpcag.analysis import SvdTriplet
-from frpcag.graph import GraphEigs, GraphFormatError, GraphSizeError, SparseGraph, _sparse_graph
+from frpcag.graph import GraphFormatError, GraphSizeError, SparseGraph, _sparse_graph
 from frpcag.matrixio import DataMatrix, MatrixFormatError
 from frpcag.solver import _check_dims, _values
 
@@ -72,24 +72,26 @@ def shape_interaction(W: np.ndarray) -> np.ndarray:
     return W @ W.T
 
 
-def alignment_energy(triplet: SvdTriplet, L1eigs: GraphEigs, L2eigs: GraphEigs,
+def alignment_energy(triplet: SvdTriplet, L1eigs, L2eigs,
                      gamma1: float, gamma2: float) -> float:
     """Tikhonov energy expanded in the Laplacian bases.
 
+    L1eigs and L2eigs are (values, vectors) pairs, as partial_eigs gives them.
     sum_{i,j} sigma_i^2 * (g1*lambda_j*(w_i.q_j)^2 + g2*omega_j*(v_i.p_j)^2),
     which equals g1*tr(U L1 U^T) + g2*tr(U^T L2 U) when full eigenbases are
     supplied.
     """
     n, p = triplet.W.shape[0], triplet.V.shape[0]
-    if L1eigs.count != n or L1eigs.vectors.shape[0] != n:
+    (lam, Q), (om, P) = L1eigs, L2eigs
+    if lam.size != n or Q.shape[0] != n:
         raise ValueError("L1eigs must be the full n x n eigenbasis")
-    if L2eigs.count != p or L2eigs.vectors.shape[0] != p:
+    if om.size != p or P.shape[0] != p:
         raise ValueError("L2eigs must be the full p x p eigenbasis")
     s2 = triplet.sigma ** 2
-    M1 = triplet.W.T @ L1eigs.vectors  # c x n
-    M2 = triplet.V.T @ L2eigs.vectors  # c x p
-    e1 = s2 @ ((M1 ** 2) @ L1eigs.values)
-    e2 = s2 @ ((M2 ** 2) @ L2eigs.values)
+    M1 = triplet.W.T @ Q  # c x n
+    M2 = triplet.V.T @ P  # c x p
+    e1 = s2 @ ((M1 ** 2) @ lam)
+    e2 = s2 @ ((M2 ** 2) @ om)
     return float(gamma1 * e1 + gamma2 * e2)
 
 

@@ -151,6 +151,25 @@ def test_alignment_ratio_rejects_non_orthonormal():
         alignment_ratio(np.ones((4, 4)), np.eye(4))
 
 
+@pytest.mark.parametrize("P", [np.eye(4)[:, :3], np.ones(4), np.eye(3)[None]])
+def test_alignment_ratio_rejects_non_square(P):
+    with pytest.raises(ValueError, match="P must be square"):
+        alignment_ratio(P, np.eye(4))
+
+
+def test_alignment_ratio_of_zero_covariance_is_one():
+    Gamma, s_r = alignment_ratio(np.eye(3)[::-1], covariance(np.full((3, 5), 2.0)))
+    assert s_r == 1.0 and np.array_equal(Gamma, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("k1, k2", [(0, 1), (21, 1), (1, 0), (1, 13)])
+def test_make_lowrank_k_out_of_range(k1, k2):
+    G1 = clustered_graph(20, 2, seed=7)
+    G2 = clustered_graph(12, 2, seed=8)
+    with pytest.raises(ValueError, match="need 1 <= k1 <= n and 1 <= k2 <= p"):
+        make_lowrank_on_graphs(G1, G2, k1, k2)
+
+
 def test_make_lowrank_rank_one():
     G1 = clustered_graph(20, 2, seed=7)
     G2 = clustered_graph(12, 2, seed=8)
@@ -230,6 +249,14 @@ def test_bound_degenerate_eigengap_raises():
     G = components_graph(6, 3, seed=22)  # 3 zero eigenvalues
     with pytest.raises(DegenerateEigengapError):
         recovery_gammas(G, G, 2, 2, 1.0)  # lambda_{k1+1} is the 3rd zero
+
+
+@pytest.mark.parametrize("k1, k2", [(16, 1), (17, 1), (1, 12)])
+def test_bound_needs_an_eigenvalue_above_the_band(k1, k2):
+    G1 = clustered_graph(16, 2, seed=23)
+    G2 = clustered_graph(12, 2, seed=24)
+    with pytest.raises(ValueError, match="must leave at least one eigenvalue above the band"):
+        recovery_gammas(G1, G2, k1, k2, 1.0)
 
 
 def test_bound_rejects_mismatched_gammas():

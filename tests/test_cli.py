@@ -333,7 +333,7 @@ def test_solve_lays_every_solver_flag_on_the_config(tmp_path, dataset, monkeypat
 ])
 def test_background_lays_every_solver_flag_on_the_config(tmp_path, monkeypatch,
                                                          flags, expected):
-    def built(seq, cfg, K, sigma2):
+    def built(frames, cfg, K, sigma2):
         raise Built(cfg)
     monkeypatch.setattr(frpcag.frames, "separate_background", built)
     frames_dir = tmp_path / "frames"
@@ -381,17 +381,17 @@ def test_every_numeric_flag_exits_2_outside_the_number_grammar(capsys, value):
 
 
 def test_background_command(tmp_path):
-    seq, background, mask = synthetic_sequence(count=20, h=16, w=16, square=4, seed=1)
+    frames, background, mask = synthetic_sequence(count=20, h=16, w=16, square=4, seed=1)
     frames_dir = tmp_path / "frames"
     frames_dir.mkdir()
-    save_frames(frames_dir, seq, [f"f{i:03d}.pgm" for i in range(seq.count)])
+    save_frames(frames_dir, frames, [f"f{i:03d}.pgm" for i in range(20)])
     out_dir = tmp_path / "out"
     assert main(["background", "--frames-dir", str(frames_dir),
                  "--out-dir", str(out_dir), "--k", "6",
                  "--gamma1", "1", "--gamma2", "1"]) == 0
     recovered, names = load_frames(out_dir)
-    assert len(names) == 2 * seq.count
-    bg = recovered.frames[:seq.count]  # bg_* sorts before fg_*
+    assert len(names) == 2 * 20
+    bg = recovered[:20]  # bg_* sorts before fg_*
     never = ~mask.any(axis=0)
     mae = np.abs(bg[:, never] - background[never][None]).mean()
     assert mae <= 0.02 + 0.5 / 255
@@ -545,6 +545,13 @@ def test_experiment_bad_key_exits_2_before_data_loads(tmp_path, capsys, settings
                     + "".join(f"{k} = {v}\n" for k, v in settings.items()))
     assert main(["experiment", "--config", str(conf)]) == 2
     assert str(conf) in capsys.readouterr().err
+
+
+def test_experiment_file_dataset_without_labels_exits_2_before_data_loads(tmp_path, capsys):
+    conf = tmp_path / "exp.conf"
+    conf.write_text("dataset = missing.bin\nformat = binary-f64\n")
+    assert main(["experiment", "--config", str(conf)]) == 2
+    assert f"{conf}: file datasets need a 'labels' path" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("rank_threshold", "-1"), ("knn_k", "0"),
@@ -747,8 +754,8 @@ def argv_files(tmp):
         assert main(["graph", "--input", os.path.join(tmp, "data.csv"), "--axis", axis,
                      "--k", "2", "--sigma2", "auto", "--output", os.path.join(tmp, name)]) == 0
     os.mkdir(os.path.join(tmp, "frames"))
-    seq, _, _ = synthetic_sequence(count=4, h=4, w=5, square=2, seed=0)
-    save_frames(os.path.join(tmp, "frames"), seq, [f"f{i}.pgm" for i in range(seq.count)])
+    frames, _, _ = synthetic_sequence(count=4, h=4, w=5, square=2, seed=0)
+    save_frames(os.path.join(tmp, "frames"), frames, [f"f{i}.pgm" for i in range(4)])
     np.savetxt(os.path.join(tmp, "labels.txt"), labels, fmt="%d")
     texts = {
         "exp.conf": "n = 12\np = 6\nknn_k = 3\ngamma = 1, 3\nmax_iters = 50\nrestarts = 1\n",

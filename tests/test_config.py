@@ -53,6 +53,7 @@ def test_experiment_solver_keys_lay_over_solver_defaults(text, expected):
     "image_height = 4\nimage_width = 4\ncorruption = none",
     "knn_k = 1_0", "knn_k = \u0661\u0660", "fraction = 0.2_5", "gamma = 1, \u0662",
     "rank_threshold = -1", "seed = -1", "data_seed = -1", "corruption_seed = -2",
+    "knn_k = 3\nknn_k = 4",
 ])
 def test_experiment_bad_values_name_source_and_key(text):
     key = text.split("=", 1)[0].strip()

@@ -117,6 +117,11 @@ def test_kmeans_k_too_large():
         kmeans(np.zeros((2, 3)), 4)
 
 
+def test_kmeans_refuses_zero_restarts():
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        kmeans(np.zeros((2, 3)), 2, restarts=0)
+
+
 @pytest.mark.parametrize("points", [np.zeros((0, 3)), np.zeros(3)], ids=["p=0", "1-d"])
 def test_kmeans_refuses_points_without_a_coordinate_axis(points):
     with pytest.raises(ValueError, match="p x n array with p >= 1"):

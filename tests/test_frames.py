@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from frpcag.frames import (FrameDimensionError, FrameFormatError, FrameSequence,
-                           load_frames, read_pgm, save_frames,
-                           separate_background, synthetic_sequence, write_pgm)
+import frpcag.frames
+from frpcag.frames import (FrameDimensionError, FrameFormatError, load_frames, read_pgm,
+                           save_frames, separate_background, synthetic_sequence, write_pgm)
 from frpcag.matrixio import CorruptionSpec, corrupt
 from frpcag.solver import SolverConfig
 from memtrace import traced_peak
@@ -41,6 +41,10 @@ def test_pgm_errors(tmp_path):
     short.write_bytes(b"P5\n4 4\n255\n\x00\x01")
     with pytest.raises(FrameFormatError):
         read_pgm(short)
+    for img in (np.zeros(4), np.zeros((2, 2, 1))):
+        with pytest.raises(ValueError, match="image must be 2-d"):
+            write_pgm(tmp_path / "n.pgm", img)
+    assert not (tmp_path / "n.pgm").exists()
 
 
 @pytest.mark.parametrize("header", [
@@ -74,9 +78,9 @@ def test_load_frames_sorted_and_consistent(tmp_path):
     imgs = rng.random((3, 5, 7))
     for i, img in enumerate(imgs):
         write_pgm(tmp_path / f"f{i}.pgm", img)
-    seq, names = load_frames(tmp_path)
+    frames, names = load_frames(tmp_path)
     assert names == ["f0.pgm", "f1.pgm", "f2.pgm"]
-    assert seq.count == 3 and seq.shape == (5, 7)
+    assert frames.shape == (3, 5, 7)
 
 
 def test_load_frames_dimension_mismatch(tmp_path):
@@ -91,41 +95,55 @@ def test_load_frames_empty_dir(tmp_path):
         load_frames(tmp_path)
 
 
-def test_to_matrix_vectorization():
+def test_to_matrix_vectorization(monkeypatch):
+    # the p x T matrix separate_background hands the solver: frames
+    # vectorized row by row into its columns
     frames = np.arange(24, dtype=np.float64).reshape(2, 3, 4) / 24
-    seq = FrameSequence(frames)
-    X = seq.to_matrix()
+    solved = []
+    solve = frpcag.frames.fista_solve
+    monkeypatch.setattr(frpcag.frames, "fista_solve",
+                        lambda X, *args: solved.append(X) or solve(X, *args))
+    separate_background(frames, SolverConfig(max_iters=2), K=1)
+    X, = solved
     assert X.feature_count == 12 and X.sample_count == 2
     assert np.array_equal(X.values[:, 0], frames[0].ravel())
     # the frame shape is the image_dims of a block occlusion, row by row
-    _, mask = corrupt(X, CorruptionSpec("block", 0.75, image_dims=seq.shape))
-    block = mask[:, 0].reshape(seq.shape)
+    _, mask = corrupt(X, CorruptionSpec("block", 0.75, image_dims=frames.shape[1:]))
+    block = mask[:, 0].reshape(frames.shape[1:])
     assert block.sum() == 9 and block.all(axis=0).sum() == 3  # 3 x 3 in a 3 x 4 frame
 
 
+def test_separate_background_refuses_other_than_three_dimensions():
+    for frames in (np.zeros((4, 9)), np.zeros((2, 3, 3, 1))):
+        with pytest.raises(ValueError, match=r"frames must be a \(T, h, w\) array"):
+            separate_background(frames, SolverConfig())
+
+
 def quantized_sequence(tmp_path, **shape):
-    """A C-ordered synthetic sequence on the 8-bit grid, and the same frames
+    """C-ordered synthetic frames on the 8-bit grid, and the same frames
     written to PGM files and read back."""
-    seq, _, _ = synthetic_sequence(**shape)
-    seq = FrameSequence(np.rint(seq.frames * 255) / 255)
-    save_frames(tmp_path, seq, [f"f{t:03d}.pgm" for t in range(seq.count)])
-    return seq, load_frames(tmp_path)[0]
+    frames, _, _ = synthetic_sequence(**shape)
+    frames = np.rint(frames * 255) / 255
+    save_frames(tmp_path, frames, [f"f{t:03d}.pgm" for t in range(len(frames))])
+    return frames, load_frames(tmp_path)[0]
 
 
 def test_loaded_frames_are_a_view_of_a_c_ordered_matrix(tmp_path):
-    seq, back = quantized_sequence(tmp_path, count=5, h=8, w=9, square=2)
-    X = back.to_matrix().values
-    assert X.flags.c_contiguous and np.shares_memory(X, back.frames)
-    assert np.array_equal(back.frames, seq.frames)
-    assert np.array_equal(X, seq.to_matrix().values)
+    frames, back = quantized_sequence(tmp_path, count=5, h=8, w=9, square=2)
+    X = back.reshape(5, 8 * 9).T  # separate_background's vectorization
+    assert X.flags.c_contiguous and np.shares_memory(X, back)
+    assert back.base.shape == (8 * 9, 5) and back.base.flags.c_contiguous
+    assert np.array_equal(back, frames)
+    assert np.array_equal(X, frames.reshape(5, 8 * 9).T)
 
 
 def test_separate_background_is_the_same_on_loaded_frames(tmp_path):
-    seq, back = quantized_sequence(tmp_path, count=24, h=12, w=10, square=3, seed=6)
+    frames, back = quantized_sequence(tmp_path, count=24, h=12, w=10, square=3, seed=6)
     cfg = SolverConfig(epsilon=1e-8)
-    for a, b in zip(separate_background(seq, cfg, K=6), separate_background(back, cfg, K=6)):
-        if isinstance(a, FrameSequence):
-            assert np.array_equal(a.frames, b.frames)
+    for a, b in zip(separate_background(frames, cfg, K=6),
+                    separate_background(back, cfg, K=6)):
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b)
         else:
             assert np.array_equal(a.U.values, b.U.values)
             assert a.objective_trace == b.objective_trace
@@ -137,26 +155,26 @@ def test_separate_background_memory_on_loaded_frames(tmp_path):
     _, back = quantized_sequence(tmp_path, count=104, h=64, w=64)
     cfg = SolverConfig(max_iters=10)
     _, peak = traced_peak(lambda: separate_background(back, cfg, K=10))
-    assert peak <= 5.5 * back.frames.nbytes
+    assert peak <= 5.5 * back.nbytes
 
 
 def test_synthetic_sequence_ground_truth():
-    seq, background, mask = synthetic_sequence(count=20, h=16, w=16, square=4, seed=2)
-    assert seq.count == 20
+    frames, background, mask = synthetic_sequence(count=20, h=16, w=16, square=4, seed=2)
+    assert frames.shape == (20, 16, 16)
     assert mask.sum(axis=(1, 2)).tolist() == [16] * 20
     off = ~mask
-    assert np.abs(seq.frames[off] - np.broadcast_to(background, seq.frames.shape)[off]).max() == 0.0
-    assert np.all(seq.frames[mask] == 1.0)
-    assert seq.frames.min() >= 0.0 and seq.frames.max() <= 1.0
+    assert np.abs(frames[off] - np.broadcast_to(background, frames.shape)[off]).max() == 0.0
+    assert np.all(frames[mask] == 1.0)
+    assert frames.min() >= 0.0 and frames.max() <= 1.0
 
 
 def test_separate_background_recovers_truth():
-    seq, background, mask = synthetic_sequence(count=30, h=20, w=20, square=5, seed=3)
-    bg, fg, result = separate_background(seq, SolverConfig(epsilon=1e-8), K=8)
+    frames, background, mask = synthetic_sequence(count=30, h=20, w=20, square=5, seed=3)
+    bg, fg, result = separate_background(frames, SolverConfig(epsilon=1e-8), K=8)
     never = ~mask.any(axis=0)
-    mae = np.abs(bg.frames[:, never] - background[never][None]).mean()
+    mae = np.abs(bg[:, never] - background[never][None]).mean()
     assert mae <= 0.02
-    S = (seq.to_matrix().values - result.U.values).T.reshape(seq.count, 20, 20)
+    S = frames - result.U.values.T.reshape(30, 20, 20)
     energy = (S ** 2).sum()
     assert (S[mask] ** 2).sum() >= 0.9 * energy
 
@@ -165,16 +183,15 @@ def test_separate_background_static_sequence():
     rng = np.random.default_rng(4)
     still = np.clip(rng.random((10, 12, 12)), 0.05, 0.95)
     still[:] = still[0]
-    seq = FrameSequence(still)
-    bg, fg, result = separate_background(seq, SolverConfig(epsilon=1e-8), K=5)
-    X = seq.to_matrix().values
+    bg, fg, result = separate_background(still, SolverConfig(epsilon=1e-8), K=5)
+    X = still.reshape(10, 12 * 12).T
     assert np.abs(X - result.U.values).sum() <= 0.01 * np.abs(X).sum()
 
 
 def test_save_frames_roundtrip(tmp_path):
-    seq, _, _ = synthetic_sequence(count=4, h=8, w=8, square=2, seed=5)
+    frames, _, _ = synthetic_sequence(count=4, h=8, w=8, square=2, seed=5)
     names = [f"x{i}.pgm" for i in range(4)]
-    save_frames(tmp_path, seq, names)
+    save_frames(tmp_path, frames, names)
     back, got_names = load_frames(tmp_path)
     assert got_names == names
-    assert np.abs(back.frames - seq.frames).max() <= 0.5 / 255 + 1e-12
+    assert np.abs(back - frames).max() <= 0.5 / 255 + 1e-12

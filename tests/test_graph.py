@@ -181,11 +181,18 @@ def test_neighbor_list_rejects_nan_distance():
     ([[1], [1]], "self-loop or repeat a vertex"),
     ([[5], [0]], r"must lie in \[0, 2\)"),
     ([[-1], [0]], r"must lie in \[0, 2\)"),
+    ([[], []], "K must be >= 1"),
 ])
 def test_neighbor_list_rejects_bad_indices(indices, message):
-    indices = np.array(indices)
+    indices = np.array(indices, dtype=np.int64)
     with pytest.raises(ValueError, match=message):
         NeighborList(indices=indices, distances=np.ones(indices.shape))
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (2, 2), (2,)])
+def test_neighbor_list_rejects_distances_of_another_shape(shape):
+    with pytest.raises(ValueError, match="indices and distances must have the same shape"):
+        NeighborList(indices=np.array([[1], [0]]), distances=np.ones(shape))
 
 
 def test_resolve_sigma2_rejects_non_finite_width():
@@ -271,6 +278,16 @@ def test_spectral_norm_modes():
     nb = knn_exact(np.array([[0.0, 0.0]]), 1)
     g2 = build_graph(nb, 1.0)
     assert abs(spectral_norm(g2, method="power") - 2.0) <= 1e-4 * 2.0
+    with pytest.raises(ValueError, match="unknown method 'x'"):
+        spectral_norm(g, method="x")
+    # a run that reaches max_iters returns the Rayleigh quotient of its last iterate
+    L = g.laplacian
+    v = np.random.default_rng(0).standard_normal(30)
+    v /= np.linalg.norm(v)
+    for iters in range(4):
+        assert spectral_norm(g, method="power", max_iters=iters) == float(v @ (L @ v))
+        v = L @ v
+        v /= np.linalg.norm(v)
 
 
 def test_spectral_norm_power_accuracy_on_random_graphs():
@@ -282,11 +299,11 @@ def test_spectral_norm_power_accuracy_on_random_graphs():
 
 def test_partial_eigs_null_vector():
     g = random_graph(25, 6, seed=7)
-    eigs = partial_eigs(g, 1)
-    assert eigs.values[0] < 1e-10
+    values, vectors = partial_eigs(g, 1)
+    assert values[0] < 1e-10
     null = np.sqrt(g.degrees)
     null /= np.linalg.norm(null)
-    assert abs(abs(eigs.vectors[:, 0] @ null) - 1.0) < 1e-8
+    assert abs(abs(vectors[:, 0] @ null) - 1.0) < 1e-8
 
 
 def test_partial_eigs_counts_components():
@@ -295,35 +312,42 @@ def test_partial_eigs_counts_components():
     pts = np.concatenate([rng.standard_normal((2, 3)) * 0.01 + 100 * c
                           for c in range(3)], axis=1)
     g = build_graph(knn_exact(pts, 2), "auto")
-    eigs = partial_eigs(g, 9)
-    assert np.count_nonzero(eigs.values < 1e-10) == 3
+    values, _ = partial_eigs(g, 9)
+    assert np.count_nonzero(values < 1e-10) == 3
 
 
 def test_partial_eigs_matches_dense_oracle():
     g = random_graph(6, 2, seed=9)
-    eigs = partial_eigs(g, 6)
+    values, _ = partial_eigs(g, 6)
     dense_vals = eigh(g.laplacian.toarray(), eigvals_only=True)
-    assert np.abs(eigs.values - dense_vals).max() < 1e-8
+    assert np.abs(values - dense_vals).max() < 1e-8
 
 
 def test_partial_eigs_invariants():
     g = random_graph(35, 5, seed=10)
-    eigs = partial_eigs(g, 8)
+    values, vectors = partial_eigs(g, 8)
+    assert values.shape == (8,) and vectors.shape == (35, 8) and vectors.flags.c_contiguous
     L = g.laplacian
     norm_L = spectral_norm(g)
-    for i in range(eigs.count):
-        residual = np.linalg.norm(L @ eigs.vectors[:, i] - eigs.values[i] * eigs.vectors[:, i])
+    for i in range(values.size):
+        residual = np.linalg.norm(L @ vectors[:, i] - values[i] * vectors[:, i])
         assert residual <= 1e-8 * norm_L
-    gram = eigs.vectors.T @ eigs.vectors
+    gram = vectors.T @ vectors
     assert np.abs(gram - np.eye(8)).max() < 1e-10
-    assert np.all(np.diff(eigs.values) >= 0)
+    assert np.all(np.diff(values) >= 0)
+
+
+@pytest.mark.parametrize("k", [0, 7])
+def test_partial_eigs_k_out_of_range(k):
+    with pytest.raises(ValueError, match=f"1 <= k <= n, got k={k}, n=6"):
+        partial_eigs(random_graph(6, 2, seed=9), k)
 
 
 def test_partial_eigs_sparse_path():
     g = random_graph(500, 8, seed=11)
-    eigs = partial_eigs(g, 5)
+    values, _ = partial_eigs(g, 5)
     dense = eigh(g.laplacian.toarray(), eigvals_only=True)[:5]
-    assert np.abs(eigs.values - dense).max() < 1e-8
+    assert np.abs(values - dense).max() < 1e-8
 
 
 def test_laplacian_psd_quadratic_form():
@@ -353,6 +377,19 @@ def test_coo_roundtrip(tmp_path):
     path2 = tmp_path / "g2.coo"
     save_graph_coo(h, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("p, n, K", [(100, 2000, 10), (2000, 100, 10), (8, 300, 5)])
+def test_built_and_loaded_adjacency_is_canonical_csr(tmp_path, p, n, K):
+    # save_graph_coo writes the CSR order, which is then by row and column
+    g = build_graph(knn_exact(np.random.default_rng(p).standard_normal((p, n)), K), "auto")
+    path = tmp_path / "g.coo"
+    save_graph_coo(g, path)
+    h = load_graph_coo(path, n)
+    for graph_ in (g, h):
+        assert graph_.adjacency.has_canonical_format
+    rows, cols = np.loadtxt(path, usecols=(0, 1), dtype=np.int64, unpack=True)
+    assert np.array_equal(np.lexsort((cols, rows)), np.arange(rows.size))
 
 
 def test_coo_reader_memory_below_four_files(tmp_path):

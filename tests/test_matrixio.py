@@ -108,6 +108,22 @@ def test_datamatrix_invariants():
     assert corrupt(X, CorruptionSpec("block", 0.5, image_dims=(2, 3)))[1].any()
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "binary-f32"])
+def test_unknown_matrix_format_is_refused(tmp_path, fmt):
+    path = tmp_path / "m"
+    with pytest.raises(ValueError, match=f"unknown matrix format '{fmt}'"):
+        save_matrix(path, DataMatrix(np.ones((2, 2))), fmt=fmt)
+    assert not path.exists()
+    path.write_text("1,2\n")
+    with pytest.raises(ValueError, match=f"unknown matrix format '{fmt}'"):
+        load_matrix(path, fmt)
+
+
+def test_standardize_single_sample_gives_zeros():
+    Z = standardize(DataMatrix(np.array([[3.0], [-1e300], [0.0]]))).values
+    assert Z.shape == (3, 1) and np.array_equal(Z, np.zeros((3, 1)))
+
+
 def test_standardize_row_oracle():
     X = DataMatrix(np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]]))
     Z = standardize(X).values

@@ -65,8 +65,10 @@ def test_objective_dense_oracle():
 def test_objective_dimension_mismatch():
     X, G1, G2 = make_instance(5, 7, seed=5)
     cfg = SolverConfig()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sample graph has 7 vertices, expected n=5"):
         objective(X.T, X.T, G1, G2, cfg)
+    with pytest.raises(ValueError, match="feature graph has 5 vertices, expected p=4"):
+        objective(X[:4], X[:4], G1, G2, cfg)
 
 
 def test_gradient_trivial_cases():
@@ -98,6 +100,15 @@ def test_prox_fixed_point():
     X = rng.standard_normal((4, 6))
     for loss in ("l1", "frobenius_sq"):
         assert np.abs(prox_fidelity(X, X, 0.7, loss) - X).max() < 1e-12
+
+
+@pytest.mark.parametrize("lam, loss, message", [
+    (0.0, "l1", "lam must be positive"), (-1.0, "l1", "lam must be positive"),
+    (float("nan"), "l1", "lam must be positive"), (1.0, "l2", "unknown loss 'l2'"),
+])
+def test_prox_refuses_bad_lam_and_loss(lam, loss, message):
+    with pytest.raises(ValueError, match=message):
+        prox_fidelity(np.zeros((2, 2)), np.ones((2, 2)), lam, loss)
 
 
 def test_prox_soft_threshold_values():

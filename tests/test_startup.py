@@ -47,8 +47,8 @@ def test_commands_but_experiment_load_only_numpy_and_scipy_sparse(tmp_path):
     rng = np.random.default_rng(0)
     save_matrix(tmp_path / "x.csv", DataMatrix(rng.standard_normal((6, 12))), fmt="csv")
     (tmp_path / "frames").mkdir()
-    seq, _, _ = synthetic_sequence(count=6, h=4, w=5, square=2)
-    save_frames(tmp_path / "frames", seq, [f"f{i}.pgm" for i in range(seq.count)])
+    frames, _, _ = synthetic_sequence(count=6, h=4, w=5, square=2)
+    save_frames(tmp_path / "frames", frames, [f"f{i}.pgm" for i in range(6)])
     for argv in (["graph", "--input", "x.csv", "--k", "3", "--sigma2", "auto",
                   "--output", "g1.coo"],
                  ["graph", "--input", "x.csv", "--axis", "features", "--k", "3",
