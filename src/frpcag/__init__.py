@@ -7,17 +7,16 @@ numpy nor scipy; each module is imported when one of its names is asked for.
 import importlib
 
 _EXPORTS = {
-    "analysis": ("BoundReport", "LowRankOnGraphs", "SvdTriplet", "alignment_ratio",
-                 "check_recovery_bound", "covariance", "economic_svd",
-                 "make_lowrank_on_graphs", "rank_estimate", "recovery_gammas"),
+    "analysis": ("BoundReport", "LowRankOnGraphs", "alignment_ratio", "check_recovery_bound",
+                 "covariance", "economic_svd", "make_lowrank_on_graphs", "rank_estimate",
+                 "recovery_gammas"),
     "evalcluster": ("ClusterResult", "ExperimentConfig", "PreparedExperiment",
                     "clustering_error", "kmeans", "prepare_experiment", "run_gamma",
                     "two_gaussians"),
     "frames": ("separate_background", "synthetic_sequence"),
     "graph": ("NeighborList", "SparseGraph", "build_graph", "knn_exact", "load_graph_coo",
               "partial_eigs", "save_graph_coo", "spectral_norm"),
-    "matrixio": ("CorruptionSpec", "DataMatrix", "corrupt", "load_matrix", "save_matrix",
-                 "standardize"),
+    "matrixio": ("CorruptionSpec", "corrupt", "load_matrix", "save_matrix", "standardize"),
     "solver": ("DivergedError", "LowRankResult", "SolverConfig", "fista_solve",
                "gradient_smooth", "objective", "prox_fidelity"),
 }

@@ -7,8 +7,8 @@ import numpy as np
 from numpy.linalg import eigh
 
 from .graph import SparseGraph, partial_eigs
-from .matrixio import DataMatrix
-from .solver import LowRankResult, SolverConfig, _fidelity, _values
+from .matrixio import _as_matrix
+from .solver import LowRankResult, SolverConfig, _fidelity
 
 
 class DegenerateEigengapError(ValueError):
@@ -16,19 +16,10 @@ class DegenerateEigengapError(ValueError):
 
 
 @dataclass(frozen=True)
-class SvdTriplet:
-    """Economic SVD factors: U = V diag(sigma) W^T with orthonormal V, W."""
-
-    V: np.ndarray      # p x c
-    sigma: np.ndarray  # c, descending, >= 0
-    W: np.ndarray      # n x c
-
-
-@dataclass(frozen=True)
 class LowRankOnGraphs:
     """Matrix whose columns/rows live in the low bands of two graph eigenbases."""
 
-    Xstar: DataMatrix
+    Xstar: np.ndarray  # p x n
     k1: int
     k2: int
     C: np.ndarray    # k2 x k1 coefficients
@@ -45,15 +36,18 @@ class BoundReport:
     om_ratio: float   # omega_k2 / omega_{k2+1}
 
 
-def economic_svd(U) -> SvdTriplet:
-    """SVD through the eigendecomposition of the smaller Gram matrix.
+def economic_svd(U):
+    """SVD of a p x n matrix through the eigendecomposition of the smaller Gram matrix.
 
+    Returns the tuple (V, sigma, W) with U = V diag(sigma) W^T: V (p x c) and
+    W (n x c) have orthonormal columns, and sigma holds c positive values,
+    descending. Unlike numpy.linalg.svd, the third factor is W, not W^T.
     When p <= n, V and sigma come from eigendecomposing U U^T, then
     W = U^T V Sigma^{-1}; when p > n, W and sigma come from U^T U, then
     V = U W Sigma^{-1}. Keeps every triplet with a numerically positive
     singular value.
     """
-    U = _values(U)
+    U = _as_matrix(U)
     p, n = U.shape
     M = U.T if p > n else U  # M M^T is the smaller Gram matrix
     evals, evecs = eigh(M @ M.T)
@@ -68,12 +62,12 @@ def economic_svd(U) -> SvdTriplet:
     sigma = sigma[:rank]
     right = (M.T @ left) / sigma if rank else np.zeros((M.shape[1], 0))
     V, W = (right, left) if p > n else (left, right)
-    return SvdTriplet(V=V, sigma=sigma, W=W)
+    return V, sigma, W
 
 
 def covariance(X) -> np.ndarray:
     """Experimental covariance with the scalar global mean removed: Xc Xc^T / n."""
-    X = _values(X)
+    X = _as_matrix(X)
     centered = X - X.mean()
     return centered @ centered.T / X.shape[1]
 
@@ -116,8 +110,7 @@ def make_lowrank_on_graphs(L1: SparseGraph, L2: SparseGraph, k1: int, k2: int,
     _, Pk2 = partial_eigs(L2, k2)
     rng = np.random.default_rng(seed)
     C = rng.uniform(-coeff_scale, coeff_scale, size=(k2, k1))
-    Xstar = DataMatrix(Pk2 @ C @ Qk1.T)
-    return LowRankOnGraphs(Xstar=Xstar, k1=k1, k2=k2, C=C, Qk1=Qk1, Pk2=Pk2)
+    return LowRankOnGraphs(Xstar=Pk2 @ C @ Qk1.T, k1=k1, k2=k2, C=C, Qk1=Qk1, Pk2=Pk2)
 
 
 def _bound_gammas(lam: np.ndarray, om: np.ndarray, k1: int, k2: int, gamma: float):
@@ -151,8 +144,8 @@ def check_recovery_bound(Xstar: LowRankOnGraphs, E, gamma: float,
     and gamma2 = gamma/omega_{k2+1}; this is re-derived and verified here,
     from the same full eigendecompositions that give the bound's projections.
     """
-    E = _values(E)
-    Xs = Xstar.Xstar.values
+    E, Ustar = _as_matrix(E), _as_matrix(solver_out.U)
+    Xs = Xstar.Xstar
     X = Xs + E
     k1, k2 = Xstar.k1, Xstar.k2
     (lam, Q), (om, P) = partial_eigs(L1, L1.vertex_count), partial_eigs(L2, L2.vertex_count)
@@ -161,7 +154,6 @@ def check_recovery_bound(Xstar: LowRankOnGraphs, E, gamma: float,
         if abs(got - want) > 1e-9 * max(1.0, abs(want)):
             raise ValueError(f"solver ran with {name}={got}, bound requires {want}")
 
-    Ustar = solver_out.U.values
     Qbar = Q[:, k1:]
     Pbar = P[:, k2:]
     lhs = (_fidelity(Ustar - X, cfg.loss)

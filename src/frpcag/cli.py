@@ -41,7 +41,7 @@ def cmd_graph(args) -> int:
     from .matrixio import load_matrix
 
     X = load_matrix(args.input, args.format)
-    points = X.values if args.axis == "samples" else X.values.T
+    points = X if args.axis == "samples" else X.T
     nbrs = knn_exact(points, args.k)
     sigma2 = resolve_sigma2(nbrs, args.sigma2)
     built = build_graph(nbrs, sigma2)
@@ -59,8 +59,8 @@ def cmd_solve(args) -> int:
     cfg = _solver_config(args, SolverConfig())
 
     X = load_matrix(args.input, args.format)
-    G1 = load_graph_coo(args.graph1, X.sample_count)
-    G2 = load_graph_coo(args.graph2, X.feature_count)
+    G1 = load_graph_coo(args.graph1, X.shape[1])
+    G2 = load_graph_coo(args.graph2, X.shape[0])
     result = fista_solve(X, G1, G2, cfg)
     save_matrix(args.output_u, result.U, fmt="binary-f64")
     if args.output_trace:
@@ -97,8 +97,8 @@ def _experiment_data(cfg, source):
         raise ConfigError(f"{source}: file datasets need a 'labels' path")
     X = load_matrix(cfg.dataset, cfg.format)
     labels = load_labels(cfg.labels)
-    if labels.size != X.sample_count:
-        raise ConfigError(f"{source}: {labels.size} labels for {X.sample_count} samples")
+    if labels.size != X.shape[1]:
+        raise ConfigError(f"{source}: {labels.size} labels for {X.shape[1]} samples")
     return X, labels
 
 

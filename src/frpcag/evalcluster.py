@@ -11,7 +11,7 @@ import numpy as np
 from . import analysis
 from .config import AutoOrPositive, Floats
 from .graph import SparseGraph, _sq_distances, build_graph, knn_exact, partial_eigs
-from .matrixio import CorruptionSpec, DataMatrix, corrupt, standardize
+from .matrixio import CorruptionSpec, _as_matrix, corrupt, standardize
 from .solver import SolverConfig, fista_solve
 
 
@@ -97,12 +97,11 @@ def _kmeans_once(points: np.ndarray, k: int, rng, scratch: np.ndarray) -> tuple:
 def kmeans(points: np.ndarray, k: int, restarts: int = 10, seed: int = 0) -> ClusterResult:
     """Lloyd's algorithm with k-means++ seeding; keeps the minimum-inertia restart.
 
-    points holds one item per column. Deterministic under seed; empty
-    clusters are re-seeded to the point farthest from its assigned centroid.
+    points, a p x n matrix of finite entries, holds one item per column.
+    Deterministic under seed; empty clusters are re-seeded to the point
+    farthest from its assigned centroid.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise ValueError(f"points must be a p x n array with p >= 1, got shape {points.shape}")
+    points = np.ascontiguousarray(_as_matrix(points))
     n = points.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
@@ -183,7 +182,7 @@ def clustering_error(pred, truth) -> float:
 def two_gaussians(n: int = 200, p: int = 40, separation: float = 10.0,
                   seed: int = 0) -> tuple:
     """Two isotropic unit-variance Gaussian clusters with the given Euclidean
-    separation between their means. Returns (DataMatrix, labels)."""
+    separation between their means. Returns (p x n matrix, labels)."""
     rng = np.random.default_rng(seed)
     half = n // 2
     labels = np.repeat([0, 1], [half, n - half])
@@ -191,7 +190,7 @@ def two_gaussians(n: int = 200, p: int = 40, separation: float = 10.0,
     values = rng.standard_normal((p, n))
     values[:, :half] -= offset
     values[:, half:] += offset
-    return DataMatrix(values), labels
+    return values, labels
 
 
 @dataclass(frozen=True)
@@ -263,7 +262,7 @@ class PreparedExperiment:
     """The gamma-independent part of an experiment, shared by every gamma."""
 
     cfg: ExperimentConfig
-    Xs: DataMatrix  # corrupted and standardized
+    Xs: np.ndarray  # p x n, corrupted and standardized
     truth: np.ndarray
     classes: int
     G1: SparseGraph  # samples
@@ -281,7 +280,7 @@ def _stage(timings: dict, name: str):
     timings[name] = (time.perf_counter() - t0) * 1e3
 
 
-def prepare_experiment(X: DataMatrix, truth, cfg: ExperimentConfig) -> PreparedExperiment:
+def prepare_experiment(X: np.ndarray, truth, cfg: ExperimentConfig) -> PreparedExperiment:
     """The gamma-independent stages, run once per sweep: corrupt (after
     standardizing if cfg.corrupt_after_standardize) -> standardize -> dual
     graphs -> k-means on raw X (error_raw) -> stationarity ratio s_r of the
@@ -299,10 +298,10 @@ def prepare_experiment(X: DataMatrix, truth, cfg: ExperimentConfig) -> PreparedE
         if corruption is not None and cfg.corrupt_after_standardize:
             Xs, mask = corrupt(Xs, corruption)
     with _stage(timings, "graphs_ms"):
-        G1 = build_graph(knn_exact(Xs.values, cfg.knn_k), cfg.sigma2)
-        G2 = build_graph(knn_exact(Xs.values.T, cfg.knn_k), cfg.sigma2)
+        G1 = build_graph(knn_exact(Xs, cfg.knn_k), cfg.sigma2)
+        G2 = build_graph(knn_exact(Xs.T, cfg.knn_k), cfg.sigma2)
     with _stage(timings, "cluster_raw_ms"):
-        raw = kmeans(Xs.values, k, restarts=cfg.restarts, seed=cfg.seed)
+        raw = kmeans(Xs, k, restarts=cfg.restarts, seed=cfg.seed)
         error_raw = clustering_error(raw.labels, truth)
     with _stage(timings, "s_r_ms"):
         _, P_full = partial_eigs(G2, G2.vertex_count)
@@ -325,21 +324,21 @@ def run_gamma(prep: PreparedExperiment, solver_cfg: SolverConfig) -> dict:
     with _stage(timings, "solve_ms"):
         result = fista_solve(prep.Xs, prep.G1, prep.G2, solver_cfg)
     with _stage(timings, "svd_ms"):
-        triplet = analysis.economic_svd(result.U)
-        rank = analysis.rank_estimate(triplet.sigma, cfg.rank_threshold)
+        _, sigma, W = analysis.economic_svd(result.U)
+        rank = analysis.rank_estimate(sigma, cfg.rank_threshold)
     with _stage(timings, "cluster_ms"):
-        if cfg.cluster_on == "u" or triplet.W.shape[1] == 0:
-            items = result.U.values
+        if cfg.cluster_on == "u" or W.shape[1] == 0:
+            items = result.U
         else:
             # sigma-scaled components keep each direction's energy, matching the
             # k-means geometry of U at full rank
-            keep = max(rank, min(prep.classes, triplet.W.shape[1]))
-            items = (triplet.W[:, :keep] * triplet.sigma[:keep]).T
+            keep = max(rank, min(prep.classes, W.shape[1]))
+            items = (W[:, :keep] * sigma[:keep]).T
         clustered = kmeans(items, prep.classes, restarts=cfg.restarts, seed=cfg.seed)
         error = clustering_error(clustered.labels, prep.truth)
 
     return {
-        "n": prep.Xs.sample_count, "p": prep.Xs.feature_count, "classes": prep.classes,
+        "n": prep.Xs.shape[1], "p": prep.Xs.shape[0], "classes": prep.classes,
         "corruption": None if prep.corrupted_entries is None else {
             "kind": cfg.corruption, "fraction": cfg.fraction,
             "seed": cfg.corruption_seed, "entries": prep.corrupted_entries},

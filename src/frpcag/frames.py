@@ -8,7 +8,7 @@ from typing import Tuple
 import numpy as np
 
 from .graph import build_graph, knn_exact
-from .matrixio import DataMatrix
+from .matrixio import _as_matrix
 from .solver import SolverConfig, fista_solve
 
 
@@ -100,17 +100,18 @@ def separate_background(frames: np.ndarray, cfg: SolverConfig, K: int = 10,
     objective that cfg sets on X, and returns (background, |X - U|
     foreground magnitude, LowRankResult), the first two as (T, h, w) arrays.
     Frames stay in the [0, 1] intensity scale throughout. Raises ValueError
-    unless frames has 3 dimensions.
+    unless frames has 3 dimensions and X is a p x T matrix (p, T >= 1) of
+    finite entries.
     """
     if frames.ndim != 3:
         raise ValueError("frames must be a (T, h, w) array")
     T, h, w = frames.shape
-    X = DataMatrix(frames.reshape(T, h * w).T)
-    G1 = build_graph(knn_exact(X.values, K), sigma2)       # frames
-    G2 = build_graph(knn_exact(X.values.T, K), sigma2)     # pixels
+    X = _as_matrix(frames.reshape(T, h * w).T)
+    G1 = build_graph(knn_exact(X, K), sigma2)    # frames
+    G2 = build_graph(knn_exact(X.T, K), sigma2)  # pixels
     result = fista_solve(X, G1, G2, cfg)
-    background = np.clip(result.U.values.T.reshape(T, h, w), 0.0, 1.0)
-    foreground = np.subtract(X.values, result.U.values)  # one buffer, then in place
+    background = np.clip(result.U.T.reshape(T, h, w), 0.0, 1.0)
+    foreground = np.subtract(X, result.U)  # one buffer, then in place
     np.abs(foreground, out=foreground)
     np.clip(foreground, 0.0, 1.0, out=foreground)
     return background, foreground.T.reshape(T, h, w), result

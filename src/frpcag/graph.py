@@ -255,24 +255,19 @@ def spectral_norm(graph: SparseGraph, method: str = "bound", max_iters: int = 50
     iterates until the Rayleigh quotient moves less than tol. The defaults
     land within 1e-4 relative of the true value: runs either converge under
     the cap or stall inside a top cluster narrower than the tolerance.
+    L v never vanishes: past the Gaussian start, v is in range(L) = null(L)^perp (L symmetric).
     """
     if method == "bound":
         return 2.0
     if method != "power":
         raise ValueError(f"unknown method {method!r}")
     L = graph.laplacian
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(L.shape[0])
+    v = np.random.default_rng(0).standard_normal(L.shape[0])
     v /= np.linalg.norm(v)
     rayleigh = float(v @ (L @ v))
     for _ in range(max_iters):
         w = L @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:  # v in the null space; restart from a fresh direction
-            v = rng.standard_normal(L.shape[0])
-            v /= np.linalg.norm(v)
-            continue
-        v = w / norm
+        v = w / np.linalg.norm(w)
         new = float(v @ (L @ v))
         if abs(new - rayleigh) <= tol * max(abs(new), 1.0):
             return new

@@ -19,27 +19,19 @@ class MatrixFormatError(ValueError):
     """Raised when a matrix file is malformed (ragged rows, bad cells, bad header)."""
 
 
-@dataclass(frozen=True)
-class DataMatrix:
-    """Dense p x n matrix of finite values: rows are features, columns are samples."""
+def _as_matrix(values) -> np.ndarray:
+    """values as a p x n float64 array: rows are features, columns are samples.
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-            raise ValueError(f"expected a p x n matrix with p, n >= 1, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("matrix entries must all be finite")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def feature_count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def sample_count(self) -> int:
-        return self.values.shape[1]
+    Raises ValueError unless it is 2-D with p, n >= 1 and every entry is
+    finite. Finiteness is read off the minimum and maximum (a NaN
+    propagates to both), so no p x n temporary is made.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
+        raise ValueError(f"expected a p x n matrix with p, n >= 1, got shape {values.shape}")
+    if not np.isfinite([values.min(), values.max()]).all():
+        raise ValueError("matrix entries must all be finite")
+    return values
 
 
 @dataclass(frozen=True)
@@ -138,8 +130,8 @@ def _csv_row(path, number: int, cells, above):
     return row
 
 
-def load_matrix(path, fmt: str = "csv") -> DataMatrix:
-    """Load a DataMatrix from disk.
+def load_matrix(path, fmt: str = "csv") -> np.ndarray:
+    """Load a C-ordered p x n float64 matrix of finite entries from disk.
 
     fmt "csv" reads numeric RFC-4180 cells, one feature per row; fmt
     "binary-f64" reads the FRPM binary layout written by save_matrix.
@@ -154,7 +146,7 @@ def load_matrix(path, fmt: str = "csv") -> DataMatrix:
                            delimiter=",", quotechar='"', ndmin=2)
         if rows.size == 0:
             raise MatrixFormatError(f"{path}: empty file")
-        return DataMatrix(rows)
+        return rows
     if fmt == "binary-f64":
         with open(path, "rb") as fh:
             header = fh.read(20)
@@ -170,7 +162,7 @@ def load_matrix(path, fmt: str = "csv") -> DataMatrix:
         values = np.frombuffer(payload, dtype="<f8").reshape((p, n), order="F")
         if not np.all(np.isfinite(values)):
             raise MatrixFormatError(f"{path}: non-finite entry in the payload")
-        return DataMatrix(values.copy())
+        return values.copy()
     raise ValueError(f"unknown matrix format {fmt!r}")
 
 
@@ -190,31 +182,37 @@ def load_labels(path) -> np.ndarray:
     return rows.ravel()
 
 
-def save_matrix(path, X: DataMatrix, fmt: str = "csv") -> None:
-    """Write a DataMatrix; binary-f64 round-trips bit-exactly."""
+def save_matrix(path, X: np.ndarray, fmt: str = "csv") -> None:
+    """Write a p x n matrix of finite entries; binary-f64 round-trips bit-exactly.
+
+    Raises ValueError, before any file is opened, when X is not such a matrix
+    or fmt is unknown.
+    """
+    X = _as_matrix(X)
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            for row in X.values:
+            for row in X:
                 writer.writerow([repr(float(v)) for v in row])
     elif fmt == "binary-f64":
         with open(path, "wb") as fh:
             fh.write(BINARY_MAGIC)
-            fh.write(struct.pack("<QQ", X.feature_count, X.sample_count))
-            fh.write(np.asarray(X.values, dtype="<f8").tobytes(order="F"))
+            fh.write(struct.pack("<QQ", *X.shape))
+            fh.write(np.asarray(X, dtype="<f8").tobytes(order="F"))
     else:
         raise ValueError(f"unknown matrix format {fmt!r}")
 
 
-def standardize(X: DataMatrix) -> DataMatrix:
-    """Center every feature row at 0 and scale it to unit sample standard deviation.
+def standardize(X: np.ndarray) -> np.ndarray:
+    """Center every feature row of a p x n matrix at 0 and scale it to unit
+    sample standard deviation; returns a new p x n array.
 
     Rows with zero variance (including single-sample matrices) map to all
     zeros instead of dividing by zero. Idempotent up to rounding. Raises
-    ValueError, naming the feature, when a row's mean or standard deviation
-    overflows.
+    ValueError when X is not a p x n matrix of finite entries and, naming the
+    feature, when a row's mean or standard deviation overflows.
     """
-    values = X.values
+    values = _as_matrix(X)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = values.mean(axis=1, keepdims=True)
         if values.shape[1] > 1:
@@ -226,22 +224,23 @@ def standardize(X: DataMatrix) -> DataMatrix:
         raise ValueError(f"feature {int(np.argmin(finite))}: its mean or standard "
                          "deviation overflows, so it cannot be standardized")
     centered = values - mean
-    out = np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
-    return DataMatrix(out)
+    return np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
 
 
-def corrupt(X: DataMatrix, spec: CorruptionSpec):
-    """Apply a corruption spec to every sample, deterministically under spec.seed.
+def corrupt(X: np.ndarray, spec: CorruptionSpec):
+    """Apply a corruption spec to every sample (column) of a p x n matrix,
+    deterministically under spec.seed.
 
     kind "block": one square occlusion per image of spec.image_dims = (h, w),
     side round(sqrt(fraction*h*w)) clipped to the image, placed uniformly at
     random and filled with 1; ValueError unless h * w = p.
     kind "missing": ceil(fraction*p) distinct pixels per sample set to 0.
 
-    Returns (corrupted DataMatrix, boolean mask of corrupted entries).
+    Returns (corrupted C-ordered copy of X, boolean mask of corrupted
+    entries). Raises ValueError when X is not a p x n matrix of finite entries.
     """
     rng = np.random.default_rng(spec.seed)
-    values = X.values.copy()
+    values = _as_matrix(X).copy()
     mask = np.zeros(values.shape, dtype=bool)
     p, n = values.shape
     if spec.kind == "block":
@@ -266,4 +265,4 @@ def corrupt(X: DataMatrix, spec: CorruptionSpec):
                 idx = rng.choice(p, size=count, replace=False)
                 values[idx, j] = 0.0
                 mask[idx, j] = True
-    return DataMatrix(values), mask
+    return values, mask

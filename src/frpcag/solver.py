@@ -7,7 +7,7 @@ import numpy as np
 
 from .config import AutoOrPositive
 from .graph import SparseGraph, spectral_norm
-from .matrixio import DataMatrix
+from .matrixio import _as_matrix
 
 LOSSES = ("l1", "frobenius_sq")
 
@@ -48,15 +48,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class LowRankResult:
-    U: DataMatrix
+    """fista_solve's answer: the p x n low-rank U, the objective after each
+    iteration, the iteration count and whether the stopping rule was met."""
+
+    U: np.ndarray
     objective_trace: List[float]
     iterations: int
     converged: bool
-
-
-def _values(X) -> np.ndarray:
-    """X's values; an array is checked as a DataMatrix is (finite, 2-D, non-empty)."""
-    return (X if isinstance(X, DataMatrix) else DataMatrix(X)).values
 
 
 def _check_dims(U, L1: SparseGraph, L2: SparseGraph):
@@ -133,7 +131,7 @@ def _shrink_residual(R: np.ndarray, lam: float, loss: str, scratch=None) -> None
 
 def objective(U, X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> float:
     """phi(U - X) + gamma1*tr(U L1 U^T) + gamma2*tr(U^T L2 U)."""
-    U, X = _values(U), _values(X)
+    U, X = _as_matrix(U), _as_matrix(X)
     _check_dims(U, L1, L2)
     _, smooth = _smooth(U, L1, cfg.gamma1, cfg.gamma2, _row_blocks(L2, U.shape[1]))
     return _fidelity(U - X, cfg.loss) + smooth
@@ -142,7 +140,7 @@ def objective(U, X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> floa
 def gradient_smooth(U, L1: SparseGraph, L2: SparseGraph, gamma1: float,
                     gamma2: float) -> np.ndarray:
     """Gradient of the smooth part: 2*(gamma1*U L1 + gamma2*L2 U)."""
-    U = _values(U)
+    U = _as_matrix(U)
     _check_dims(U, L1, L2)
     return _smooth(U, L1, 2.0 * gamma1, 2.0 * gamma2, _row_blocks(L2, U.shape[1]))[0]
 
@@ -158,7 +156,7 @@ def prox_fidelity(U, X, lam: float, loss: str = "l1") -> np.ndarray:
         raise ValueError("lam must be positive")
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}")
-    U, X = _values(U), _values(X)
+    U, X = _as_matrix(U), _as_matrix(X)
     R = U - X
     _shrink_residual(R, lam, loss)
     return X + R
@@ -193,7 +191,7 @@ def fista_solve(X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> LowRa
     C-ordered X is used as it is, without a copy. A non-finite U makes the
     objective non-finite, which raises DivergedError.
     """
-    Xv = np.ascontiguousarray(_values(X))
+    Xv = np.ascontiguousarray(_as_matrix(X))
     _check_dims(Xv, L1, L2)
     lam = auto_step(L1, L2, cfg.gamma1, cfg.gamma2) if cfg.step == "auto" else float(cfg.step)
     c1, c2 = -2.0 * lam * cfg.gamma1, -2.0 * lam * cfg.gamma2
@@ -247,7 +245,7 @@ def fista_solve(X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> LowRa
             if diff < cfg.epsilon * base or diff == 0.0:
                 converged = True
                 break
-    return LowRankResult(U=DataMatrix(U), objective_trace=trace, iterations=iterations,
+    return LowRankResult(U=U, objective_trace=trace, iterations=iterations,
                          converged=converged)
 
 

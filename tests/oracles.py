@@ -18,10 +18,9 @@ from scipy.linalg import eigh, solve
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from frpcag.analysis import SvdTriplet
 from frpcag.graph import GraphFormatError, GraphSizeError, SparseGraph, _sparse_graph
-from frpcag.matrixio import DataMatrix, MatrixFormatError
-from frpcag.solver import _check_dims, _values
+from frpcag.matrixio import MatrixFormatError, _as_matrix
+from frpcag.solver import _check_dims
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
@@ -40,7 +39,7 @@ def sylvester_solve(X, L1: SparseGraph, L2: SparseGraph, gamma1: float,
     eigendecompositions of both Laplacians; intended as a test oracle for
     small instances.
     """
-    X = _values(X)
+    X = _as_matrix(X)
     _check_dims(X, L1, L2)
     lam, Q = eigh(L1.laplacian.toarray())
     om, P = eigh(L2.laplacian.toarray())
@@ -57,7 +56,7 @@ def sylvester_solve(X, L1: SparseGraph, L2: SparseGraph, gamma1: float,
 def sequential_prox(X, L1: SparseGraph, L2: SparseGraph, gamma1: float,
                     gamma2: float) -> np.ndarray:
     """(I + g2*L2)^{-1} X (I + g1*L1)^{-1} via two positive-definite solves."""
-    X = _values(X)
+    X = _as_matrix(X)
     _check_dims(X, L1, L2)
     p, n = X.shape
     A2 = np.eye(p) + gamma2 * L2.laplacian.toarray()
@@ -72,24 +71,25 @@ def shape_interaction(W: np.ndarray) -> np.ndarray:
     return W @ W.T
 
 
-def alignment_energy(triplet: SvdTriplet, L1eigs, L2eigs,
-                     gamma1: float, gamma2: float) -> float:
+def alignment_energy(svd, L1eigs, L2eigs, gamma1: float, gamma2: float) -> float:
     """Tikhonov energy expanded in the Laplacian bases.
 
-    L1eigs and L2eigs are (values, vectors) pairs, as partial_eigs gives them.
+    svd is U's (V, sigma, W), as economic_svd gives it; L1eigs and L2eigs are
+    (values, vectors) pairs, as partial_eigs gives them.
     sum_{i,j} sigma_i^2 * (g1*lambda_j*(w_i.q_j)^2 + g2*omega_j*(v_i.p_j)^2),
     which equals g1*tr(U L1 U^T) + g2*tr(U^T L2 U) when full eigenbases are
     supplied.
     """
-    n, p = triplet.W.shape[0], triplet.V.shape[0]
+    V, sigma, W = svd
+    n, p = W.shape[0], V.shape[0]
     (lam, Q), (om, P) = L1eigs, L2eigs
     if lam.size != n or Q.shape[0] != n:
         raise ValueError("L1eigs must be the full n x n eigenbasis")
     if om.size != p or P.shape[0] != p:
         raise ValueError("L2eigs must be the full p x p eigenbasis")
-    s2 = triplet.sigma ** 2
-    M1 = triplet.W.T @ Q  # c x n
-    M2 = triplet.V.T @ P  # c x p
+    s2 = sigma ** 2
+    M1 = W.T @ Q  # c x n
+    M2 = V.T @ P  # c x p
     e1 = s2 @ ((M1 ** 2) @ lam)
     e2 = s2 @ ((M2 ** 2) @ om)
     return float(gamma1 * e1 + gamma2 * e2)
@@ -162,7 +162,7 @@ def _number_lines(fh, path):
         yield line
 
 
-def load_matrix_csv(path) -> DataMatrix:
+def load_matrix_csv(path) -> np.ndarray:
     """load_matrix(path, "csv") as one csv.reader record at a time."""
     rows = []
     try:
@@ -186,7 +186,7 @@ def load_matrix_csv(path) -> DataMatrix:
         raise MatrixFormatError(f"{path}: {exc}") from exc
     if not rows:
         raise MatrixFormatError(f"{path}: empty file")
-    return DataMatrix(np.array(rows, dtype=np.float64))
+    return np.array(rows, dtype=np.float64)
 
 
 def load_labels(path) -> np.ndarray:

@@ -14,7 +14,6 @@ from scipy.linalg import eigh
 
 import frpcag as fp
 from frpcag.analysis import check_recovery_bound, recovery_gammas
-from frpcag.matrixio import DataMatrix
 from frpcag.solver import LowRankResult, SolverConfig
 from oracles import alignment_energy, sequential_prox, sylvester_solve
 
@@ -51,7 +50,7 @@ def test_criterion_01_oracle_equivalence():
         cfg = SolverConfig(loss="frobenius_sq", gamma1=g1, gamma2=g2,
                            epsilon=1e-24, max_iters=30000)
         res = fp.fista_solve(X, G1, G2, cfg)
-        worst = max(worst, np.linalg.norm(res.U.values - Ustar) / np.linalg.norm(Ustar))
+        worst = max(worst, np.linalg.norm(res.U - Ustar) / np.linalg.norm(Ustar))
     elapsed = time.perf_counter() - t0
     report(1, "fista (frobenius) vs sylvester oracle, 20 instances",
            worst <= 1e-6 and elapsed <= 30.0,
@@ -115,7 +114,7 @@ def test_criterion_04_recovery_bound_trials():
         E[support] = rng.uniform(-1, 1, support.sum())
         gamma = float(rng.uniform(0.2, 5.0))
         g1, g2 = recovery_gammas(G1, G2, k1, k2, gamma)
-        X = low.Xstar.values + E
+        X = low.Xstar + E
         if trial % 2 == 0:
             cfg = SolverConfig(loss="l1", gamma1=g1, gamma2=g2,
                                epsilon=1e-14, max_iters=4000)
@@ -123,7 +122,7 @@ def test_criterion_04_recovery_bound_trials():
         else:  # frobenius loss admits the exact closed-form solution
             cfg = SolverConfig(loss="frobenius_sq", gamma1=g1, gamma2=g2)
             U = sylvester_solve(X, G1, G2, g1, g2)
-            out = LowRankResult(U=DataMatrix(U), objective_trace=[0.0], iterations=1,
+            out = LowRankResult(U=U, objective_trace=[0.0], iterations=1,
                                 converged=True)
         rep = check_recovery_bound(low, E, gamma, out, cfg, G1, G2)
         held += rep.holds
@@ -140,7 +139,7 @@ def test_criterion_04_recovery_bound_trials():
     g1, g2 = recovery_gammas(Gc1, Gc2, 3, 2, 1.0)
     cfg0 = SolverConfig(loss="l1", gamma1=g1, gamma2=g2, epsilon=1e-14,
                         max_iters=2000)
-    out0 = fp.fista_solve(low0.Xstar.values, Gc1, Gc2, cfg0)
+    out0 = fp.fista_solve(low0.Xstar, Gc1, Gc2, cfg0)
     rep0 = check_recovery_bound(low0, np.zeros((14, 24)), 1.0, out0, cfg0, Gc1, Gc2)
     elapsed = time.perf_counter() - t0
     report(4, "recovery bound holds on 50 synthetic trials + zero-gap case",
@@ -173,8 +172,7 @@ def test_criterion_06_alignment_energy_identity():
         _, G1, G2 = random_instance(rng, p, n, k=3)
         g1, g2 = rng.uniform(0.1, 4.0, size=2)
         U = rng.standard_normal((p, n))
-        trip = fp.economic_svd(U)
-        energy = alignment_energy(trip, fp.partial_eigs(G1, n),
+        energy = alignment_energy(fp.economic_svd(U), fp.partial_eigs(G1, n),
                                   fp.partial_eigs(G2, p), g1, g2)
         trace_form = (g1 * np.trace(U @ G1.laplacian.toarray() @ U.T)
                       + g2 * np.trace(U.T @ G2.laplacian.toarray() @ U))
@@ -202,14 +200,14 @@ def test_criterion_07_laplacian_spectrum():
 def test_criterion_08_rank_monotone_in_gamma():
     X, _ = fp.two_gaussians(n=120, p=30, separation=10.0, seed=0)
     Xs = fp.standardize(X)
-    G1 = fp.build_graph(fp.knn_exact(Xs.values, 10), "auto")
-    G2 = fp.build_graph(fp.knn_exact(Xs.values.T, 10), "auto")
+    G1 = fp.build_graph(fp.knn_exact(Xs, 10), "auto")
+    G2 = fp.build_graph(fp.knn_exact(Xs.T, 10), "auto")
     ranks = []
     for g in (1.0, 10.0, 30.0):
         cfg = SolverConfig(loss="l1", gamma1=g, gamma2=g, epsilon=1e-8,
                            max_iters=800)
         res = fp.fista_solve(Xs, G1, G2, cfg)
-        ranks.append(fp.rank_estimate(fp.economic_svd(res.U).sigma, 0.01))
+        ranks.append(fp.rank_estimate(fp.economic_svd(res.U)[1], 0.01))
     report(8, "rank estimate non-increasing over gamma sweep {1, 10, 30}",
            ranks[0] >= ranks[1] >= ranks[2], f" (ranks {ranks})")
 
@@ -239,7 +237,7 @@ def test_criterion_10_background_separation():
     bg, fg, result = fp.separate_background(frames, SolverConfig(epsilon=1e-8), K=10)
     never = ~mask.any(axis=0)
     mae = np.abs(bg[:, never] - background[never][None]).mean()
-    S = frames - result.U.values.T.reshape(100, 32, 32)
+    S = frames - result.U.T.reshape(100, 32, 32)
     frac = (S[mask] ** 2).sum() / (S ** 2).sum()
     elapsed = time.perf_counter() - t0
     report(10, "synthetic video: background MAE and sparse-energy focus",

@@ -7,7 +7,6 @@ from frpcag.analysis import (DegenerateEigengapError, alignment_ratio,
                              check_recovery_bound, covariance, economic_svd,
                              make_lowrank_on_graphs, rank_estimate, recovery_gammas)
 from frpcag.graph import build_graph, knn_exact, partial_eigs
-from frpcag.matrixio import DataMatrix
 from frpcag.solver import LowRankResult, SolverConfig, fista_solve
 from oracles import alignment_energy, sequential_prox, shape_interaction, sylvester_solve
 
@@ -33,16 +32,16 @@ def components_graph(n_per, n_components, seed=0):
 def test_economic_svd_diagonal():
     U = np.zeros((2, 5))
     U[0, 0], U[1, 1] = 3.0, 1.0
-    trip = economic_svd(U)
-    assert np.allclose(trip.sigma, [3.0, 1.0])
+    _, sigma, _ = economic_svd(U)
+    assert np.allclose(sigma, [3.0, 1.0])
 
 
 def test_economic_svd_matches_dense_oracle():
     rng = np.random.default_rng(1)
     U = rng.standard_normal((5, 8))
-    trip = economic_svd(U)
+    _, sigma, _ = economic_svd(U)
     ref = np.linalg.svd(U, compute_uv=False)
-    assert np.abs(trip.sigma - ref).max() <= 1e-8 * ref[0]
+    assert np.abs(sigma - ref).max() <= 1e-8 * ref[0]
 
 
 def test_economic_svd_random_batch_oracle():
@@ -51,42 +50,42 @@ def test_economic_svd_random_batch_oracle():
         p = rng.integers(2, 50)
         n = rng.integers(2, 50)
         U = rng.standard_normal((p, n))
-        trip = economic_svd(U)
-        ref = np.linalg.svd(U, compute_uv=False)[:trip.sigma.size]
-        assert np.abs(trip.sigma - ref).max() <= 1e-8 * max(ref[0], 1.0)
+        _, sigma, _ = economic_svd(U)
+        ref = np.linalg.svd(U, compute_uv=False)[:sigma.size]
+        assert np.abs(sigma - ref).max() <= 1e-8 * max(ref[0], 1.0)
 
 
 def test_economic_svd_zero_matrix():
-    trip = economic_svd(np.zeros((4, 6)))
-    assert trip.sigma.size == 0 and trip.W.shape == (6, 0)
+    _, sigma, W = economic_svd(np.zeros((4, 6)))
+    assert sigma.size == 0 and W.shape == (6, 0)
 
 
 def test_economic_svd_reconstruction_and_orthonormality():
     rng = np.random.default_rng(3)
     U = rng.standard_normal((6, 10))
-    trip = economic_svd(U)
-    assert np.linalg.norm(trip.V @ np.diag(trip.sigma) @ trip.W.T - U) \
+    V, sigma, W = economic_svd(U)
+    assert np.linalg.norm(V @ np.diag(sigma) @ W.T - U) \
         <= 1e-8 * np.linalg.norm(U)
-    c = trip.sigma.size
-    assert np.abs(trip.V.T @ trip.V - np.eye(c)).max() < 1e-10
-    assert np.abs(trip.W.T @ trip.W - np.eye(c)).max() < 1e-10
+    c = sigma.size
+    assert np.abs(V.T @ V - np.eye(c)).max() < 1e-10
+    assert np.abs(W.T @ W - np.eye(c)).max() < 1e-10
 
 
 def test_economic_svd_tall_oracle():
     rng = np.random.default_rng(6)
     for p, n, rank in ((300, 20, 20), (120, 9, 4), (50, 1, 1)):
         U = rng.standard_normal((p, rank)) @ rng.standard_normal((rank, n))
-        trip = economic_svd(U)
+        V, sigma, W = economic_svd(U)
         ref = np.linalg.svd(U, compute_uv=False)
-        assert trip.sigma.size == rank
-        assert np.abs(trip.sigma - ref[:rank]).max() <= 1e-10 * ref[0]
-        assert trip.V.shape == (p, rank) and trip.W.shape == (n, rank)
-        assert np.abs(trip.V.T @ trip.V - np.eye(rank)).max() < 1e-10
-        assert np.abs(trip.W.T @ trip.W - np.eye(rank)).max() < 1e-10
-        assert np.linalg.norm(trip.V @ np.diag(trip.sigma) @ trip.W.T - U) \
+        assert sigma.size == rank
+        assert np.abs(sigma - ref[:rank]).max() <= 1e-10 * ref[0]
+        assert V.shape == (p, rank) and W.shape == (n, rank)
+        assert np.abs(V.T @ V - np.eye(rank)).max() < 1e-10
+        assert np.abs(W.T @ W - np.eye(rank)).max() < 1e-10
+        assert np.linalg.norm(V @ np.diag(sigma) @ W.T - U) \
             <= 1e-10 * np.linalg.norm(U)
-    zero = economic_svd(np.zeros((6, 4)))
-    assert zero.V.shape == (6, 0) and zero.W.shape == (4, 0)
+    V, _, W = economic_svd(np.zeros((6, 4)))
+    assert V.shape == (6, 0) and W.shape == (4, 0)
 
 
 def test_economic_svd_decomposes_the_smaller_gram(monkeypatch):
@@ -174,7 +173,7 @@ def test_make_lowrank_rank_one():
     G1 = clustered_graph(20, 2, seed=7)
     G2 = clustered_graph(12, 2, seed=8)
     low = make_lowrank_on_graphs(G1, G2, 1, 1, coeff_scale=2.0, seed=9)
-    assert np.linalg.matrix_rank(low.Xstar.values) == 1
+    assert np.linalg.matrix_rank(low.Xstar) == 1
 
 
 def test_make_lowrank_span_membership():
@@ -183,15 +182,15 @@ def test_make_lowrank_span_membership():
     low = make_lowrank_on_graphs(G1, G2, 3, 2, seed=12)
     lam, Q = eigh(G1.laplacian.toarray())
     om, P = eigh(G2.laplacian.toarray())
-    assert np.abs(low.Xstar.values @ Q[:, 3:]).max() < 1e-10
-    assert np.abs(P[:, 2:].T @ low.Xstar.values).max() < 1e-10
+    assert np.abs(low.Xstar @ Q[:, 3:]).max() < 1e-10
+    assert np.abs(P[:, 2:].T @ low.Xstar).max() < 1e-10
 
 
 def test_make_lowrank_singular_values_match_coefficients():
     G1 = clustered_graph(18, 2, seed=13)
     G2 = clustered_graph(14, 2, seed=14)
     low = make_lowrank_on_graphs(G1, G2, 2, 2, seed=15)
-    sv_x = np.linalg.svd(low.Xstar.values, compute_uv=False)[:2]
+    sv_x = np.linalg.svd(low.Xstar, compute_uv=False)[:2]
     sv_c = np.linalg.svd(low.C, compute_uv=False)
     assert np.abs(sv_x - sv_c).max() < 1e-10
 
@@ -201,16 +200,16 @@ def test_make_lowrank_deterministic():
     G2 = clustered_graph(10, 2, seed=17)
     a = make_lowrank_on_graphs(G1, G2, 2, 2, seed=5)
     b = make_lowrank_on_graphs(G1, G2, 2, 2, seed=5)
-    assert np.array_equal(a.Xstar.values, b.Xstar.values)
+    assert np.array_equal(a.Xstar, b.Xstar)
 
 
 def solve_bound_instance(G1, G2, low, E, gamma, loss="l1"):
     g1, g2 = recovery_gammas(G1, G2, low.k1, low.k2, gamma)
-    X = low.Xstar.values + E
+    X = low.Xstar + E
     if loss == "frobenius_sq":
         cfg = SolverConfig(loss=loss, gamma1=g1, gamma2=g2)
         U = sylvester_solve(X, G1, G2, g1, g2)
-        out = LowRankResult(U=DataMatrix(U), objective_trace=[0.0], iterations=1, converged=True)
+        out = LowRankResult(U=U, objective_trace=[0.0], iterations=1, converged=True)
     else:
         cfg = SolverConfig(loss=loss, gamma1=g1, gamma2=g2,
                            epsilon=1e-14, max_iters=4000)
@@ -265,7 +264,7 @@ def test_bound_rejects_mismatched_gammas():
     low = make_lowrank_on_graphs(G1, G2, 2, 2, seed=25)
     E = np.zeros((12, 16))
     cfg = SolverConfig(loss="l1", gamma1=1.0, gamma2=1.0)
-    out = fista_solve(low.Xstar.values + E, G1, G2, cfg)
+    out = fista_solve(low.Xstar + E, G1, G2, cfg)
     with pytest.raises(ValueError):
         check_recovery_bound(low, E, 1.0, out, cfg, G1, G2)
 
@@ -308,13 +307,13 @@ def test_shape_interaction_block_structure_on_clusters():
     from frpcag.analysis import economic_svd
     X, labels = two_gaussians(n=60, p=20, separation=12.0, seed=29)
     Xs = standardize(X)
-    G1 = build_graph(knn_exact(Xs.values, 8), "auto")
-    G2 = build_graph(knn_exact(Xs.values.T, 8), "auto")
+    G1 = build_graph(knn_exact(Xs, 8), "auto")
+    G2 = build_graph(knn_exact(Xs.T, 8), "auto")
     cfg = SolverConfig(loss="l1", gamma1=20.0, gamma2=20.0, epsilon=1e-10,
                        max_iters=1000)
     res = fista_solve(Xs, G1, G2, cfg)
-    trip = economic_svd(res.U)
-    S = np.abs(shape_interaction(trip.W))
+    _, _, W = economic_svd(res.U)
+    S = np.abs(shape_interaction(W))
     within = (S[np.ix_(labels == 0, labels == 0)].mean()
               + S[np.ix_(labels == 1, labels == 1)].mean()) / 2
     between = S[np.ix_(labels == 0, labels == 1)].mean()

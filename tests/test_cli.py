@@ -18,7 +18,7 @@ from frpcag.cli import build_parser, main
 from frpcag.evalcluster import two_gaussians
 from frpcag.frames import load_frames, save_frames, synthetic_sequence, write_pgm
 from frpcag.graph import build_graph, knn_exact, load_graph_coo, save_graph_coo
-from frpcag.matrixio import DataMatrix, load_matrix, save_matrix
+from frpcag.matrixio import load_matrix, save_matrix
 from frpcag.solver import SolverConfig
 
 
@@ -88,7 +88,7 @@ def test_graph_bad_matrix_file_exits_1(tmp_path, fmt, content):
 ])
 def test_graph_solve_would_reject_exits_2(tmp_path, capsys, values, flags, message):
     data, out = tmp_path / "data.csv", tmp_path / "g.coo"
-    save_matrix(data, DataMatrix(values), fmt="csv")
+    save_matrix(data, values, fmt="csv")
     assert main(["graph", "--input", str(data), *flags, "--output", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -102,7 +102,7 @@ def test_solve_zero_gammas_identity(tmp_path, dataset):
                  "--graph2", str(g2), "--gamma1", "0", "--gamma2", "0",
                  "--output-u", str(out_u)]) == 0
     U = load_matrix(out_u, "binary-f64")
-    assert np.array_equal(U.values, X.values)
+    assert np.array_equal(U, X)
 
 
 def test_solve_frobenius_matches_sylvester_oracle(tmp_path, dataset):
@@ -116,9 +116,9 @@ def test_solve_frobenius_matches_sylvester_oracle(tmp_path, dataset):
                  "--max-iters", "20000", "--output-u", str(out_u),
                  "--output-trace", str(trace)]) == 0
     from oracles import sylvester_solve
-    Ustar = sylvester_solve(X.values, load_graph_coo(g1, X.sample_count),
-                            load_graph_coo(g2, X.feature_count), 2.0, 1.0)
-    U = load_matrix(out_u, "binary-f64").values
+    Ustar = sylvester_solve(X, load_graph_coo(g1, X.shape[1]),
+                            load_graph_coo(g2, X.shape[0]), 2.0, 1.0)
+    U = load_matrix(out_u, "binary-f64")
     assert np.linalg.norm(U - Ustar) <= 1e-6 * np.linalg.norm(Ustar)
     lines = trace.read_text().strip().splitlines()
     assert lines[0] == "iteration,objective" and len(lines) > 1
@@ -192,7 +192,7 @@ def test_solve_any_file_gives_documented_exit(arbitrary, data):
     content = data.draw(CSV_FILES if arbitrary == "input" else COO_FILES)
     with tempfile.TemporaryDirectory() as tmp:
         paths = {name: os.path.join(tmp, name) for name in ("input", "graph1", "graph2")}
-        save_matrix(paths["input"], DataMatrix(np.arange(12.0).reshape(3, 4)), fmt="csv")
+        save_matrix(paths["input"], np.arange(12.0).reshape(3, 4), fmt="csv")
         for name, valid in VALID_GRAPHS.items():
             with open(paths[name], "wb") as fh:
                 fh.write(valid)
@@ -217,7 +217,7 @@ def test_graph_writes_what_solve_reads(content, axis, k, sigma2):
         assert status in (0, 1, 2)
         if status == 0:
             X = load_matrix(data)
-            load_graph_coo(out, X.sample_count if axis == "samples" else X.feature_count)
+            load_graph_coo(out, X.shape[1] if axis == "samples" else X.shape[0])
 
 
 def test_solve_takes_no_config_file(capsys):
@@ -280,7 +280,7 @@ def test_solve_step_scaling_that_overflows_exits_2(tmp_path, capsys, flags, mess
     points = rng.standard_normal((10, 14))
     save_graph_coo(build_graph(knn_exact(points, 4), "auto"), tmp_path / "g1.coo")
     save_graph_coo(build_graph(knn_exact(points.T, 4), "auto"), tmp_path / "g2.coo")
-    save_matrix(tmp_path / "x.csv", DataMatrix(rng.standard_normal((10, 14)) * 1e-60), fmt="csv")
+    save_matrix(tmp_path / "x.csv", rng.standard_normal((10, 14)) * 1e-60, fmt="csv")
     out = tmp_path / "u.bin"
     assert main(["solve", "--input", str(tmp_path / "x.csv"), "--graph1",
                  str(tmp_path / "g1.coo"), "--graph2", str(tmp_path / "g2.coo"),
@@ -576,7 +576,7 @@ def test_config_not_utf8_exits_2_naming_the_file(tmp_path, capsys, command):
 def test_experiment_feature_that_overflows_exits_2(tmp_path, capsys):
     # a std of 1e300-scale values overflows; standardizing it would zero the feature
     X, labels = two_gaussians(n=12, p=6, separation=10.0, seed=2)
-    save_matrix(tmp_path / "d.csv", DataMatrix(X.values * 1e300), fmt="csv")
+    save_matrix(tmp_path / "d.csv", X * 1e300, fmt="csv")
     np.savetxt(tmp_path / "labels.txt", labels, fmt="%d")
     output = tmp_path / "records.jsonl"
     conf = tmp_path / "exp.conf"

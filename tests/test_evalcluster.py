@@ -124,7 +124,7 @@ def test_kmeans_refuses_zero_restarts():
 
 @pytest.mark.parametrize("points", [np.zeros((0, 3)), np.zeros(3)], ids=["p=0", "1-d"])
 def test_kmeans_refuses_points_without_a_coordinate_axis(points):
-    with pytest.raises(ValueError, match="p x n array with p >= 1"):
+    with pytest.raises(ValueError, match=r"expected a p x n matrix with p, n >= 1"):
         kmeans(points, 1)
 
 
@@ -270,7 +270,7 @@ def test_run_experiment_zero_gammas_reduces_to_raw_kmeans():
     rec = run_one_gamma(X, labels, ExperimentConfig(knn_k=6, sigma2="auto", seed=4, restarts=3),
                         SolverConfig(gamma1=0.0, gamma2=0.0))
     Xs = standardize(X)
-    raw = kmeans(Xs.values, 2, restarts=3, seed=4)
+    raw = kmeans(Xs, 2, restarts=3, seed=4)
     assert rec["error"] == clustering_error(raw.labels, labels)
     assert rec["error"] == rec["error_raw"]
 

@@ -105,8 +105,8 @@ def test_to_matrix_vectorization(monkeypatch):
                         lambda X, *args: solved.append(X) or solve(X, *args))
     separate_background(frames, SolverConfig(max_iters=2), K=1)
     X, = solved
-    assert X.feature_count == 12 and X.sample_count == 2
-    assert np.array_equal(X.values[:, 0], frames[0].ravel())
+    assert X.shape == (12, 2)
+    assert np.array_equal(X[:, 0], frames[0].ravel())
     # the frame shape is the image_dims of a block occlusion, row by row
     _, mask = corrupt(X, CorruptionSpec("block", 0.75, image_dims=frames.shape[1:]))
     block = mask[:, 0].reshape(frames.shape[1:])
@@ -145,7 +145,7 @@ def test_separate_background_is_the_same_on_loaded_frames(tmp_path):
         if isinstance(a, np.ndarray):
             assert np.array_equal(a, b)
         else:
-            assert np.array_equal(a.U.values, b.U.values)
+            assert np.array_equal(a.U, b.U)
             assert a.objective_trace == b.objective_trace
 
 
@@ -174,7 +174,7 @@ def test_separate_background_recovers_truth():
     never = ~mask.any(axis=0)
     mae = np.abs(bg[:, never] - background[never][None]).mean()
     assert mae <= 0.02
-    S = frames - result.U.values.T.reshape(30, 20, 20)
+    S = frames - result.U.T.reshape(30, 20, 20)
     energy = (S ** 2).sum()
     assert (S[mask] ** 2).sum() >= 0.9 * energy
 
@@ -185,7 +185,7 @@ def test_separate_background_static_sequence():
     still[:] = still[0]
     bg, fg, result = separate_background(still, SolverConfig(epsilon=1e-8), K=5)
     X = still.reshape(10, 12 * 12).T
-    assert np.abs(X - result.U.values).sum() <= 0.01 * np.abs(X).sum()
+    assert np.abs(X - result.U).sum() <= 0.01 * np.abs(X).sum()
 
 
 def test_save_frames_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
 """The package's public surface: its exported names and the README's examples."""
 
+import importlib
 import pathlib
 import re
 
@@ -30,3 +31,18 @@ def test_readme_experiment_config_matches_the_schema():
     for block in blocks:
         cfg = parse_keyvalue_text(block, ExperimentConfig, source=str(README))
         assert cfg != ExperimentConfig()
+
+
+def test_readme_names_resolve():
+    # inline prose as well as the fenced blocks: `fp.<name>` and `frpcag.<dotted.name>`
+    text = README.read_text()
+    names = {f"frpcag.{name}" for name in re.findall(r"\bfp\.(\w+)", text)}
+    names |= set(re.findall(r"\bfrpcag(?:\.\w+)+", text))
+    assert names
+    for name in sorted(names):
+        obj = frpcag
+        for attr in name.split(".")[1:]:
+            try:
+                obj = getattr(obj, attr)
+            except AttributeError:  # a submodule that the package does not export
+                obj = importlib.import_module(f"{obj.__name__}.{attr}")

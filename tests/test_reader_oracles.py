@@ -94,8 +94,7 @@ def outcome(reader, path):
     if hasattr(value, "laplacian"):
         return "ok", [(a.dtype, a.tobytes()) for m in (value.adjacency, value.laplacian)
                       for a in (m.indptr, m.indices, m.data)] + [value.degrees.tobytes()]
-    values = getattr(value, "values", value)
-    return "ok", values.dtype, values.shape, values.tobytes()
+    return "ok", value.dtype, value.shape, value.tobytes()
 
 
 def numbered_by_record(content: bytes) -> bool:

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frpcag.analysis import (check_recovery_bound, covariance, economic_svd,
+                             make_lowrank_on_graphs)
 from frpcag.config import ConfigError, parse_keyvalue_text
+from frpcag.evalcluster import kmeans
 from frpcag.graph import build_graph, knn_exact
-from frpcag.matrixio import DataMatrix
-from frpcag.solver import (LOSSES, DivergedError, SolverConfig, auto_step, fista_solve,
-                           gradient_smooth, objective, prox_fidelity)
+from frpcag.frames import separate_background
+from frpcag.matrixio import CorruptionSpec, corrupt, save_matrix, standardize
+from frpcag.solver import (LOSSES, DivergedError, LowRankResult, SolverConfig, auto_step,
+                           fista_solve, gradient_smooth, objective, prox_fidelity)
 from memtrace import traced_peak
 from oracles import sequential_prox, sylvester_solve
 
@@ -145,7 +149,7 @@ def test_fista_zero_gammas_is_identity():
     cfg = SolverConfig(loss="l1", gamma1=0.0, gamma2=0.0)
     res = fista_solve(X, G1, G2, cfg)
     assert res.iterations == 1 and res.converged
-    assert np.array_equal(res.U.values, X)
+    assert np.array_equal(res.U, X)
 
 
 def test_fista_matches_sylvester():
@@ -154,7 +158,7 @@ def test_fista_matches_sylvester():
                        epsilon=1e-24, max_iters=20000)
     res = fista_solve(X, G1, G2, cfg)
     Ustar = sylvester_solve(X, G1, G2, 2.0, 1.0)
-    rel = np.linalg.norm(res.U.values - Ustar) / np.linalg.norm(Ustar)
+    rel = np.linalg.norm(res.U - Ustar) / np.linalg.norm(Ustar)
     assert rel <= 1e-6
 
 
@@ -186,7 +190,7 @@ def test_fista_u_plus_s_is_x():
     X, G1, G2 = make_instance(7, 9, seed=15)
     cfg = SolverConfig(loss="l1", gamma1=2.0, gamma2=2.0)
     res = fista_solve(X, G1, G2, cfg)
-    assert np.array_equal(res.U.values + (X - res.U.values), X)
+    assert np.array_equal(res.U + (X - res.U), X)
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,7 +203,7 @@ def test_fista_properties_on_random_instances(p, n, seed, loss, gamma1, gamma2):
     cfg = SolverConfig(loss=loss, gamma1=gamma1, gamma2=gamma2, epsilon=1e-10,
                        max_iters=300)
     first, second = fista_solve(X, G1, G2, cfg), fista_solve(X, G1, G2, cfg)
-    assert first.U.values.tobytes() == second.U.values.tobytes()
+    assert first.U.tobytes() == second.U.tobytes()
     assert (np.array(first.objective_trace).tobytes()
             == np.array(second.objective_trace).tobytes())
     assert first.objective_trace[-1] <= objective(X, X, G1, G2, cfg)
@@ -209,7 +213,7 @@ def test_fista_properties_on_random_instances(p, n, seed, loss, gamma1, gamma2):
 def test_fista_zero_gammas_returns_x_exactly(loss):
     X, G1, G2 = make_instance(2, 3, k=2, seed=1)
     res = fista_solve(X, G1, G2, SolverConfig(loss=loss, gamma1=0.0, gamma2=0.0))
-    assert np.array_equal(res.U.values, X)
+    assert np.array_equal(res.U, X)
     assert res.objective_trace == [0.0]
 
 
@@ -265,7 +269,7 @@ def test_fista_matches_two_pair_reference(p, n, seed, loss, gamma1, gamma2, step
     both = min(res.iterations, iterations)
     got, want = np.array(res.objective_trace[:both]), np.array(trace[:both])
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-    assert np.abs(res.U.values - U).max() <= 1e-12 * np.abs(X).max()
+    assert np.abs(res.U - U).max() <= 1e-12 * np.abs(X).max()
 
 
 @settings(max_examples=60, deadline=None)
@@ -452,7 +456,7 @@ def test_solver_config_rejects_step_scaling_that_overflows():
     cfg = SolverConfig(gamma1=5.0, gamma2=5.0, step=1e307)
     U, _, iterations = reference_fista(X * 1e-60, G1, G2, cfg)
     res = fista_solve(X * 1e-60, G1, G2, cfg)
-    assert np.array_equal(U, X * 1e-60) and np.array_equal(res.U.values, U)
+    assert np.array_equal(U, X * 1e-60) and np.array_equal(res.U, U)
     assert res.iterations == iterations == 1
 
 
@@ -471,24 +475,51 @@ def test_solver_config_from_keyvalue_file():
         parse_keyvalue_text("gamma3 = 1", SolverConfig)
 
 
-@pytest.mark.parametrize("call", [
-    lambda X, G1, G2: fista_solve(X, G1, G2, SolverConfig()),
-    lambda X, G1, G2: objective(X, np.zeros_like(X), G1, G2, SolverConfig()),
-    lambda X, G1, G2: objective(np.zeros_like(X), X, G1, G2, SolverConfig()),
-    lambda X, G1, G2: gradient_smooth(X, G1, G2, 1.0, 1.0),
-    lambda X, G1, G2: prox_fidelity(np.zeros_like(X), X, 1.0),
-], ids=["fista_solve", "objective_U", "objective_X", "gradient_smooth", "prox_fidelity"])
-def test_non_finite_array_is_refused_on_entry(call):
-    # an array gets the checks of a DataMatrix, so a NaN is not reported as divergence
+def recovery_bound(E, U, G1, G2):
+    return check_recovery_bound(make_lowrank_on_graphs(G1, G2, 1, 1), E, 1.0,
+                                LowRankResult(U, [0.0], 1, True), SolverConfig(), G1, G2)
+
+
+SHAPE = r"expected a p x n matrix with p, n >= 1, got shape"
+
+
+@pytest.mark.parametrize("call, one_d", [
+    (lambda X, G1, G2, tmp: fista_solve(X, G1, G2, SolverConfig()), SHAPE),
+    (lambda X, G1, G2, tmp: objective(X, np.zeros_like(X), G1, G2, SolverConfig()), SHAPE),
+    (lambda X, G1, G2, tmp: objective(np.zeros_like(X), X, G1, G2, SolverConfig()), SHAPE),
+    (lambda X, G1, G2, tmp: gradient_smooth(X, G1, G2, 1.0, 1.0), SHAPE),
+    (lambda X, G1, G2, tmp: prox_fidelity(np.zeros_like(X), X, 1.0), SHAPE),
+    (lambda X, G1, G2, tmp: economic_svd(X), SHAPE),
+    (lambda X, G1, G2, tmp: covariance(X), SHAPE),
+    (lambda X, G1, G2, tmp: recovery_bound(X, np.zeros((6, 8)), G1, G2), SHAPE),
+    (lambda X, G1, G2, tmp: recovery_bound(np.zeros((6, 8)), X, G1, G2), SHAPE),
+    (lambda X, G1, G2, tmp: standardize(X), SHAPE),
+    (lambda X, G1, G2, tmp: corrupt(X, CorruptionSpec("missing", 0.5)), SHAPE),
+    (lambda X, G1, G2, tmp: save_matrix(tmp / "m.csv", X), SHAPE),
+    (lambda X, G1, G2, tmp: kmeans(X, 2), SHAPE),
+    # the p x n matrix of a (n, p, 1) frame sequence is X; a 1-D X gives 2-D frames
+    (lambda X, G1, G2, tmp: separate_background(np.moveaxis(X, -1, 0)[..., None],
+                                                SolverConfig()),
+     r"frames must be a \(T, h, w\) array"),
+], ids=["fista_solve", "objective_U", "objective_X", "gradient_smooth", "prox_fidelity",
+        "economic_svd", "covariance", "check_recovery_bound_E", "check_recovery_bound_U",
+        "standardize", "corrupt", "save_matrix", "kmeans", "separate_background"])
+def test_non_finite_array_is_refused_on_entry(call, one_d, tmp_path):
+    # every entry that takes a matrix runs the one check, matrixio._as_matrix,
+    # so a NaN is not reported as divergence or returned in a result
     X, G1, G2 = make_instance(6, 8, seed=24)
-    X[2, 3] = np.nan
-    with pytest.raises(ValueError, match="matrix entries must all be finite"):
-        call(X, G1, G2)
+    nan, inf, minus_inf = X.copy(), X.copy(), X.copy()
+    nan[2, 3], inf[2, 3], minus_inf[2, 3] = np.nan, np.inf, -np.inf
+    finite = "matrix entries must all be finite"
+    for bad, message in ((nan, finite), (inf, finite), (minus_inf, finite),
+                         (X[:, 0], one_d), (X[:, :0], SHAPE)):
+        with pytest.raises(ValueError, match=message):
+            call(bad, G1, G2, tmp_path)
+    assert not any(tmp_path.iterdir())  # refused before a file is opened
 
 
-def test_fista_accepts_datamatrix():
+def test_fista_returns_u_as_an_array():
     X, G1, G2 = make_instance(4, 5, seed=23)
-    dm = DataMatrix(X)
-    res = fista_solve(dm, G1, G2, SolverConfig(gamma1=1.0, gamma2=1.0))
-    assert isinstance(res.U, DataMatrix)
-    assert res.U.values.shape == (4, 5)
+    res = fista_solve(X, G1, G2, SolverConfig(gamma1=1.0, gamma2=1.0))
+    assert isinstance(res.U, np.ndarray)
+    assert res.U.shape == (4, 5)

@@ -13,7 +13,7 @@ import pytest
 
 import frpcag
 from frpcag.frames import save_frames, synthetic_sequence
-from frpcag.matrixio import DataMatrix, save_matrix
+from frpcag.matrixio import save_matrix
 
 HEAVY = ("scipy.linalg", "scipy.optimize", "scipy.spatial", "scipy.sparse.linalg")
 
@@ -45,7 +45,7 @@ def test_import_and_help_load_no_numpy_or_scipy(args):
 
 def test_commands_but_experiment_load_only_numpy_and_scipy_sparse(tmp_path):
     rng = np.random.default_rng(0)
-    save_matrix(tmp_path / "x.csv", DataMatrix(rng.standard_normal((6, 12))), fmt="csv")
+    save_matrix(tmp_path / "x.csv", rng.standard_normal((6, 12)), fmt="csv")
     (tmp_path / "frames").mkdir()
     frames, _, _ = synthetic_sequence(count=6, h=4, w=5, square=2)
     save_frames(tmp_path / "frames", frames, [f"f{i}.pgm" for i in range(6)])
