@@ -14,8 +14,8 @@ _EXPORTS = {
                     "clustering_error", "kmeans", "prepare_experiment", "run_gamma",
                     "two_gaussians"),
     "frames": ("separate_background", "synthetic_sequence"),
-    "graph": ("NeighborList", "SparseGraph", "build_graph", "knn_exact", "load_graph_coo",
-              "partial_eigs", "save_graph_coo", "spectral_norm"),
+    "graph": ("SparseGraph", "build_graph", "knn_exact", "load_graph_coo", "partial_eigs",
+              "save_graph_coo", "spectral_norm"),
     "matrixio": ("CorruptionSpec", "corrupt", "load_matrix", "save_matrix", "standardize"),
     "solver": ("DivergedError", "LowRankResult", "SolverConfig", "fista_solve",
                "gradient_smooth", "objective", "prox_fidelity"),

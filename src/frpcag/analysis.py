@@ -22,9 +22,7 @@ class LowRankOnGraphs:
     Xstar: np.ndarray  # p x n
     k1: int
     k2: int
-    C: np.ndarray    # k2 x k1 coefficients
-    Qk1: np.ndarray  # n x k1
-    Pk2: np.ndarray  # p x k2
+    C: np.ndarray  # k2 x k1 coefficients
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ def economic_svd(U):
     sigma = np.sqrt(np.maximum(evals, 0.0))
     # numerical rank in the Gram eigenvalue domain, where the eigh noise
     # floor sits at eps * lambda_max
-    cutoff = evals[0] * max(p, n) * np.finfo(np.float64).eps if sigma.size else 0.0
+    cutoff = evals[0] * max(p, n) * np.finfo(np.float64).eps
     rank = int(np.count_nonzero(evals > max(cutoff, 0.0)))
     left = evecs[:, order[:rank]]
     sigma = sigma[:rank]
@@ -110,7 +108,7 @@ def make_lowrank_on_graphs(L1: SparseGraph, L2: SparseGraph, k1: int, k2: int,
     _, Pk2 = partial_eigs(L2, k2)
     rng = np.random.default_rng(seed)
     C = rng.uniform(-coeff_scale, coeff_scale, size=(k2, k1))
-    return LowRankOnGraphs(Xstar=Pk2 @ C @ Qk1.T, k1=k1, k2=k2, C=C, Qk1=Qk1, Pk2=Pk2)
+    return LowRankOnGraphs(Xstar=Pk2 @ C @ Qk1.T, k1=k1, k2=k2, C=C)
 
 
 def _bound_gammas(lam: np.ndarray, om: np.ndarray, k1: int, k2: int, gamma: float):

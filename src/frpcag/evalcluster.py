@@ -10,7 +10,8 @@ import numpy as np
 
 from . import analysis
 from .config import AutoOrPositive, Floats
-from .graph import SparseGraph, _sq_distances, build_graph, knn_exact, partial_eigs
+from .graph import (SparseGraph, _rounding_window, _sq_distances, build_graph, knn_exact,
+                    partial_eigs)
 from .matrixio import CorruptionSpec, _as_matrix, corrupt, standardize
 from .solver import SolverConfig, fista_solve
 
@@ -27,19 +28,19 @@ def _nearest_centers(points: np.ndarray, sq: np.ndarray, centers: np.ndarray) ->
     (p x n, squared norms sq), the lower on a tie, as cdist's argmin gives it.
 
     Scores |c|^2 - 2 a.c from one matrix product keep an item's lowest-scoring
-    center when its two lowest scores lie more than knn_exact's window 2E
-    apart, with max_b |b|^2 taken over the centers; every other item, a
-    window that is not finite included, is measured against all k centers.
+    center when its two lowest scores lie more than graph._rounding_window's
+    2E apart, the window knn_exact screens with, taken with top the largest
+    squared norm of a center; every other item, a window that is not finite
+    included, is measured against all k centers.
     """
     (p, n), k = points.shape, centers.shape[1]
     if k == 1:
         return np.zeros(n, dtype=np.int64)
-    f64 = np.finfo(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are measured
         csq = np.einsum("ij,ij->j", centers, centers)
         scores = points.T @ (-2 * centers)  # scaling by -2 is exact
         scores += csq
-        slack = 4 * (p + 4) * (f64.eps * (sq + csq.max()) + f64.tiny)
+        slack = _rounding_window(p, sq, csq.max())
         two = np.partition(scores, 1, axis=1)
         doubt = np.flatnonzero(~(two[:, 1] - two[:, 0] > slack))
     labels = scores.argmin(axis=1)

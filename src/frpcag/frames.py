@@ -51,10 +51,13 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, img: np.ndarray) -> None:
-    """Write floats in [0, 1] as an 8-bit binary PGM; values are clamped first."""
+    """Write a non-empty 2-D image of finite floats as an 8-bit binary PGM, clamped
+    to [0, 1] first; any other image raises ValueError before the file is opened."""
     img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError("image must be 2-d")
+    if img.ndim != 2 or not img.size:  # read_pgm refuses a width or height of 0
+        raise ValueError("image must be 2-d and non-empty")
+    if not np.isfinite([img.min(), img.max()]).all():  # a NaN reaches both
+        raise ValueError("image entries must all be finite")
     quantized = np.rint(np.clip(img, 0.0, 1.0) * 255).astype(np.uint8)
     h, w = img.shape
     with open(path, "wb") as fh:

@@ -7,7 +7,7 @@ from typing import Union
 import numpy as np
 import scipy.sparse as sp
 
-from .matrixio import _read_table
+from .matrixio import _as_matrix, _read_table
 
 
 class GraphFormatError(ValueError):
@@ -19,47 +19,17 @@ class GraphSizeError(GraphFormatError):
 
 
 @dataclass(frozen=True)
-class NeighborList:
-    """K nearest neighbors per vertex: indices and distances are (n, K) arrays."""
-
-    indices: np.ndarray
-    distances: np.ndarray
-
-    def __post_init__(self):
-        n, k = self.indices.shape
-        if k < 1:
-            raise ValueError("K must be >= 1")
-        if self.distances.shape != (n, k):
-            raise ValueError("indices and distances must have the same shape")
-        if n and not (0 <= self.indices.min() and self.indices.max() < n):
-            raise ValueError(f"neighbor indices must lie in [0, {n})")
-        listed = np.sort(np.column_stack([np.arange(n), self.indices]), axis=1)
-        if np.any(listed[:, 1:] == listed[:, :-1]):
-            raise ValueError("a neighbor list must not contain a self-loop or repeat a vertex")
-        if not np.all(self.distances >= 0):  # NaN fails this too
-            raise ValueError("distances must be non-negative")
-
-    @property
-    def vertex_count(self) -> int:
-        return self.indices.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.indices.shape[1]
-
-
-@dataclass(frozen=True)
 class SparseGraph:
     """Symmetric weighted adjacency with its normalized Laplacian.
 
-    Every vertex has an edge, and L = I - D^{-1/2} A D^{-1/2}, whose
-    spectrum lies inside [0, 2]. The adjacency is canonical CSR (sorted
-    column indices, no duplicates), as build_graph and load_graph_coo make
-    it, so save_graph_coo writes its edges by row, then column.
+    Every vertex has an edge, and L = I - D^{-1/2} A D^{-1/2}, with D the
+    degrees (the adjacency's row sums), has its spectrum inside [0, 2].
+    The adjacency is canonical CSR (sorted column indices, no duplicates),
+    as build_graph and load_graph_coo make it, so save_graph_coo writes its
+    edges by row, then column.
     """
 
     adjacency: sp.csr_matrix
-    degrees: np.ndarray
     laplacian: sp.csr_matrix
 
     @property
@@ -75,10 +45,28 @@ _BLOCK_ELEMENTS = 1 << 19
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def knn_exact(points: np.ndarray, K: int) -> NeighborList:
-    """Exact K nearest neighbors under the Euclidean metric.
+def _rounding_window(p: int, sq: np.ndarray, top) -> np.ndarray:
+    """Window 2E of a score s = |b|^2 - 2 a.b of p-dimensional items, for
+    items a of squared norms sq and columns b with max_b |b|^2 = top.
 
-    points is a 2-D array of finite values with one vector per column.
+    With eps the machine epsilon, s differs from the computed square of the
+    distance, less |a|^2, by at most E = 2 (p + 4) (eps (|a|^2 + top) + the
+    smallest normal float64): to first order, the rounding of the product,
+    the norm and the distance's own sum and square root is at most
+    (2p + 6) eps (|a|^2 + top), and underflow adds less than 3p times the
+    smallest subnormal. Scores more than 2E apart so order their distances.
+    """
+    f64 = np.finfo(np.float64)
+    return 4 * (p + 4) * (f64.eps * (sq + top) + f64.tiny)
+
+
+def knn_exact(points: np.ndarray, K: int):
+    """Exact K nearest neighbors under the Euclidean metric: the pair
+    (indices, distances) of C-ordered (n, K) int64 and float64 arrays, row i
+    for vertex i, nearest first.
+
+    points is a p x n matrix with one vector per column, checked by
+    matrixio._as_matrix; ValueError is raised unless 1 <= K < n, too.
     Distances are the square roots of _sq_distances, the one exact-distance
     kernel, which k-means shares: scipy.spatial.distance.cdist's values, bit
     for bit. Ties are broken by the lower vertex index; the diagonal (self) is
@@ -88,35 +76,23 @@ def knn_exact(points: np.ndarray, K: int) -> NeighborList:
     s = |b|^2 - 2 a.b for row a and column b, computed by one matrix
     product. s is the square of the distance less |a|^2, which is the same
     for every column of the row, so it orders the row's columns as the
-    distance does. With p the dimension and eps the machine epsilon, s
-    differs from the computed square of the distance, less |a|^2, by at most
-    E = 2 (p + 4) (eps (|a|^2 + max_b |b|^2) + the smallest normal float64):
-    to first order, the rounding of the product, the norm and the distance's
-    own sum and square root is at most (2p + 6) eps (|a|^2 + max_b |b|^2),
-    and underflow adds less than 3p times the smallest subnormal. Every
-    column scoring above the K-th smallest score plus 2E is then farther
-    than K others, so only the columns inside that window are measured
-    again and sorted by (distance, index). A row whose window is not finite
-    (norms that overflow) is measured against every other column. A block's
-    candidate pairs are at most its scores, so the same budget bounds both.
+    distance does. Every column scoring above the K-th smallest score plus
+    _rounding_window's 2E is then farther than K others, so only the columns
+    inside that window are measured again and sorted by (distance, index).
+    A row whose window is not finite (norms that overflow) is measured
+    against every other column. A block's candidate pairs are at most its
+    scores, so the same budget bounds both.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError(f"points must be a 2-D array, got {points.ndim} dimensions")
+    points = _as_matrix(points)
     p, n = points.shape
-    if p < 1:
-        raise ValueError("points must have at least one coordinate")
     if not 1 <= K < n:
         raise ValueError(f"K must satisfy 1 <= K < n, got K={K}, n={n}")
-    if not np.isfinite([points.min(), points.max()]).all():  # NaN propagates to both
-        raise ValueError("points must be finite")
     points = np.ascontiguousarray(points)  # the distance kernel gathers its columns
     indices = np.empty((n, K), dtype=np.int64)
     distances = np.empty((n, K), dtype=np.float64)
-    f64 = np.finfo(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow take every column
         sq = np.einsum("ij,ij->j", points, points)
-        slack = 4 * (p + 4) * (f64.eps * (sq + sq.max()) + f64.tiny)
+        slack = _rounding_window(p, sq, sq.max())
         block = max(1, min(n, _BLOCK_ELEMENTS // n))
         # one set of block buffers for the whole search, so the memory held
         # does not depend on how the allocator reuses freed blocks
@@ -141,7 +117,7 @@ def knn_exact(points: np.ndarray, K: int) -> NeighborList:
             inside[rows - start, rows] = False
             indices[start:stop], distances[start:stop] = _nearest_candidates(
                 points, start, inside, K, pair_buf)
-    return NeighborList(indices, distances)
+    return indices, distances
 
 
 def _sq_distances(a: np.ndarray, b: np.ndarray, diff: np.ndarray) -> np.ndarray:
@@ -205,18 +181,20 @@ def _sparse_graph(A: sp.csr_matrix) -> SparseGraph:
         raise ValueError("edge weights overflow a vertex degree")
     D = sp.diags(1.0 / np.sqrt(degrees))
     L = sp.eye(A.shape[0], format="csr") - D @ A @ D
-    return SparseGraph(adjacency=A, degrees=degrees, laplacian=L.tocsr())
+    return SparseGraph(adjacency=A, laplacian=L.tocsr())
 
 
-def resolve_sigma2(nbrs: NeighborList, sigma2: Union[float, str]) -> float:
-    """Numeric kernel width: "auto" squares the mean neighbor distance.
+def resolve_sigma2(neighbors, sigma2: Union[float, str]) -> float:
+    """Numeric kernel width for the (indices, distances) pair of knn_exact:
+    "auto" squares the mean neighbor distance.
 
     "auto" gives 1.0 when that square is 0. ValueError is raised when the
     width is not finite, and for a number that is not positive.
     """
     if sigma2 == "auto":
+        _, distances = neighbors
         with np.errstate(over="ignore"):  # an overflowing width is rejected below
-            width = float(np.square(nbrs.distances.mean()))
+            width = float(np.square(distances.mean()))
         if not math.isfinite(width):
             raise ValueError(f"sigma2 auto gives the width {width}; give a number")
         return width if width > 0 else 1.0
@@ -226,20 +204,37 @@ def resolve_sigma2(nbrs: NeighborList, sigma2: Union[float, str]) -> float:
     return sigma2
 
 
-def build_graph(nbrs: NeighborList, sigma2: Union[float, str] = 1.0) -> SparseGraph:
-    """Gaussian-weighted graph from a neighbor list, symmetrized by the union rule.
+def build_graph(neighbors, sigma2: Union[float, str] = 1.0) -> SparseGraph:
+    """Gaussian-weighted graph from the (indices, distances) pair of (n, K)
+    arrays that knn_exact returns, symmetrized by the union rule.
 
     Edge (i, j) exists iff either vertex lists the other; its weight is
     exp(-d_ij^2 / sigma^2), which is direction-independent. sigma2="auto"
-    squares the mean neighbor distance. Raises ValueError when a vertex keeps
-    no edge because its weights underflow to 0.
+    squares the mean neighbor distance. Raises ValueError unless K >= 1, both
+    arrays have the same shape, every index lies in [0, n), no row lists its
+    own vertex or a vertex twice (their weights would be summed) and every
+    distance is non-negative; and when a vertex keeps no edge because its
+    weights underflow to 0.
     """
-    n, k = nbrs.vertex_count, nbrs.k
-    sigma2 = resolve_sigma2(nbrs, sigma2)
+    indices, distances = neighbors
+    n, k = indices.shape
+    if k < 1:
+        raise ValueError("K must be >= 1")
+    if distances.shape != (n, k):
+        raise ValueError("indices and distances must have the same shape")
+    if n and not (0 <= indices.min() and indices.max() < n):
+        raise ValueError(f"neighbor indices must lie in [0, {n})")
+    # sorted with its own vertex, a row holds no value twice; one expression,
+    # so no n x (K + 1) array stays alive while the graph is built
+    if not np.diff(np.sort(np.column_stack([np.arange(n), indices]), axis=1), axis=1).all():
+        raise ValueError("a neighbor list must not contain a self-loop or repeat a vertex")
+    if not np.all(distances >= 0):  # NaN fails this too
+        raise ValueError("distances must be non-negative")
+    sigma2 = resolve_sigma2(neighbors, sigma2)
     with np.errstate(over="ignore"):  # a weight whose exponent overflows is exp(-inf) = 0
-        weights = np.exp(-(nbrs.distances ** 2) / sigma2)
+        weights = np.exp(-(distances ** 2) / sigma2)
     rows = np.repeat(np.arange(n), k)
-    W = sp.coo_matrix((weights.ravel(), (rows, nbrs.indices.ravel())), shape=(n, n)).tocsr()
+    W = sp.coo_matrix((weights.ravel(), (rows, indices.ravel())), shape=(n, n)).tocsr()
     try:  # maximum stores no zeros, so weights that underflowed to 0 are gone
         return _sparse_graph(W.maximum(W.T))
     except ValueError as exc:

@@ -41,10 +41,18 @@ def test_pgm_errors(tmp_path):
     short.write_bytes(b"P5\n4 4\n255\n\x00\x01")
     with pytest.raises(FrameFormatError):
         read_pgm(short)
-    for img in (np.zeros(4), np.zeros((2, 2, 1))):
+    for img in (np.zeros(4), np.zeros((2, 2, 1)), np.zeros((0, 3)), np.zeros((3, 0))):
         with pytest.raises(ValueError, match="image must be 2-d"):
             write_pgm(tmp_path / "n.pgm", img)
     assert not (tmp_path / "n.pgm").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_pgm_refuses_non_finite_values(tmp_path, bad):
+    path = tmp_path / "n.pgm"
+    with pytest.raises(ValueError, match="image entries must all be finite"):
+        write_pgm(path, [[bad, 0.5], [1.0, 0.0]])
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("header", [

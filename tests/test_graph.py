@@ -1,3 +1,4 @@
+import re
 from contextlib import nullcontext
 
 import numpy as np
@@ -9,9 +10,9 @@ from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
 from frpcag import graph
-from frpcag.graph import (GraphFormatError, GraphSizeError, NeighborList, build_graph,
-                          knn_exact, load_graph_coo, partial_eigs, resolve_sigma2,
-                          save_graph_coo, spectral_norm)
+from frpcag.graph import (GraphFormatError, GraphSizeError, build_graph, knn_exact,
+                          load_graph_coo, partial_eigs, resolve_sigma2, save_graph_coo,
+                          spectral_norm)
 from memtrace import traced_peak
 
 
@@ -69,10 +70,10 @@ def test_knn_matches_cdist_argsort_oracle(problem):
     points, K, budget = problem
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_BLOCK_ELEMENTS", budget)
-        nb = knn_exact(points, K)
+        got_indices, got_distances = knn_exact(points, K)
     indices, distances = cdist_argsort_knn(points, K)
-    assert np.array_equal(nb.indices, indices)
-    assert nb.distances.tobytes() == distances.tobytes()
+    assert np.array_equal(got_indices, indices)
+    assert got_distances.tobytes() == distances.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -109,11 +110,11 @@ def test_knn_memory_below_dense_matrix(make_points):
 def test_knn_memory_bounded_when_every_pair_ties():
     # 2048 copies of one point: every other point is a candidate of every row
     points = np.zeros((4, 2048))
-    nb, peak = traced_peak(lambda: knn_exact(points, 10))
+    (indices, distances), peak = traced_peak(lambda: knn_exact(points, 10))
     assert peak < 40 * 2**20
-    assert nb.indices[0].tolist() == list(range(1, 11))
-    assert nb.indices[5].tolist() == [0, 1, 2, 3, 4, 6, 7, 8, 9, 10]
-    assert not nb.distances.any()
+    assert indices[0].tolist() == list(range(1, 11))
+    assert indices[5].tolist() == [0, 1, 2, 3, 4, 6, 7, 8, 9, 10]
+    assert not distances.any()
 
 
 def random_graph(n, k, seed, d=5, sigma2="auto"):
@@ -123,32 +124,40 @@ def random_graph(n, k, seed, d=5, sigma2="auto"):
 
 def test_knn_two_points():
     pts = np.array([[0.0, 1.0]])
-    nb = knn_exact(pts, 1)
-    assert nb.indices.tolist() == [[1], [0]]
-    assert np.allclose(nb.distances, 1.0)
+    indices, distances = knn_exact(pts, 1)
+    assert indices.tolist() == [[1], [0]]
+    assert np.allclose(distances, 1.0)
+
+
+def test_knn_returns_plain_c_ordered_arrays():
+    indices, distances = knn_exact(np.random.default_rng(2).standard_normal((3, 7)), 4)
+    for array, dtype in ((indices, np.int64), (distances, np.float64)):
+        assert type(array) is np.ndarray
+        assert array.dtype == dtype and array.shape == (7, 4)
+        assert array.flags.c_contiguous
 
 
 def test_knn_line_example():
     pts = np.array([[0.0, 1.0, 3.0, 7.0]])
-    nb = knn_exact(pts, 2)
-    assert brute_force_knn(pts, 2).tolist() == nb.indices.tolist()
-    assert nb.indices[2].tolist() == [1, 0]  # neighbors of the point at 3
+    indices, _ = knn_exact(pts, 2)
+    assert brute_force_knn(pts, 2).tolist() == indices.tolist()
+    assert indices[2].tolist() == [1, 0]  # neighbors of the point at 3
 
 
 def test_knn_matches_brute_force():
     rng = np.random.default_rng(21)
     pts = rng.standard_normal((4, 30))
-    nb = knn_exact(pts, 5)
-    assert np.array_equal(nb.indices, brute_force_knn(pts, 5))
+    indices, _ = knn_exact(pts, 5)
+    assert np.array_equal(indices, brute_force_knn(pts, 5))
 
 
 def test_knn_duplicates_no_self_loop():
     pts = np.array([[1.0, 1.0, 1.0, 4.0]])
-    nb = knn_exact(pts, 2)
-    assert not np.any(nb.indices == np.arange(4)[:, None])
-    assert nb.distances[0, 0] == 0.0
-    assert nb.indices[0].tolist() == [1, 2]  # ties resolve to lower index
-    assert nb.indices[1].tolist() == [0, 2]
+    indices, distances = knn_exact(pts, 2)
+    assert not np.any(indices == np.arange(4)[:, None])
+    assert distances[0, 0] == 0.0
+    assert indices[0].tolist() == [1, 2]  # ties resolve to lower index
+    assert indices[1].tolist() == [0, 2]
 
 
 def test_knn_k_out_of_range():
@@ -158,20 +167,24 @@ def test_knn_k_out_of_range():
 
 
 @pytest.mark.parametrize("points, message", [
-    (np.zeros((0, 5)), "at least one coordinate"),
-    (np.zeros(5), "2-D"),
-    (np.zeros((2, 3, 4)), "2-D"),
+    # the shared matrix check's messages
+    pytest.param(np.zeros((0, 5)), "expected a p x n matrix with p, n >= 1, got shape (0, 5)",
+                 id="no-coordinate"),
+    pytest.param(np.zeros(5), "expected a p x n matrix with p, n >= 1, got shape (5,)",
+                 id="1-D"),
+    pytest.param(np.zeros((2, 3, 4)),
+                 "expected a p x n matrix with p, n >= 1, got shape (2, 3, 4)", id="3-D"),
     (np.array([[0.0, np.nan, 1.0]]), "finite"),
     (np.array([[0.0, 1.0, -np.inf]]), "finite"),
 ])
 def test_knn_rejects_what_it_cannot_search(points, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         knn_exact(points, 1)
 
 
 def test_neighbor_list_rejects_nan_distance():
     with pytest.raises(ValueError, match="non-negative"):
-        NeighborList(indices=np.array([[1], [0]]), distances=np.array([[np.nan], [1.0]]))
+        build_graph((np.array([[1], [0]]), np.array([[np.nan], [1.0]])))
 
 
 @pytest.mark.parametrize("indices, message", [
@@ -186,13 +199,13 @@ def test_neighbor_list_rejects_nan_distance():
 def test_neighbor_list_rejects_bad_indices(indices, message):
     indices = np.array(indices, dtype=np.int64)
     with pytest.raises(ValueError, match=message):
-        NeighborList(indices=indices, distances=np.ones(indices.shape))
+        build_graph((indices, np.ones(indices.shape)))
 
 
 @pytest.mark.parametrize("shape", [(3, 1), (2, 2), (2,)])
 def test_neighbor_list_rejects_distances_of_another_shape(shape):
     with pytest.raises(ValueError, match="indices and distances must have the same shape"):
-        NeighborList(indices=np.array([[1], [0]]), distances=np.ones(shape))
+        build_graph((np.array([[1], [0]]), np.ones(shape)))
 
 
 def test_resolve_sigma2_rejects_non_finite_width():
@@ -256,8 +269,7 @@ def test_adjacency_structure():
 
 def test_union_symmetrization():
     # asymmetric neighbor list: 0 lists 1, but 1 lists 2
-    nb = NeighborList(indices=np.array([[1], [2], [1]]),
-                      distances=np.array([[1.0], [0.5], [0.5]]))
+    nb = (np.array([[1], [2], [1]]), np.array([[1.0], [0.5], [0.5]]))
     A = build_graph(nb, 1.0).adjacency.toarray()
     assert A[0, 1] > 0 and A[1, 0] > 0  # union rule keeps the one-way edge
 
@@ -301,7 +313,7 @@ def test_partial_eigs_null_vector():
     g = random_graph(25, 6, seed=7)
     values, vectors = partial_eigs(g, 1)
     assert values[0] < 1e-10
-    null = np.sqrt(g.degrees)
+    null = np.sqrt(np.asarray(g.adjacency.sum(axis=1)).ravel())
     null /= np.linalg.norm(null)
     assert abs(abs(vectors[:, 0] @ null) - 1.0) < 1e-8
 

@@ -1,7 +1,9 @@
 """The package's public surface: its exported names and the README's examples."""
 
+import builtins
 import importlib
 import pathlib
+import pkgutil
 import re
 
 import frpcag
@@ -46,3 +48,11 @@ def test_readme_names_resolve():
                 obj = getattr(obj, attr)
             except AttributeError:  # a submodule that the package does not export
                 obj = importlib.import_module(f"{obj.__name__}.{attr}")
+    # a backticked CamelCase name, alone or heading a code span, as in
+    # `SolverConfig(epsilon=1e-8)`: a builtin or a name of some frpcag module
+    modules = [frpcag, *(importlib.import_module(f"frpcag.{m.name}")
+                         for m in pkgutil.iter_modules(frpcag.__path__))]
+    types = set(re.findall(r"`([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)\b", text))
+    assert types
+    for name in sorted(types):
+        assert hasattr(builtins, name) or any(hasattr(m, name) for m in modules), name

@@ -93,7 +93,7 @@ def outcome(reader, path):
         return "error", type(exc), str(exc)
     if hasattr(value, "laplacian"):
         return "ok", [(a.dtype, a.tobytes()) for m in (value.adjacency, value.laplacian)
-                      for a in (m.indptr, m.indices, m.data)] + [value.degrees.tobytes()]
+                      for a in (m.indptr, m.indices, m.data)]
     return "ok", value.dtype, value.shape, value.tobytes()
 
 
