@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 io/parse, 2 usage, config or a size too large for
 memory, 3 solver divergence, 4 inconsistent data.
 
 Each command imports the modules it runs when it runs, so `--help` and the
-argument checks load neither numpy nor scipy.
+argument checks load neither numpy nor scipy. `graph` loads numpy alone;
+solve, background and experiment load scipy.sparse for their Laplacian
+products.
 """
 
 import argparse
@@ -46,7 +48,7 @@ def cmd_graph(args) -> int:
     sigma2 = resolve_sigma2(nbrs, args.sigma2)
     built = build_graph(nbrs, sigma2)
     save_graph_coo(built, args.output)
-    print(f"vertices={built.vertex_count} edges={built.adjacency.nnz // 2} "
+    print(f"vertices={built.vertex_count} edges={built.data.size // 2} "
           f"sigma2={sigma2:.17g}")
     return EXIT_OK
 
@@ -172,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # the errors any command may raise; their modules need only numpy and
-    # scipy.sparse, which every command loads anyway
+    # the errors any command may raise; their modules need only numpy, which
+    # every command loads anyway
     from .frames import FrameDimensionError, FrameFormatError
     from .graph import GraphFormatError, GraphSizeError
     from .matrixio import MatrixFormatError

@@ -2,10 +2,10 @@
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .matrixio import _as_matrix, _read_table
 
@@ -20,21 +20,39 @@ class GraphSizeError(GraphFormatError):
 
 @dataclass(frozen=True)
 class SparseGraph:
-    """Symmetric weighted adjacency with its normalized Laplacian.
+    """Symmetric weighted adjacency as the numpy arrays of canonical CSR:
+    row i's neighbours are indices[indptr[i]:indptr[i + 1]], ascending, with
+    their weights in data, none of them 0.
 
     Every vertex has an edge, and L = I - D^{-1/2} A D^{-1/2}, with D the
     degrees (the adjacency's row sums), has its spectrum inside [0, 2].
-    The adjacency is canonical CSR (sorted column indices, no duplicates),
-    as build_graph and load_graph_coo make it, so save_graph_coo writes its
-    edges by row, then column.
+    adjacency and laplacian are scipy.sparse CSR matrices, built on first
+    use; only they import scipy.sparse, so a graph that is built and saved
+    (frpcag graph) needs numpy alone.
     """
 
-    adjacency: sp.csr_matrix
-    laplacian: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
     @property
     def vertex_count(self) -> int:
-        return self.adjacency.shape[0]
+        return self.indptr.size - 1
+
+    @cached_property
+    def adjacency(self):
+        import scipy.sparse as sp
+
+        n = self.vertex_count
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(n, n))
+
+    @cached_property
+    def laplacian(self):
+        import scipy.sparse as sp
+
+        A = self.adjacency
+        D = sp.diags(1.0 / np.sqrt(np.asarray(A.sum(axis=1)).ravel()))
+        return (sp.eye(A.shape[0], format="csr") - D @ A @ D).tocsr()
 
 
 # float64 elements in one block of candidate scores (4 MB); a block of rows
@@ -167,21 +185,27 @@ def _nearest_candidates(points: np.ndarray, first: int, inside: np.ndarray, K: i
     return c[take], d[take]
 
 
-def _sparse_graph(A: sp.csr_matrix) -> SparseGraph:
-    """SparseGraph of a symmetric CSR adjacency with no self-loops and no stored zeros.
+def _sparse_graph(rows, cols, weights, n: int) -> SparseGraph:
+    """SparseGraph of n vertices from the edges (rows, cols, weights) of a
+    symmetric adjacency, sorted by row and then column, with no self-loop,
+    no repeated edge and no zero weight.
 
     Raises ValueError when a vertex keeps no edge or a degree overflows.
+    The degrees are scipy's CSR row sums, bit for bit: np.add.reduceat over
+    each row's weights in column order. The index arrays take the type that
+    scipy.sparse would give them, so adjacency uses them without a copy.
     """
-    with np.errstate(over="ignore"):  # an overflowing degree is rejected below
-        degrees = np.asarray(A.sum(axis=1)).ravel()
-    isolated = int(np.count_nonzero(degrees == 0))
+    index = np.int32 if max(n, rows.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    isolated = int(np.count_nonzero(np.diff(indptr) == 0))
     if isolated:
-        raise ValueError(f"{isolated} of {degrees.size} vertices keep no edge")
+        raise ValueError(f"{isolated} of {n} vertices keep no edge")
+    with np.errstate(over="ignore"):  # an overflowing degree is rejected below
+        degrees = np.add.reduceat(weights, indptr[:-1])
     if not np.isfinite(degrees).all():
         raise ValueError("edge weights overflow a vertex degree")
-    D = sp.diags(1.0 / np.sqrt(degrees))
-    L = sp.eye(A.shape[0], format="csr") - D @ A @ D
-    return SparseGraph(adjacency=A, laplacian=L.tocsr())
+    return SparseGraph(indptr=indptr, indices=cols.astype(index), data=weights)
 
 
 def resolve_sigma2(neighbors, sigma2: Union[float, str]) -> float:
@@ -233,10 +257,19 @@ def build_graph(neighbors, sigma2: Union[float, str] = 1.0) -> SparseGraph:
     sigma2 = resolve_sigma2(neighbors, sigma2)
     with np.errstate(over="ignore"):  # a weight whose exponent overflows is exp(-inf) = 0
         weights = np.exp(-(distances ** 2) / sigma2)
-    rows = np.repeat(np.arange(n), k)
-    W = sp.coo_matrix((weights.ravel(), (rows, indices.ravel())), shape=(n, n)).tocsr()
-    try:  # maximum stores no zeros, so weights that underflowed to 0 are gone
-        return _sparse_graph(W.maximum(W.T))
+    # each listed edge in both directions, sorted by its key row * n + column
+    # (n^2 fits int64 below 3e9 vertices); an edge that both of its vertices
+    # list comes twice and keeps the larger weight
+    rows, cols = np.repeat(np.arange(n), k), indices.ravel()
+    keys = np.concatenate([rows * n + cols, cols * n + rows])
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    weights = np.maximum.reduceat(np.tile(weights.ravel(), 2)[order], starts)
+    kept = weights != 0  # weights that underflowed to 0 are no edges
+    keys = keys[starts[kept]]
+    try:
+        return _sparse_graph(keys // n, keys % n, weights[kept], n)
     except ValueError as exc:
         raise ValueError(f"{exc} at sigma2={sigma2:.17g} (their weights underflow to 0); "
                          "pass a larger sigma2") from None
@@ -290,10 +323,10 @@ def partial_eigs(graph: SparseGraph, k: int):
 def save_graph_coo(graph: SparseGraph, path) -> None:
     """Write the adjacency as 'i j weight' text triplets, 17 significant digits,
     by row and then column."""
-    coo = graph.adjacency.tocoo()
+    rows = np.repeat(np.arange(graph.vertex_count), np.diff(graph.indptr))
     with open(path, "w") as fh:
-        fh.writelines(map("{} {} {:.17g}\n".format, coo.row.tolist(), coo.col.tolist(),
-                          coo.data.tolist()))
+        fh.writelines(map("{} {} {:.17g}\n".format, rows.tolist(), graph.indices.tolist(),
+                          graph.data.tolist()))
 
 
 def load_graph_coo(path, vertex_count: int) -> SparseGraph:
@@ -348,14 +381,14 @@ def load_graph_coo(path, vertex_count: int) -> SparseGraph:
     if largest + 1 < vertex_count:
         raise GraphSizeError(f"{path}: largest vertex index {largest} gives {largest + 1} "
                              f"vertices, expected {vertex_count}")
-    A = sp.coo_matrix((rows["w"], (rows["i"], rows["j"])),
-                      shape=(vertex_count, vertex_count)).tocsr()
-    A.eliminate_zeros()
-    T = A.T.tocsr()  # both canonical: sorted indices, no duplicates
-    if not (np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices)
-            and np.all(abs(A.data - T.data) <= 1e-12 * np.maximum(A.data, T.data))):
+    kept = rows[rows["w"] != 0]
+    i, j, w = kept["i"], kept["j"], kept["w"]
+    # the adjacency and its transpose, each by row and then column
+    order, back = np.argsort(i * vertex_count + j), np.argsort(j * vertex_count + i)
+    if not (np.array_equal(i[order], j[back]) and np.array_equal(j[order], i[back])
+            and np.all(abs(w[order] - w[back]) <= 1e-12 * np.maximum(w[order], w[back]))):
         raise GraphFormatError(f"{path}: adjacency must be symmetric")
     try:
-        return _sparse_graph(A)
+        return _sparse_graph(i[order], j[order], w[order], vertex_count)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc

@@ -5,12 +5,16 @@ instances only. The text readers are line-by-line forms of `load_matrix`'s
 csv branch, `load_graph_coo` and `load_labels`: Python parses and checks
 each line in file order, with the csv module for CSV records. `kmeans` and
 `clustering_error` are the package's forms on scipy.spatial.distance.cdist
-and scipy.optimize.linear_sum_assignment.
+and scipy.optimize.linear_sum_assignment. `build_graph` and the COO reader
+assemble their graphs on scipy.sparse, as the package did before it built
+them in numpy: the union as `W.maximum(W.T)`, the symmetry check on
+`A.T.tocsr()` and the Laplacian as `I - D A D`.
 """
 
 import csv
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,7 +22,7 @@ from scipy.linalg import eigh, solve
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from frpcag.graph import GraphFormatError, GraphSizeError, SparseGraph, _sparse_graph
+from frpcag.graph import GraphFormatError, GraphSizeError, SparseGraph
 from frpcag.matrixio import MatrixFormatError, _as_matrix
 from frpcag.solver import _check_dims
 
@@ -210,8 +214,9 @@ def load_labels(path) -> np.ndarray:
     return np.array(labels, dtype=np.int64)
 
 
-def load_graph_coo(path, vertex_count: int) -> SparseGraph:
-    """load_graph_coo, one line at a time into a dict of edges."""
+def load_graph_coo(path, vertex_count: int) -> SimpleNamespace:
+    """load_graph_coo, one line at a time into a dict of edges, on
+    scipy.sparse: the adjacency and Laplacian."""
     edges = {}  # (i, j) -> weight, in file order
     try:
         with open(path, encoding="utf-8") as fh:
@@ -253,11 +258,44 @@ def load_graph_coo(path, vertex_count: int) -> SparseGraph:
     A = sp.coo_matrix((weights, (index[:, 0], index[:, 1])),
                       shape=(vertex_count, vertex_count)).tocsr()
     A.eliminate_zeros()
-    for (i, j), w in edges.items():  # an edge listed one way only faces a weight of 0
-        back = edges.get((j, i), 0.0)
-        if abs(w - back) > 1e-12 * max(w, back):
-            raise GraphFormatError(f"{path}: adjacency must be symmetric")
+    T = A.T.tocsr()  # both canonical: sorted indices, no duplicates
+    if not (np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices)
+            and np.all(abs(A.data - T.data) <= 1e-12 * np.maximum(A.data, T.data))):
+        raise GraphFormatError(f"{path}: adjacency must be symmetric")
     try:
-        return _sparse_graph(A)
+        return _scipy_graph(A)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
+
+
+def _scipy_graph(A: sp.csr_matrix) -> SimpleNamespace:
+    """The adjacency and Laplacian of a symmetric CSR adjacency with no
+    self-loops and no stored zeros; ValueError when a vertex keeps no edge
+    or a degree overflows."""
+    with np.errstate(over="ignore"):  # an overflowing degree is rejected below
+        degrees = np.asarray(A.sum(axis=1)).ravel()
+    isolated = int(np.count_nonzero(degrees == 0))
+    if isolated:
+        raise ValueError(f"{isolated} of {degrees.size} vertices keep no edge")
+    if not np.isfinite(degrees).all():
+        raise ValueError("edge weights overflow a vertex degree")
+    D = sp.diags(1.0 / np.sqrt(degrees))
+    L = sp.eye(A.shape[0], format="csr") - D @ A @ D
+    return SimpleNamespace(adjacency=A, laplacian=L.tocsr())
+
+
+def build_graph(neighbors, sigma2: float) -> SimpleNamespace:
+    """build_graph(neighbors, sigma2) for a numeric sigma2, on scipy.sparse:
+    the directed K-NN weights as CSR and their union W.maximum(W.T), which
+    stores no zeros, so weights that underflowed to 0 are gone."""
+    indices, distances = neighbors
+    n, k = indices.shape
+    with np.errstate(over="ignore"):  # a weight whose exponent overflows is exp(-inf) = 0
+        weights = np.exp(-(distances ** 2) / sigma2)
+    rows = np.repeat(np.arange(n), k)
+    W = sp.coo_matrix((weights.ravel(), (rows, indices.ravel())), shape=(n, n)).tocsr()
+    try:
+        return _scipy_graph(W.maximum(W.T))
+    except ValueError as exc:
+        raise ValueError(f"{exc} at sigma2={sigma2:.17g} (their weights underflow to 0); "
+                         "pass a larger sigma2") from None

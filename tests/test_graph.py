@@ -13,6 +13,7 @@ from frpcag import graph
 from frpcag.graph import (GraphFormatError, GraphSizeError, build_graph, knn_exact,
                           load_graph_coo, partial_eigs, resolve_sigma2, save_graph_coo,
                           spectral_norm)
+import oracles
 from memtrace import traced_peak
 
 
@@ -238,6 +239,56 @@ def test_build_graph_refuses_a_vertex_without_edges():
     # a middle vertex, too far from the others for exp(-d^2) to stay above 0
     with pytest.raises(ValueError, match="^1 of 5 vertices keep no edge at sigma2=1 "):
         build_graph(knn_exact(np.array([[0.0, 0.1, 50.0, 0.2, 0.3]]), 1), 1.0)
+
+
+@st.composite
+def neighbor_lists(draw):
+    """(indices, distances) of n vertices that each list K others.
+
+    A pair's distance is the same both ways, as knn_exact gives it, or in
+    some examples drawn for each direction; an edge is listed by one of its
+    vertices or by both. At sigma2 = 1 the distances give weights from 1 down
+    to subnormals (27 to 27.28, the last the smallest one) and to 0 (27.3
+    and up), so an edge or a whole vertex can lose its weight, and products
+    in D A D can round to 0.
+    """
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1))
+    indices = np.array([draw(st.permutations([j for j in range(n) if j != i]))[:k]
+                        for i in range(n)])
+    scale = st.sampled_from([0.0, 0.5, 1.0, 2.0, 26.0, 27.0, 27.28, 27.3, 30.0, 1e200])
+    pair = draw(arrays(np.float64, (n, n), elements=scale))
+    if draw(st.booleans()):  # the same distance both ways
+        pair = np.triu(pair) + np.triu(pair, 1).T
+    return indices, np.take_along_axis(pair, indices, axis=1)
+
+
+def graph_arrays(make):
+    """(dtype, bytes) of the CSR arrays of make()'s adjacency and Laplacian,
+    or the message of the ValueError it raises."""
+    try:
+        g = make()
+    except ValueError as exc:
+        return str(exc)
+    return [(a.dtype, a.tobytes()) for m in (g.adjacency, g.laplacian)
+            for a in (m.indptr, m.indices, m.data)]
+
+
+def _complete_graph_with_a_faint_vertex():
+    """Six vertices that each list the other five: 0-4 at distance 0 and
+    vertex 5 at 27.28, whose weight at sigma2 = 1 is the smallest subnormal.
+    In D A D that weight rounds to 0 from row 0 (degree 4, so 0.5 times it)
+    but not from row 5."""
+    indices = np.array([[j for j in range(6) if j != i] for i in range(6)])
+    return indices, np.where((indices == 5) | (np.arange(6)[:, None] == 5), 27.28, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(neighbor_lists(), st.sampled_from([0.25, 1.0, 4.0]))
+@example(_complete_graph_with_a_faint_vertex(), 1.0)
+def test_build_graph_matches_its_scipy_oracle(neighbors, sigma2):
+    assert (graph_arrays(lambda: build_graph(neighbors, sigma2))
+            == graph_arrays(lambda: oracles.build_graph(neighbors, sigma2)))
 
 
 def test_build_graph_weights():

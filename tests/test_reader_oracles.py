@@ -58,20 +58,24 @@ WEIGHTS = st.sampled_from([b"1", b"0.5", b"0", b"-1", b"nan", b"inf", b"1e309", 
                            b"x", b"1_0", b"\xc3\xa9", b"\xff"])
 SPACES = st.sampled_from([b" ", b"  ", b"\t", b"\x0b", b"\x0c"])
 TRIPLETS = st.tuples(BLANK, INDICES, SPACES, INDICES, SPACES, WEIGHTS, BLANK).map(b"".join)
-WEIGHT = st.sampled_from([b"1", b"0.25", b"3e-300", b"0", b"1e308"])
+WEIGHT = st.sampled_from([b"1", b"0.25", b"3e-300", b"1e-320", b"0", b"1e308"])
 
 
 @st.composite
 def graphs(draw):
     """(COO text, vertex count): a path through every vertex and random edges,
-    each written in both directions."""
+    most written in both directions with the same weight; some have a weight
+    1e-13 or 5e-12 larger or 0 the other way, or are written one way only."""
     n = draw(st.integers(2, 5))
     pairs = [(k, k + 1) for k in range(n - 1)] + draw(
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
     lines = []
     for i, j in pairs:
         w = draw(WEIGHT)
-        lines += [b"%d %d %s\n" % (i, j, w), b"%d %d %s\n" % (j, i, w)]
+        back = draw(st.sampled_from([w, w, w, b"1.0000000000001", b"1.000000000005", b"0", None]))
+        lines.append(b"%d %d %s\n" % (i, j, w))
+        if back is not None:
+            lines.append(b"%d %d %s\n" % (j, i, back))
     return b"".join(lines), n
 
 

@@ -319,8 +319,12 @@ def test_gradient_matches_dense_over_row_blocks(p, n):
 
 
 def fista_peak_memory(p, n):
-    """tracemalloc peak of a 10-iteration solve, in units of X.nbytes."""
+    """tracemalloc peak of a 10-iteration solve, in units of X.nbytes.
+
+    The graphs are inputs, as X is: their Laplacians, built on first use,
+    are built before the solve is traced."""
     X, G1, G2 = make_instance(p, n, k=10, seed=0)
+    G1.laplacian, G2.laplacian
     cfg = SolverConfig(loss="l1", gamma1=1.0, gamma2=1.0, max_iters=10)
     _, peak = traced_peak(lambda: fista_solve(X, G1, G2, cfg))
     return peak / X.nbytes

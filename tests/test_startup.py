@@ -1,4 +1,5 @@
-"""What a launch imports: each CLI command loads only the modules it runs.
+"""What a launch imports: each CLI command loads only the modules it runs;
+`graph` loads numpy alone.
 
 Each check starts a fresh interpreter with `-X importtime`, which lists every
 module the process imports, so modules the test process holds do not count.
@@ -13,6 +14,7 @@ import pytest
 
 import frpcag
 from frpcag.frames import save_frames, synthetic_sequence
+from frpcag.graph import build_graph, knn_exact, save_graph_coo
 from frpcag.matrixio import save_matrix
 
 HEAVY = ("scipy.linalg", "scipy.optimize", "scipy.spatial", "scipy.sparse.linalg")
@@ -43,17 +45,27 @@ def test_import_and_help_load_no_numpy_or_scipy(args):
     assert numeric(loaded_modules(*args)) == []
 
 
+def test_graph_loads_numpy_alone(tmp_path):
+    save_matrix(tmp_path / "x.csv", np.random.default_rng(0).standard_normal((6, 12)), fmt="csv")
+    for axis in ("samples", "features"):
+        modules = loaded_modules("-m", "frpcag.cli", "graph", "--input", "x.csv", "--axis", axis,
+                                 "--k", "3", "--sigma2", "auto", "--output", "g.coo",
+                                 cwd=tmp_path)
+        assert "numpy" in modules
+        assert [m for m in modules if m.split(".")[0] == "scipy"] == [], axis
+
+
 def test_commands_but_experiment_load_only_numpy_and_scipy_sparse(tmp_path):
+    # the graph files are written in process: test_graph_loads_numpy_alone launches graph
     rng = np.random.default_rng(0)
-    save_matrix(tmp_path / "x.csv", rng.standard_normal((6, 12)), fmt="csv")
+    X = rng.standard_normal((6, 12))
+    save_matrix(tmp_path / "x.csv", X, fmt="csv")
+    save_graph_coo(build_graph(knn_exact(X, 3), "auto"), tmp_path / "g1.coo")
+    save_graph_coo(build_graph(knn_exact(X.T, 3), "auto"), tmp_path / "g2.coo")
     (tmp_path / "frames").mkdir()
     frames, _, _ = synthetic_sequence(count=6, h=4, w=5, square=2)
     save_frames(tmp_path / "frames", frames, [f"f{i}.pgm" for i in range(6)])
-    for argv in (["graph", "--input", "x.csv", "--k", "3", "--sigma2", "auto",
-                  "--output", "g1.coo"],
-                 ["graph", "--input", "x.csv", "--axis", "features", "--k", "3",
-                  "--sigma2", "auto", "--output", "g2.coo"],
-                 ["solve", "--input", "x.csv", "--graph1", "g1.coo", "--graph2", "g2.coo",
+    for argv in (["solve", "--input", "x.csv", "--graph1", "g1.coo", "--graph2", "g2.coo",
                   "--max-iters", "5", "--output-u", "u.bin"],
                  ["background", "--frames-dir", "frames", "--out-dir", "out", "--k", "2",
                   "--max-iters", "5"]):
