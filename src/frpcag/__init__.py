@@ -15,7 +15,7 @@ _EXPORTS = {
                     "two_gaussians"),
     "frames": ("separate_background", "synthetic_sequence"),
     "graph": ("SparseGraph", "build_graph", "knn_exact", "load_graph_coo", "partial_eigs",
-              "save_graph_coo", "spectral_norm"),
+              "save_graph_coo"),
     "matrixio": ("CorruptionSpec", "corrupt", "load_matrix", "save_matrix", "standardize"),
     "solver": ("DivergedError", "LowRankResult", "SolverConfig", "fista_solve",
                "gradient_smooth", "objective", "prox_fidelity"),

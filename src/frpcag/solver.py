@@ -6,7 +6,7 @@ from typing import List
 import numpy as np
 
 from .config import AutoOrPositive
-from .graph import SparseGraph, spectral_norm
+from .graph import SparseGraph
 from .matrixio import _as_matrix
 
 LOSSES = ("l1", "frobenius_sq")
@@ -21,7 +21,7 @@ class SolverConfig:
     loss: str = "l1"
     gamma1: float = 1.0
     gamma2: float = 1.0
-    step: AutoOrPositive = "auto"  # "auto" -> 1 / (2*g1*||L1|| + 2*g2*||L2||)
+    step: AutoOrPositive = "auto"  # "auto" -> auto_step: 1 / (4*(g1 + g2)), as ||L|| <= 2
     epsilon: float = 1e-6
     max_iters: int = 1000
 
@@ -31,10 +31,9 @@ class SolverConfig:
         if not (0 <= self.gamma1 < np.inf and 0 <= self.gamma2 < np.inf):
             raise ValueError("gamma1 and gamma2 must be finite and >= 0")
         # fista_solve scales by 2*step, then by gamma, and divides by 2*step
-        # (inf * 0 is NaN, which fails too); the auto step is
-        # 1/(4*(gamma1 + gamma2)), as ||L|| <= 2
+        # (inf * 0 is NaN, which fails too)
         if self.step == "auto":
-            if not 4.0 * (self.gamma1 + self.gamma2) < np.inf:
+            if not auto_step(self.gamma1, self.gamma2) > 0:
                 raise ValueError("gamma1 + gamma2 overflows: the auto step would be 0")
         elif not 0 < float(self.step) < np.inf:
             raise ValueError("step must be positive and finite, or 'auto'")
@@ -162,9 +161,11 @@ def prox_fidelity(U, X, lam: float, loss: str = "l1") -> np.ndarray:
     return X + R
 
 
-def auto_step(L1: SparseGraph, L2: SparseGraph, gamma1: float, gamma2: float) -> float:
-    """1 / beta' for the Lipschitz bound beta' = 2*g1*||L1||_2 + 2*g2*||L2||_2."""
-    beta = 2.0 * gamma1 * spectral_norm(L1) + 2.0 * gamma2 * spectral_norm(L2)
+def auto_step(gamma1: float, gamma2: float) -> float:
+    """1 / beta' for the Lipschitz bound beta' = 2*g1*||L1||_2 + 2*g2*||L2||_2
+    at ||L||_2 <= 2, which every normalized Laplacian meets; 0 when
+    4*(g1 + g2) overflows, which SolverConfig refuses."""
+    beta = 4.0 * (gamma1 + gamma2)
     return 1.0 / beta if beta > 0 else 1.0  # zero gammas: gradient vanishes
 
 
@@ -175,6 +176,8 @@ def fista_solve(X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> LowRa
     the Tikhonov terms followed by the fidelity prox, and stops once the
     relative squared change of the extrapolated iterate drops below epsilon
     (converged=True) or the iteration cap is reached (converged=False).
+    The step lam is cfg.step, or for "auto" 1 / (4*(gamma1 + gamma2)), the
+    inverse of the gradient's Lipschitz bound under ||L|| <= 2 (auto_step).
 
     Each iteration multiplies by the two Laplacians once, at the new U. That
     pair gives the objective's smooth terms and Q = -2*lam*P(U) (see _smooth);
@@ -193,7 +196,7 @@ def fista_solve(X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> LowRa
     """
     Xv = np.ascontiguousarray(_as_matrix(X))
     _check_dims(Xv, L1, L2)
-    lam = auto_step(L1, L2, cfg.gamma1, cfg.gamma2) if cfg.step == "auto" else float(cfg.step)
+    lam = auto_step(cfg.gamma1, cfg.gamma2) if cfg.step == "auto" else float(cfg.step)
     c1, c2 = -2.0 * lam * cfg.gamma1, -2.0 * lam * cfg.gamma2
     blocks = _row_blocks(L2, Xv.shape[1])
 

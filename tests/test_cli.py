@@ -478,8 +478,8 @@ def test_experiment_sweep_prepares_once(tmp_path, capsys, monkeypatch):
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()
                if line.startswith("{")]
     stages = [list(r["timings_ms"]) for r in records]
-    assert stages == [["corrupt_ms", "standardize_ms", "graphs_ms", "cluster_raw_ms",
-                       "s_r_ms", "solve_ms", "svd_ms", "cluster_ms"]] + \
+    assert stages == [["import_ms", "corrupt_ms", "standardize_ms", "graphs_ms",
+                       "cluster_raw_ms", "s_r_ms", "solve_ms", "svd_ms", "cluster_ms"]] + \
         2 * [["solve_ms", "svd_ms", "cluster_ms"]]
 
 

@@ -11,8 +11,7 @@ from scipy.spatial.distance import cdist
 
 from frpcag import graph
 from frpcag.graph import (GraphFormatError, GraphSizeError, build_graph, knn_exact,
-                          load_graph_coo, partial_eigs, resolve_sigma2, save_graph_coo,
-                          spectral_norm)
+                          load_graph_coo, partial_eigs, resolve_sigma2, save_graph_coo)
 import oracles
 from memtrace import traced_peak
 
@@ -334,32 +333,6 @@ def test_permutation_invariance():
     assert np.allclose(A[np.ix_(perm, perm)], B)
 
 
-def test_spectral_norm_modes():
-    g = random_graph(30, 5, seed=6)
-    assert spectral_norm(g) == 2.0
-    # two-node single edge: top eigenvalue exactly 2
-    nb = knn_exact(np.array([[0.0, 0.0]]), 1)
-    g2 = build_graph(nb, 1.0)
-    assert abs(spectral_norm(g2, method="power") - 2.0) <= 1e-4 * 2.0
-    with pytest.raises(ValueError, match="unknown method 'x'"):
-        spectral_norm(g, method="x")
-    # a run that reaches max_iters returns the Rayleigh quotient of its last iterate
-    L = g.laplacian
-    v = np.random.default_rng(0).standard_normal(30)
-    v /= np.linalg.norm(v)
-    for iters in range(4):
-        assert spectral_norm(g, method="power", max_iters=iters) == float(v @ (L @ v))
-        v = L @ v
-        v /= np.linalg.norm(v)
-
-
-def test_spectral_norm_power_accuracy_on_random_graphs():
-    for seed in range(15):
-        g = random_graph(10 + 4 * seed, 3 + seed % 4, seed=seed)
-        true = eigh(g.laplacian.toarray(), eigvals_only=True).max()
-        assert abs(spectral_norm(g, method="power") - true) <= 1e-4 * true
-
-
 def test_partial_eigs_null_vector():
     g = random_graph(25, 6, seed=7)
     values, vectors = partial_eigs(g, 1)
@@ -391,10 +364,9 @@ def test_partial_eigs_invariants():
     values, vectors = partial_eigs(g, 8)
     assert values.shape == (8,) and vectors.shape == (35, 8) and vectors.flags.c_contiguous
     L = g.laplacian
-    norm_L = spectral_norm(g)
     for i in range(values.size):
         residual = np.linalg.norm(L @ vectors[:, i] - values[i] * vectors[:, i])
-        assert residual <= 1e-8 * norm_L
+        assert residual <= 1e-8 * 2.0  # ||L|| <= 2
     gram = vectors.T @ vectors
     assert np.abs(gram - np.eye(8)).max() < 1e-10
     assert np.all(np.diff(values) >= 0)

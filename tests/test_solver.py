@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frpcag.analysis import (check_recovery_bound, covariance, economic_svd,
@@ -223,7 +223,7 @@ def reference_fista(X, G1, G2, cfg):
     arrays; its prox steps are the residual forms of prox_fidelity's
     docstring. Returns (U, objective trace, iterations)."""
     L1, L2 = G1.laplacian, G2.laplacian
-    lam = auto_step(G1, G2, cfg.gamma1, cfg.gamma2) if cfg.step == "auto" else float(cfg.step)
+    lam = auto_step(cfg.gamma1, cfg.gamma2) if cfg.step == "auto" else float(cfg.step)
     Y, U_prev = X.copy(), X.copy()
     t, trace = 1.0, []
     for it in range(1, cfg.max_iters + 1):
@@ -260,7 +260,7 @@ def test_fista_matches_two_pair_reference(p, n, seed, loss, gamma1, gamma2, step
     # both made; tolerance-based stops are not compared at all, as diff / base
     # can round across epsilon.
     X, G1, G2 = make_instance(p, n, k=3, seed=seed)
-    step = "auto" if step_scale is None else step_scale * auto_step(G1, G2, gamma1, gamma2)
+    step = "auto" if step_scale is None else step_scale * auto_step(gamma1, gamma2)
     cfg = SolverConfig(loss=loss, gamma1=gamma1, gamma2=gamma2, step=step,
                        epsilon=1e-300, max_iters=max_iters)
     res = fista_solve(X, G1, G2, cfg)
@@ -384,9 +384,27 @@ def test_fista_hits_iteration_cap():
     assert res.iterations == 5 and not res.converged
 
 
-def test_auto_step_uses_spectral_bound():
-    X, G1, G2 = make_instance(5, 6, seed=18)
-    assert auto_step(G1, G2, 2.0, 3.0) == 1.0 / (2 * 2.0 * 2 + 2 * 3.0 * 2)
+MAX = float(np.finfo(np.float64).max)
+# subnormals included; the second range straddles where 4*(g1 + g2) overflows
+GAMMAS = st.one_of(st.floats(0.0, MAX), st.floats(MAX / 16, MAX / 4))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(GAMMAS, GAMMAS)
+@example(0.0, 0.0)
+@example(5e-324, 0.0)
+@example(MAX / 8, MAX / 8)  # 4*(g1 + g2) is the largest float
+@example(float(np.nextafter(MAX / 8, np.inf)), MAX / 8)  # the sum rounds up to 2^1022
+def test_auto_step_is_the_bound_rule(gamma1, gamma2):
+    # 1 / beta' for beta' = 2*g1*||L1|| + 2*g2*||L2|| at ||L|| = 2, bit for bit
+    beta = 2.0 * gamma1 * 2.0 + 2.0 * gamma2 * 2.0
+    want = 1.0 / beta if beta > 0 else 1.0
+    assert auto_step(gamma1, gamma2).hex() == want.hex()
+    if beta == np.inf:
+        with pytest.raises(ValueError, match="auto step would be 0"):
+            SolverConfig(gamma1=gamma1, gamma2=gamma2)
+    else:
+        assert SolverConfig(gamma1=gamma1, gamma2=gamma2).step == "auto"
 
 
 def test_sylvester_trivial_cases():
