@@ -7,7 +7,7 @@ import numpy as np
 from numpy.linalg import eigh
 
 from .graph import SparseGraph, partial_eigs
-from .matrixio import _as_matrix
+from .matrixio import _as_matrix, _check_same_shape
 from .solver import LowRankResult, SolverConfig, _fidelity
 
 
@@ -27,6 +27,8 @@ class LowRankOnGraphs:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """Both sides of the recovery bound, in plain Python numbers for JSON."""
+
     lhs: float
     rhs: float
     holds: bool
@@ -144,6 +146,8 @@ def check_recovery_bound(Xstar: LowRankOnGraphs, E, gamma: float,
     """
     E, Ustar = _as_matrix(E), _as_matrix(solver_out.U)
     Xs = Xstar.Xstar
+    _check_same_shape(E, Xs, "E", "Xstar")
+    _check_same_shape(Ustar, Xs, "U", "Xstar")
     X = Xs + E
     k1, k2 = Xstar.k1, Xstar.k2
     (lam, Q), (om, P) = partial_eigs(L1, L1.vertex_count), partial_eigs(L2, L2.vertex_count)
@@ -161,8 +165,8 @@ def check_recovery_bound(Xstar: LowRankOnGraphs, E, gamma: float,
     om_ratio = om[k2 - 1] / om[k2]
     rhs = (_fidelity(E, cfg.loss)
            + gamma * float(np.linalg.norm(Xs) ** 2) * (lam_ratio + om_ratio))
-    holds = lhs <= rhs + 1e-9 * max(1.0, rhs)
-    return BoundReport(lhs=lhs, rhs=rhs, holds=holds,
+    holds = bool(lhs <= rhs + 1e-9 * max(1.0, rhs))
+    return BoundReport(lhs=float(lhs), rhs=float(rhs), holds=holds,
                        lam_ratio=float(lam_ratio), om_ratio=float(om_ratio))
 
 

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .config import ConfigError, auto_or_positive, number_type, parse_keyvalue
+from .config import FORMATS, ConfigError, auto_or_positive, number_type, parse_keyvalue
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="build a K-NN graph and write COO triplets")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["csv", "binary-f64"], default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--axis", choices=["samples", "features"], default="samples")
     p.add_argument("--k", type=number_type(int), default=10)
     p.add_argument("--sigma2", type=auto_or_positive, default=1.0)
@@ -148,12 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the dual-graph solver on a matrix")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["csv", "binary-f64"], default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--graph1", required=True, help="sample graph (n x n) COO file")
     p.add_argument("--graph2", required=True, help="feature graph (p x p) COO file")
     _add_solver_flags(p)
     p.add_argument("--loss", choices=["l1", "frobenius_sq"])
-    p.add_argument("--step", type=auto_or_positive, metavar="STEP")
     p.add_argument("--output-u", required=True, help="recovered U (binary-f64)")
     p.add_argument("--output-trace", help="objective trace CSV")
     p.set_defaults(func=cmd_solve)

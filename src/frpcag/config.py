@@ -9,6 +9,7 @@ from typing import Literal, Tuple, Union
 
 AutoOrPositive = Union[float, Literal["auto"]]  # 'auto' or a positive finite number
 Floats = Tuple[float, ...]  # one finite number or a comma-separated list
+FORMATS = ("csv", "binary-f64")  # the matrix file formats of load_matrix and save_matrix
 
 
 class ConfigError(ValueError):

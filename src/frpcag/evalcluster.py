@@ -9,7 +9,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import analysis
-from .config import AutoOrPositive, Floats
+from .config import FORMATS, AutoOrPositive, Floats
 from .graph import (SparseGraph, _rounding_window, _sq_distances, build_graph, knn_exact,
                     partial_eigs)
 from .matrixio import CorruptionSpec, _as_matrix, corrupt, standardize
@@ -200,7 +200,7 @@ class ExperimentConfig:
     Construction checks every key, so a bad one fails before any data loads."""
 
     dataset: str = "two-gaussians"  # or a matrix file, which needs labels
-    format: str = "csv"
+    format: str = "csv"  # or "binary-f64": how a matrix file dataset is read
     labels: Optional[str] = None
     n: int = 200
     p: int = 40
@@ -220,7 +220,6 @@ class ExperimentConfig:
     gamma2: Optional[float] = None
     epsilon: Optional[float] = None
     max_iters: Optional[int] = None
-    step: Optional[AutoOrPositive] = None
     seed: int = 0
     restarts: int = 10
     rank_threshold: float = 0.01
@@ -239,6 +238,8 @@ class ExperimentConfig:
                          ("data_seed", 0), ("corruption_seed", 0), ("rank_threshold", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if self.format not in FORMATS:
+            raise ValueError(f"format must be one of {FORMATS}, got {self.format!r}")
         if self.cluster_on not in ("u", "w"):
             raise ValueError(f"cluster_on must be 'u' or 'w', got {self.cluster_on!r}")
         self.corruption_spec()

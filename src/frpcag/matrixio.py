@@ -34,6 +34,13 @@ def _as_matrix(values) -> np.ndarray:
     return values
 
 
+def _check_same_shape(A: np.ndarray, B: np.ndarray, a: str = "U", b: str = "X") -> None:
+    """Raises ValueError, naming both shapes, unless A and B have one shape:
+    neither is broadcast against the other."""
+    if A.shape != B.shape:
+        raise ValueError(f"{a} has shape {A.shape} but {b} has shape {B.shape}")
+
+
 @dataclass(frozen=True)
 class CorruptionSpec:
     """Corruption recipe: one block occlusion or random missing pixels per sample."""

@@ -5,23 +5,23 @@ from typing import List
 
 import numpy as np
 
-from .config import AutoOrPositive
 from .graph import SparseGraph
-from .matrixio import _as_matrix
+from .matrixio import _as_matrix, _check_same_shape
 
 LOSSES = ("l1", "frobenius_sq")
 
 
 class DivergedError(RuntimeError):
-    """Solver produced non-finite values (step size too large for the instance)."""
+    """Solver produced non-finite values: input values too large for float64."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Solver settings; the step is always auto_step(gamma1, gamma2)."""
+
     loss: str = "l1"
     gamma1: float = 1.0
     gamma2: float = 1.0
-    step: AutoOrPositive = "auto"  # "auto" -> auto_step: 1 / (4*(g1 + g2)), as ||L|| <= 2
     epsilon: float = 1e-6
     max_iters: int = 1000
 
@@ -30,15 +30,8 @@ class SolverConfig:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if not (0 <= self.gamma1 < np.inf and 0 <= self.gamma2 < np.inf):
             raise ValueError("gamma1 and gamma2 must be finite and >= 0")
-        # fista_solve scales by 2*step, then by gamma, and divides by 2*step
-        # (inf * 0 is NaN, which fails too)
-        if self.step == "auto":
-            if not auto_step(self.gamma1, self.gamma2) > 0:
-                raise ValueError("gamma1 + gamma2 overflows: the auto step would be 0")
-        elif not 0 < float(self.step) < np.inf:
-            raise ValueError("step must be positive and finite, or 'auto'")
-        elif not 2.0 * float(self.step) * max(self.gamma1, self.gamma2) < np.inf:
-            raise ValueError("2 * step * max(gamma1, gamma2) overflows")
+        if not auto_step(self.gamma1, self.gamma2) > 0:
+            raise ValueError("gamma1 + gamma2 overflows: the auto step would be 0")
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
         if self.max_iters < 1:
@@ -131,6 +124,7 @@ def _shrink_residual(R: np.ndarray, lam: float, loss: str, scratch=None) -> None
 def objective(U, X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> float:
     """phi(U - X) + gamma1*tr(U L1 U^T) + gamma2*tr(U^T L2 U)."""
     U, X = _as_matrix(U), _as_matrix(X)
+    _check_same_shape(U, X)
     _check_dims(U, L1, L2)
     _, smooth = _smooth(U, L1, cfg.gamma1, cfg.gamma2, _row_blocks(L2, U.shape[1]))
     return _fidelity(U - X, cfg.loss) + smooth
@@ -156,6 +150,7 @@ def prox_fidelity(U, X, lam: float, loss: str = "l1") -> np.ndarray:
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}")
     U, X = _as_matrix(U), _as_matrix(X)
+    _check_same_shape(U, X)
     R = U - X
     _shrink_residual(R, lam, loss)
     return X + R
@@ -176,8 +171,8 @@ def fista_solve(X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> LowRa
     the Tikhonov terms followed by the fidelity prox, and stops once the
     relative squared change of the extrapolated iterate drops below epsilon
     (converged=True) or the iteration cap is reached (converged=False).
-    The step lam is cfg.step, or for "auto" 1 / (4*(gamma1 + gamma2)), the
-    inverse of the gradient's Lipschitz bound under ||L|| <= 2 (auto_step).
+    The step lam is always auto_step(gamma1, gamma2) = 1 / (4*(gamma1 + gamma2)),
+    the inverse of the gradient's Lipschitz bound under ||L|| <= 2.
 
     Each iteration multiplies by the two Laplacians once, at the new U. That
     pair gives the objective's smooth terms and Q = -2*lam*P(U) (see _smooth);
@@ -191,12 +186,12 @@ def fista_solve(X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> LowRa
     in cache, so Y and the prox residual exist only per block; L2 U follows
     block by block, each block's CSR rows of L2 (sliced once per call) times
     U. So the loop holds no p x n array beyond X and four buffers. A
-    C-ordered X is used as it is, without a copy. A non-finite U makes the
-    objective non-finite, which raises DivergedError.
+    C-ordered X is used as it is, without a copy. A non-finite objective,
+    from X values whose squares overflow float64, raises DivergedError.
     """
     Xv = np.ascontiguousarray(_as_matrix(X))
     _check_dims(Xv, L1, L2)
-    lam = auto_step(cfg.gamma1, cfg.gamma2) if cfg.step == "auto" else float(cfg.step)
+    lam = auto_step(cfg.gamma1, cfg.gamma2)
     c1, c2 = -2.0 * lam * cfg.gamma1, -2.0 * lam * cfg.gamma2
     blocks = _row_blocks(L2, Xv.shape[1])
 
@@ -241,8 +236,8 @@ def fista_solve(X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> LowRa
             Q, Q_prev = Q_prev, Q
             value = fidelity + _add_l2(U, c2, Q, blocks) / (-2.0 * lam)
             if not np.isfinite(value):
-                raise DivergedError(f"non-finite values at iteration {iterations} with step "
-                                    f"{lam:g}; reduce the step size")
+                raise DivergedError(f"non-finite values at iteration {iterations}: "
+                                    "input values too large for float64")
             trace.append(value)
             t, beta = t_next, beta_next
             if diff < cfg.epsilon * base or diff == 0.0:

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -242,6 +245,15 @@ def test_bound_holds_on_random_trials():
         report = solve_bound_instance(G1, G2, low, E, gamma=float(rng.uniform(0.2, 5)),
                                       loss=loss)
         assert report.holds, f"trial {trial}: lhs={report.lhs} rhs={report.rhs}"
+
+
+def test_bound_report_holds_plain_python_numbers():
+    G1 = components_graph(8, 3, seed=18)
+    G2 = components_graph(7, 2, seed=19)
+    low = make_lowrank_on_graphs(G1, G2, 3, 2, seed=20)
+    report = asdict(solve_bound_instance(G1, G2, low, np.zeros((14, 24)), gamma=1.0))
+    assert [type(v) for v in report.values()] == [float, float, bool, float, float]
+    assert json.loads(json.dumps(report)) == report
 
 
 def test_bound_degenerate_eigengap_raises():

@@ -241,24 +241,32 @@ def test_solve_bad_graph_file_exits_1(tmp_path, dataset, extra):
                  "--graph2", str(g2), "--output-u", str(tmp_path / "u.bin")]) == 1
 
 
-def test_solve_divergence_exits_3(tmp_path, dataset):
-    data, _ = dataset
-    g1, g2 = build_graphs(tmp_path, data)
-    assert main(["solve", "--input", str(data), "--graph1", str(g1),
-                 "--graph2", str(g2), "--gamma1", "5", "--gamma2", "5",
-                 "--step", "1e8", "--output-u", str(tmp_path / "u.bin")]) == 3
+def test_solve_divergence_exits_3(tmp_path, capsys):
+    # graphs of the instance, input the same matrix scaled by 1e160: its
+    # squares overflow in the objective at iteration 1
+    rng = np.random.default_rng(16)
+    points = rng.standard_normal((10, 14))
+    save_graph_coo(build_graph(knn_exact(points, 4), "auto"), tmp_path / "g1.coo")
+    save_graph_coo(build_graph(knn_exact(points.T, 4), "auto"), tmp_path / "g2.coo")
+    save_matrix(tmp_path / "x.csv", points * 1e160, fmt="csv")
+    out = tmp_path / "u.bin"
+    assert main(["solve", "--input", str(tmp_path / "x.csv"), "--graph1",
+                 str(tmp_path / "g1.coo"), "--graph2", str(tmp_path / "g2.coo"),
+                 "--gamma1", "5", "--gamma2", "5", "--output-u", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "error: solver diverged: non-finite values at iteration 1: input values too " \
+           "large for float64" in err
+    assert "reduce the step size" not in err
+    assert not out.exists()
 
 
-def test_solve_non_finite_iterate_exits_3(tmp_path, dataset, capsys):
-    # a step of 1e307 makes the first iterate itself non-finite
-    data, _ = dataset
-    g1, g2 = build_graphs(tmp_path, data)
-    capsys.readouterr()
-    assert main(["solve", "--input", str(data), "--graph1", str(g1),
-                 "--graph2", str(g2), "--step", "1e307",
-                 "--output-u", str(tmp_path / "u.bin")]) == 3
-    assert "iteration 1 with step 1e+307" in capsys.readouterr().err
-    assert not (tmp_path / "u.bin").exists()
+def test_solve_step_flag_exits_2(capsys):
+    # the step is always 1/(4 (gamma1 + gamma2)); there is no flag for it
+    with pytest.raises(SystemExit) as exited:
+        main(["solve", "--input", "x.csv", "--graph1", "g1.coo", "--graph2", "g2.coo",
+              "--step", "0.1", "--output-u", "u.bin"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --step 0.1" in capsys.readouterr().err
 
 
 def test_solve_non_finite_flag_exits_2(tmp_path, dataset):
@@ -271,11 +279,8 @@ def test_solve_non_finite_flag_exits_2(tmp_path, dataset):
 
 @pytest.mark.parametrize("flags, message", [
     (["--gamma1", "1e308"], "gamma1 + gamma2 overflows: the auto step would be 0"),
-    (["--gamma1", "5", "--gamma2", "5", "--step", "1e308"],
-     "2 * step * max(gamma1, gamma2) overflows"),
 ])
 def test_solve_step_scaling_that_overflows_exits_2(tmp_path, capsys, flags, message):
-    # an instance on which the step-1e308 iteration would keep U = X
     rng = np.random.default_rng(16)
     points = rng.standard_normal((10, 14))
     save_graph_coo(build_graph(knn_exact(points, 4), "auto"), tmp_path / "g1.coo")
@@ -319,10 +324,10 @@ def test_solve_lays_every_solver_flag_on_the_config(tmp_path, dataset, monkeypat
     with pytest.raises(Built) as got:
         main(["solve", "--input", str(data), "--graph1", str(g1), "--graph2", str(g2),
               "--output-u", str(tmp_path / "u.bin"), *SOLVER_FLAGS,
-              "--loss", "frobenius_sq", "--step", "0.125"])
+              "--loss", "frobenius_sq"])
     cfg = got.value.args[0]
-    assert cfg == SolverConfig(loss="frobenius_sq", gamma1=0.25, gamma2=0.5, step=0.125,
-                               epsilon=1e-5, max_iters=7)
+    assert cfg == SolverConfig(loss="frobenius_sq", gamma1=0.25, gamma2=0.5, epsilon=1e-5,
+                               max_iters=7)
     # every field moved off its default, so a flag that went astray would show
     assert all(getattr(cfg, f) != getattr(SolverConfig(), f) for f in vars(cfg))
 
@@ -376,8 +381,7 @@ def test_every_numeric_flag_exits_2_outside_the_number_grammar(capsys, value):
                 main([command, *required, flag, value])
             assert exited.value.code == 2
             assert f"argument {flag}: invalid" in capsys.readouterr().err
-    assert seen >= {"--k", "--sigma2", "--gamma1", "--gamma2", "--epsilon", "--max-iters",
-                    "--step"}
+    assert seen >= {"--k", "--sigma2", "--gamma1", "--gamma2", "--epsilon", "--max-iters"}
 
 
 def test_background_command(tmp_path):
@@ -513,7 +517,8 @@ def test_experiment_bool_values_are_strict(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [("knn_k", "5.5"), ("gamma", "nan"), ("gamma", "1, inf"),
                                         ("sigma2", "-1"), ("loss", "l2"), ("gamma1", "3"),
-                                        ("knn_k", "1_0"), ("knn_k", "\u0665")])
+                                        ("knn_k", "1_0"), ("knn_k", "\u0665"),
+                                        ("format", "bogus"), ("step", "0.1")])
 def test_experiment_bad_value_exits_2(tmp_path, capsys, key, value):
     status, records, err = experiment_records(tmp_path, capsys, **{key: value})
     assert status == 2 and records == []
@@ -707,7 +712,6 @@ FLAG_VALUES = {
     "--gamma1": values(["0", "1", "3"], NUMBERS),
     "--gamma2": values(["0", "1", "3"], NUMBERS),
     "--loss": values(["l1", "frobenius_sq"], ["x", ""]),
-    "--step": values(["auto", "0.1"], NUMBERS),
     "--epsilon": values(["1e-3", "1e-6"], NUMBERS),
     "--max-iters": values(["1", "5", "20"], NUMBERS),
     "--output-u": values(["@out"], PATHS),
@@ -720,7 +724,7 @@ REQUIRED = {"graph": ["--input", "--output"],
             "background": ["--frames-dir", "--out-dir"],
             "experiment": ["--config"]}
 OPTIONAL = {"graph": ["--format", "--axis", "--k", "--sigma2"],
-            "solve": ["--format", "--gamma1", "--gamma2", "--loss", "--step", "--epsilon",
+            "solve": ["--format", "--gamma1", "--gamma2", "--loss", "--epsilon",
                       "--max-iters", "--output-trace"],
             "background": ["--k", "--gamma1", "--gamma2", "--sigma2", "--epsilon",
                            "--max-iters"],

@@ -33,8 +33,9 @@ def test_experiment_defaults_come_from_the_declaration():
 
 @pytest.mark.parametrize("text, expected", [
     ("", [SolverConfig()]),
-    ("step = auto\nmax_iters = 5", [SolverConfig(step="auto", max_iters=5)]),
-    ("step = 0.5\ngamma = 1, 2", [SolverConfig(step=0.5, gamma1=g, gamma2=g) for g in (1, 2)]),
+    ("max_iters = 5", [SolverConfig(max_iters=5)]),
+    ("epsilon = 1e-9\ngamma = 1, 2",
+     [SolverConfig(epsilon=1e-9, gamma1=g, gamma2=g) for g in (1, 2)]),
     ("loss = frobenius_sq\ngamma1 = 3", [SolverConfig(loss="frobenius_sq", gamma1=3.0)]),
 ])
 def test_experiment_solver_keys_lay_over_solver_defaults(text, expected):
@@ -44,7 +45,7 @@ def test_experiment_solver_keys_lay_over_solver_defaults(text, expected):
 @pytest.mark.parametrize("text", [
     "corrupt_after_standardize = no", "corrupt_after_standardize = 1",
     "knn_k = 5.5", "knn_k = 1e3", "restarts = ten",
-    "epsilon = nan", "fraction = inf", "sigma2 = 0", "sigma2 = Auto", "step = -inf",
+    "epsilon = nan", "fraction = inf", "sigma2 = 0", "sigma2 = Auto",
     "gamma = 1,,2", "gamma = 1, nan",
     "gamma = 1\ngamma2 = 2",
     "knn_k = 0", "restarts = 0", "n = -3", "n = 0", "p = 0",
@@ -53,7 +54,7 @@ def test_experiment_solver_keys_lay_over_solver_defaults(text, expected):
     "image_height = 4\nimage_width = 4\ncorruption = none",
     "knn_k = 1_0", "knn_k = \u0661\u0660", "fraction = 0.2_5", "gamma = 1, \u0662",
     "rank_threshold = -1", "seed = -1", "data_seed = -1", "corruption_seed = -2",
-    "knn_k = 3\nknn_k = 4",
+    "knn_k = 3\nknn_k = 4", "format = bogus",
 ])
 def test_experiment_bad_values_name_source_and_key(text):
     key = text.split("=", 1)[0].strip()
@@ -61,12 +62,18 @@ def test_experiment_bad_values_name_source_and_key(text):
         parse_keyvalue_text(text, ExperimentConfig, source="exp.conf")
 
 
-@pytest.mark.parametrize("text", ["gamma1 = nan", "step = inf", "max_iters = 0",
-                                  "loss = l2", "gamma3 = 1", "max_iters = 1_000",
-                                  "step = \u0660.5"])
+@pytest.mark.parametrize("text", ["gamma1 = nan", "max_iters = 0", "loss = l2", "gamma3 = 1",
+                                  "max_iters = 1_000"])
 def test_solver_config_text_rejects(text):
     with pytest.raises(ConfigError):
         parse_keyvalue_text(text, SolverConfig)
+
+
+def test_step_key_is_refused_as_unknown():
+    # the solver always takes auto_step(gamma1, gamma2)
+    for schema in (ExperimentConfig, SolverConfig):
+        with pytest.raises(ConfigError, match="exp.conf:1: unknown key 'step'"):
+            parse_keyvalue_text("step = 0.1", schema, source="exp.conf")
 
 
 KEYS = [f for f in ExperimentConfig.__dataclass_fields__] + ["bogus", ""]

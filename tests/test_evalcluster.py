@@ -217,11 +217,11 @@ def test_run_experiment_clean_separable():
 
 def test_record_echoes_the_whole_solver_config():
     X, labels = two_gaussians(n=30, p=8, separation=10.0, seed=8)
-    solver_cfg = SolverConfig(gamma1=2.0, gamma2=0.5, step=0.05, epsilon=1e-7, max_iters=40)
+    solver_cfg = SolverConfig(gamma1=2.0, gamma2=0.5, epsilon=1e-7, max_iters=40)
     rec = run_one_gamma(X, labels, ExperimentConfig(knn_k=4, sigma2="auto", restarts=2),
                         solver_cfg)
-    assert rec["solver"] == {"loss": "l1", "gamma1": 2.0, "gamma2": 0.5, "step": 0.05,
-                             "epsilon": 1e-7, "max_iters": 40}
+    assert rec["solver"] == {"loss": "l1", "gamma1": 2.0, "gamma2": 0.5, "epsilon": 1e-7,
+                             "max_iters": 40}
 
 
 def test_run_experiment_corrupted_not_worse_than_raw():

@@ -1,5 +1,6 @@
 """The package's public surface: its exported names and the README's examples."""
 
+import argparse
 import builtins
 import importlib
 import pathlib
@@ -56,3 +57,23 @@ def test_readme_names_resolve():
     assert types
     for name in sorted(types):
         assert hasattr(builtins, name) or any(hasattr(m, name) for m in modules), name
+
+
+def test_readme_flags_are_the_parser_options():
+    # every `--flag` of README (pip's own flags aside) is an option of some
+    # subcommand, and every option but --help is documented
+    from frpcag.cli import build_parser
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {flag for sub in subparsers.choices.values() for a in sub._actions
+               for flag in a.option_strings if flag.startswith("--")}
+    text = re.sub(r"pip install[^\n`]*", "", README.read_text())
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    assert documented <= options, sorted(documented - options)
+    assert options - {"--help"} <= documented, sorted(options - {"--help"} - documented)
+
+
+def test_every_submodule_resolves_through_the_package():
+    # the lazy branch of frpcag.__getattr__ that imports a submodule by name
+    for name in frpcag._SUBMODULES:
+        assert frpcag.__getattr__(name) is importlib.import_module(f"frpcag.{name}")
