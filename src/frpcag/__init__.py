@@ -10,9 +10,8 @@ _EXPORTS = {
     "analysis": ("BoundReport", "LowRankOnGraphs", "alignment_ratio", "check_recovery_bound",
                  "covariance", "economic_svd", "make_lowrank_on_graphs", "rank_estimate",
                  "recovery_gammas"),
-    "evalcluster": ("ClusterResult", "ExperimentConfig", "PreparedExperiment",
-                    "clustering_error", "kmeans", "prepare_experiment", "run_gamma",
-                    "two_gaussians"),
+    "evalcluster": ("ClusterResult", "ExperimentConfig", "clustering_error",
+                    "experiment_records", "kmeans", "two_gaussians"),
     "frames": ("separate_background", "synthetic_sequence"),
     "graph": ("SparseGraph", "build_graph", "knn_exact", "load_graph_coo", "partial_eigs",
               "save_graph_coo"),

@@ -94,6 +94,9 @@ def _experiment_data(cfg, source):
     from .matrixio import load_labels, load_matrix
 
     if cfg.dataset == "two-gaussians":
+        if cfg.labels is not None:
+            raise ConfigError(f"{source}: labels = {cfg.labels}: only file datasets take "
+                              "a 'labels' path")
         return two_gaussians(n=cfg.n, p=cfg.p, separation=cfg.separation, seed=cfg.data_seed)
     if cfg.labels is None:
         raise ConfigError(f"{source}: file datasets need a 'labels' path")
@@ -105,18 +108,16 @@ def _experiment_data(cfg, source):
 
 
 def cmd_experiment(args) -> int:
-    from .evalcluster import ExperimentConfig, prepare_experiment, run_gamma
+    from .evalcluster import ExperimentConfig, experiment_records
 
     cfg = parse_keyvalue(args.config, ExperimentConfig)
     X, labels = _experiment_data(cfg, args.config)
-    prepared = prepare_experiment(X, labels, cfg)
+    # the gamma-independent stages run here, so their failure leaves no output file
+    sweep = experiment_records(X, labels, cfg)
 
     records = []
     with open(cfg.output if cfg.output is not None else os.devnull, "w") as out:
-        for solver_cfg in cfg.solver_configs():
-            record = run_gamma(prepared, solver_cfg)
-            if not records:  # the prepare stages ran once, for the whole sweep
-                record["timings_ms"] = {**prepared.timings_ms, **record["timings_ms"]}
+        for record in sweep:
             line = json.dumps(record)
             print(line)
             out.write(line + "\n")

@@ -4,14 +4,13 @@ and the corrupt -> solve -> cluster experiment pipeline."""
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
 from . import analysis
 from .config import FORMATS, AutoOrPositive, Floats
-from .graph import (SparseGraph, _rounding_window, _sq_distances, build_graph, knn_exact,
-                    partial_eigs)
+from .graph import _rounding_window, _sq_distances, build_graph, knn_exact, partial_eigs
 from .matrixio import CorruptionSpec, _as_matrix, corrupt, standardize
 from .solver import SolverConfig, fista_solve
 
@@ -259,22 +258,6 @@ class ExperimentConfig:
         return [SolverConfig(**keys, **pair) for pair in sweep]
 
 
-@dataclass(frozen=True)
-class PreparedExperiment:
-    """The gamma-independent part of an experiment, shared by every gamma."""
-
-    cfg: ExperimentConfig
-    Xs: np.ndarray  # p x n, corrupted and standardized
-    truth: np.ndarray
-    classes: int
-    G1: SparseGraph  # samples
-    G2: SparseGraph  # features
-    corrupted_entries: Optional[int]  # None without corruption
-    error_raw: float
-    s_r: float
-    timings_ms: dict
-
-
 @contextmanager
 def _stage(timings: dict, name: str):
     t0 = time.perf_counter()
@@ -282,13 +265,19 @@ def _stage(timings: dict, name: str):
     timings[name] = (time.perf_counter() - t0) * 1e3
 
 
-def prepare_experiment(X: np.ndarray, truth, cfg: ExperimentConfig) -> PreparedExperiment:
-    """The gamma-independent stages, run once per sweep: corrupt (after
-    standardizing if cfg.corrupt_after_standardize) -> standardize -> dual
-    graphs -> k-means on raw X (error_raw) -> stationarity ratio s_r of the
-    feature graph. timings_ms holds one entry per stage, the first of them
-    import_ms: it loads the modules that later stages would otherwise load on
-    first use, so their import time does not land in those stages."""
+def experiment_records(X: np.ndarray, truth, cfg: ExperimentConfig) -> Iterator[dict]:
+    """The experiment sweep. The call runs the gamma-independent stages at
+    once: corrupt (after standardizing if cfg.corrupt_after_standardize) ->
+    standardize -> dual graphs -> k-means on raw X (error_raw) -> stationarity
+    ratio s_r of the feature graph. The first stage, import_ms, loads the
+    modules that later stages would otherwise load on first use.
+
+    The iterator it returns runs, for each of cfg.solver_configs(): solve ->
+    economic SVD and rank estimate of U -> k-means on U, or on the
+    sigma-scaled principal components the rank keeps when cfg.cluster_on is
+    "w"; it yields the JSON-friendly record of that gamma. timings_ms holds
+    the record's stages, and in the first record the sweep's stages before.
+    """
     truth = np.asarray(truth)
     k = int(np.unique(truth).size)
     corruption = cfg.corruption_spec()
@@ -314,50 +303,40 @@ def prepare_experiment(X: np.ndarray, truth, cfg: ExperimentConfig) -> PreparedE
         _, P_full = partial_eigs(G2, G2.vertex_count)
         _, s_r = analysis.alignment_ratio(P_full, analysis.covariance(Xs))
 
-    return PreparedExperiment(
-        cfg=cfg, Xs=Xs, truth=truth, classes=k, G1=G1, G2=G2,
-        corrupted_entries=None if corruption is None else int(mask.sum()),
-        error_raw=error_raw, s_r=s_r, timings_ms=timings)
+    def record(solver_cfg: SolverConfig, timings: dict) -> dict:
+        with _stage(timings, "solve_ms"):
+            result = fista_solve(Xs, G1, G2, solver_cfg)
+        with _stage(timings, "svd_ms"):
+            _, sigma, W = analysis.economic_svd(result.U)
+            rank = analysis.rank_estimate(sigma, cfg.rank_threshold)
+        with _stage(timings, "cluster_ms"):
+            if cfg.cluster_on == "u" or W.shape[1] == 0:
+                items = result.U
+            else:
+                # sigma-scaled components keep each direction's energy, matching the
+                # k-means geometry of U at full rank
+                keep = max(rank, min(k, W.shape[1]))
+                items = (W[:, :keep] * sigma[:keep]).T
+            clustered = kmeans(items, k, restarts=cfg.restarts, seed=cfg.seed)
+            error = clustering_error(clustered.labels, truth)
+        return {
+            "n": Xs.shape[1], "p": Xs.shape[0], "classes": k,
+            "corruption": None if corruption is None else {
+                "kind": cfg.corruption, "fraction": cfg.fraction,
+                "seed": cfg.corruption_seed, "entries": int(mask.sum())},
+            "graph": {"k": cfg.knn_k, "sigma2": cfg.sigma2},
+            "solver": asdict(solver_cfg),
+            "seed": cfg.seed,
+            "cluster_on": cfg.cluster_on,
+            "error": error,
+            "error_raw": error_raw,
+            "s_r": s_r,
+            "rank": rank,
+            "iterations": result.iterations,
+            "converged": result.converged,
+            "timings_ms": timings,
+        }
 
-
-def run_gamma(prep: PreparedExperiment, solver_cfg: SolverConfig) -> dict:
-    """The per-gamma stages: solve -> economic SVD and rank estimate of U ->
-    k-means on U, or on the sigma-scaled principal components the rank keeps
-    when cfg.cluster_on is "w". Returns the JSON-friendly record: the
-    configuration echo, clustering errors, s_r, rank and this call's stage
-    timings."""
-    cfg = prep.cfg
-    timings = {}
-    with _stage(timings, "solve_ms"):
-        result = fista_solve(prep.Xs, prep.G1, prep.G2, solver_cfg)
-    with _stage(timings, "svd_ms"):
-        _, sigma, W = analysis.economic_svd(result.U)
-        rank = analysis.rank_estimate(sigma, cfg.rank_threshold)
-    with _stage(timings, "cluster_ms"):
-        if cfg.cluster_on == "u" or W.shape[1] == 0:
-            items = result.U
-        else:
-            # sigma-scaled components keep each direction's energy, matching the
-            # k-means geometry of U at full rank
-            keep = max(rank, min(prep.classes, W.shape[1]))
-            items = (W[:, :keep] * sigma[:keep]).T
-        clustered = kmeans(items, prep.classes, restarts=cfg.restarts, seed=cfg.seed)
-        error = clustering_error(clustered.labels, prep.truth)
-
-    return {
-        "n": prep.Xs.shape[1], "p": prep.Xs.shape[0], "classes": prep.classes,
-        "corruption": None if prep.corrupted_entries is None else {
-            "kind": cfg.corruption, "fraction": cfg.fraction,
-            "seed": cfg.corruption_seed, "entries": prep.corrupted_entries},
-        "graph": {"k": cfg.knn_k, "sigma2": cfg.sigma2},
-        "solver": asdict(solver_cfg),
-        "seed": cfg.seed,
-        "cluster_on": cfg.cluster_on,
-        "error": error,
-        "error_raw": prep.error_raw,
-        "s_r": prep.s_r,
-        "rank": rank,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "timings_ms": timings,
-    }
+    # lazy, one gamma per record asked for; a gamma's arrays die with its call
+    sweep = cfg.solver_configs()
+    return map(record, sweep, [timings] + [{} for _ in sweep[1:]])

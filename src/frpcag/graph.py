@@ -319,7 +319,7 @@ def load_graph_coo(path, vertex_count: int) -> SparseGraph:
         return (np.minimum(i, j).min(initial=0) >= 0
                 and np.maximum(i, j).max(initial=0) < vertex_count
                 and np.all(np.isfinite(w) & (w >= 0) & (i != j))
-                and len(np.unique(i * vertex_count + j)) == len(rows))
+                and np.all(np.diff(np.sort(i * vertex_count + j)) > 0))  # no pair twice
 
     seen = set()
 

@@ -217,13 +217,12 @@ def test_criterion_09_clustering_robustness():
     details = []
     for seed in range(5):
         X, labels = fp.two_gaussians(n=200, p=40, separation=10.0, seed=seed)
-        clean_cfg = fp.ExperimentConfig(knn_k=10, sigma2="auto", seed=seed)
+        clean_cfg = fp.ExperimentConfig(knn_k=10, sigma2="auto", seed=seed, loss="l1",
+                                        gamma1=3.0, gamma2=3.0, epsilon=1e-8, max_iters=500)
         corrupt_cfg = dataclasses.replace(clean_cfg, corruption="missing", fraction=0.25,
                                           corruption_seed=seed)
-        scfg = SolverConfig(loss="l1", gamma1=3.0, gamma2=3.0, epsilon=1e-8,
-                            max_iters=500)
-        corrupted = fp.run_gamma(fp.prepare_experiment(X, labels, corrupt_cfg), scfg)
-        clean = fp.run_gamma(fp.prepare_experiment(X, labels, clean_cfg), scfg)
+        (corrupted,) = fp.experiment_records(X, labels, corrupt_cfg)
+        (clean,) = fp.experiment_records(X, labels, clean_cfg)
         ok &= corrupted["error"] <= corrupted["error_raw"] and clean["error"] == 0.0
         details.append(f"{corrupted['error']:.2f}<={corrupted['error_raw']:.2f}")
     report(9, "25% missing: solver error <= raw k-means, clean error 0, 5 seeds",

@@ -487,6 +487,26 @@ def test_experiment_sweep_prepares_once(tmp_path, capsys, monkeypatch):
         2 * [["solve_ms", "svd_ms", "cluster_ms"]]
 
 
+def test_experiment_prints_each_record_as_its_gamma_is_done(tmp_path, capsys, monkeypatch):
+    # the second gamma diverges: the first gamma's record is out already
+    calls = []
+
+    def diverge_second(*args, _fn=frpcag.evalcluster.fista_solve, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise frpcag.solver.DivergedError("the second gamma")
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(frpcag.evalcluster, "fista_solve", diverge_second)
+    output = tmp_path / "records.jsonl"
+    conf = tmp_path / "exp.conf"
+    conf.write_text("dataset = two-gaussians\nn = 40\np = 12\nknn_k = 5\nsigma2 = auto\n"
+                    f"gamma = 1, 3\nmax_iters = 200\nrestarts = 2\noutput = {output}\n")
+    assert main(["experiment", "--config", str(conf)]) == 3
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
+    assert len(printed) == 1
+    assert output.read_text().splitlines() == printed
+
+
 EXPERIMENT = {"dataset": "two-gaussians", "n": "40", "p": "12", "knn_k": "5",
               "sigma2": "auto", "gamma": "2", "max_iters": "200", "restarts": "2",
               "corruption": "missing", "fraction": "0.3"}
@@ -557,6 +577,20 @@ def test_experiment_file_dataset_without_labels_exits_2_before_data_loads(tmp_pa
     conf.write_text("dataset = missing.bin\nformat = binary-f64\n")
     assert main(["experiment", "--config", str(conf)]) == 2
     assert f"{conf}: file datasets need a 'labels' path" in capsys.readouterr().err
+
+
+def test_experiment_two_gaussians_with_labels_exits_2_before_data_is_made(tmp_path, capsys,
+                                                                          monkeypatch):
+    def no_data(*args, **kwargs):
+        raise AssertionError("two_gaussians ran with a labels path")
+    monkeypatch.setattr(frpcag.evalcluster, "two_gaussians", no_data)
+    conf = tmp_path / "exp.conf"
+    conf.write_text("dataset = two-gaussians\nlabels = /nonexistent.txt\n")
+    assert main(["experiment", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert f"{conf}: labels = /nonexistent.txt: only file datasets take a 'labels' path" \
+        in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("key, value", [("rank_threshold", "-1"), ("knn_k", "0"),
@@ -655,9 +689,9 @@ def file_experiment(tmp_path, labels: bytes):
     (b"0\n99999999999999999999\n", 2),  # beyond int64
 ])
 def test_experiment_bad_labels_line_exits_1(tmp_path, capsys, monkeypatch, labels, line):
-    def no_prepare(*args, **kwargs):
-        raise AssertionError("prepare_experiment ran on a bad labels file")
-    monkeypatch.setattr(frpcag.evalcluster, "prepare_experiment", no_prepare)
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("experiment_records ran on a bad labels file")
+    monkeypatch.setattr(frpcag.evalcluster, "experiment_records", no_sweep)
     assert file_experiment(tmp_path, labels) == 1
     assert f"{tmp_path / 'labels.txt'}: expected one integer on line {line}" \
         in capsys.readouterr().err

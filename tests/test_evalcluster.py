@@ -8,10 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from frpcag.evalcluster import (ExperimentConfig, clustering_error, kmeans,
-                                prepare_experiment, run_gamma, two_gaussians)
+from frpcag.evalcluster import (ExperimentConfig, clustering_error, experiment_records, kmeans,
+                                two_gaussians)
 from frpcag.matrixio import standardize
-from frpcag.solver import SolverConfig
 
 
 def brute_force_min_inertia(cols, k):
@@ -203,23 +202,23 @@ def test_clustering_error_length_mismatch():
         clustering_error([0, 1], [0, 1, 2])
 
 
-def run_one_gamma(X, truth, cfg, solver_cfg):
-    """One gamma: the prepare stage, then the per-gamma stage."""
-    return run_gamma(prepare_experiment(X, truth, cfg), solver_cfg)
+def run_one_gamma(X, truth, cfg, **solver):
+    """The record of an experiment on one gamma, its solver keys laid over cfg."""
+    (record,) = experiment_records(X, truth, replace(cfg, **solver))
+    return record
 
 
 def test_run_experiment_clean_separable():
     X, labels = two_gaussians(n=80, p=16, separation=10.0, seed=8)
     rec = run_one_gamma(X, labels, ExperimentConfig(knn_k=8, sigma2="auto", seed=0, restarts=4),
-                        SolverConfig(gamma1=2.0, gamma2=2.0))
+                        gamma1=2.0, gamma2=2.0)
     assert rec["error"] == 0.0
 
 
 def test_record_echoes_the_whole_solver_config():
     X, labels = two_gaussians(n=30, p=8, separation=10.0, seed=8)
-    solver_cfg = SolverConfig(gamma1=2.0, gamma2=0.5, epsilon=1e-7, max_iters=40)
     rec = run_one_gamma(X, labels, ExperimentConfig(knn_k=4, sigma2="auto", restarts=2),
-                        solver_cfg)
+                        gamma1=2.0, gamma2=0.5, epsilon=1e-7, max_iters=40)
     assert rec["solver"] == {"loss": "l1", "gamma1": 2.0, "gamma2": 0.5, "epsilon": 1e-7,
                              "max_iters": 40}
 
@@ -228,17 +227,16 @@ def test_run_experiment_corrupted_not_worse_than_raw():
     X, labels = two_gaussians(n=80, p=16, separation=10.0, seed=9)
     cfg = ExperimentConfig(corruption="missing", fraction=0.25, corruption_seed=1,
                            knn_k=8, sigma2="auto", seed=0, restarts=4)
-    rec = run_one_gamma(X, labels, cfg, SolverConfig(gamma1=2.0, gamma2=2.0))
+    rec = run_one_gamma(X, labels, cfg, gamma1=2.0, gamma2=2.0)
     assert rec["error"] <= rec["error_raw"]
 
 
 def test_run_experiment_deterministic_modulo_timings():
     X, labels = two_gaussians(n=50, p=12, separation=10.0, seed=10)
-    kwargs = dict(cfg=ExperimentConfig(corruption="missing", fraction=0.2, corruption_seed=2,
-                                       knn_k=6, sigma2="auto", seed=3, restarts=3),
-                  solver_cfg=SolverConfig(gamma1=1.0, gamma2=1.0))
-    a = run_one_gamma(X, labels, **kwargs)
-    b = run_one_gamma(X, labels, **kwargs)
+    cfg = ExperimentConfig(corruption="missing", fraction=0.2, corruption_seed=2,
+                           knn_k=6, sigma2="auto", seed=3, restarts=3, gamma1=1.0, gamma2=1.0)
+    a = run_one_gamma(X, labels, cfg)
+    b = run_one_gamma(X, labels, cfg)
     a.pop("timings_ms")
     b.pop("timings_ms")
     assert a == b
@@ -248,7 +246,7 @@ def test_run_experiment_cluster_on_principal_components():
     X, labels = two_gaussians(n=80, p=16, separation=10.0, seed=12)
     rec = run_one_gamma(X, labels, ExperimentConfig(knn_k=8, sigma2="auto", seed=0,
                                                     restarts=4, cluster_on="w"),
-                        SolverConfig(gamma1=5.0, gamma2=5.0))
+                        gamma1=5.0, gamma2=5.0)
     assert rec["cluster_on"] == "w"
     assert rec["error"] == 0.0
     with pytest.raises(ValueError):
@@ -258,17 +256,16 @@ def test_run_experiment_cluster_on_principal_components():
 def test_run_experiment_corrupt_after_standardize():
     X, labels = two_gaussians(n=50, p=12, separation=10.0, seed=13)
     cfg = ExperimentConfig(corruption="missing", fraction=0.2, corruption_seed=5,
-                           knn_k=6, sigma2="auto", seed=1, restarts=2)
-    solver_cfg = SolverConfig(gamma1=1.0, gamma2=1.0)
-    before = run_one_gamma(X, labels, cfg, solver_cfg)
-    after = run_one_gamma(X, labels, replace(cfg, corrupt_after_standardize=True), solver_cfg)
+                           knn_k=6, sigma2="auto", seed=1, restarts=2, gamma1=1.0, gamma2=1.0)
+    before = run_one_gamma(X, labels, cfg)
+    after = run_one_gamma(X, labels, cfg, corrupt_after_standardize=True)
     assert before["corruption"]["entries"] == after["corruption"]["entries"]
 
 
 def test_run_experiment_zero_gammas_reduces_to_raw_kmeans():
     X, labels = two_gaussians(n=60, p=10, separation=6.0, seed=11)
     rec = run_one_gamma(X, labels, ExperimentConfig(knn_k=6, sigma2="auto", seed=4, restarts=3),
-                        SolverConfig(gamma1=0.0, gamma2=0.0))
+                        gamma1=0.0, gamma2=0.0)
     Xs = standardize(X)
     raw = kmeans(Xs, 2, restarts=3, seed=4)
     assert rec["error"] == clustering_error(raw.labels, labels)
@@ -277,16 +274,16 @@ def test_run_experiment_zero_gammas_reduces_to_raw_kmeans():
 
 def test_sweep_matches_separate_single_gamma_runs():
     X, labels = two_gaussians(n=50, p=12, separation=8.0, seed=14)
-    args = (X, labels, ExperimentConfig(corruption="missing", fraction=0.2, corruption_seed=6,
-                                        knn_k=6, sigma2="auto", seed=2, restarts=3,
-                                        cluster_on="w"))
-    solver_cfgs = [SolverConfig(gamma1=g, gamma2=g, epsilon=1e-8) for g in (0.5, 3.0, 20.0)]
-    prepared = prepare_experiment(*args)
-    swept = [run_gamma(prepared, cfg) for cfg in solver_cfgs]
-    separate = [run_gamma(prepare_experiment(*args), cfg) for cfg in solver_cfgs]
-    assert set(prepared.timings_ms) == {"import_ms", "corrupt_ms", "standardize_ms",
-                                        "graphs_ms", "cluster_raw_ms", "s_r_ms"}
-    for a, b in zip(swept, separate):
-        assert set(a.pop("timings_ms")) == {"solve_ms", "svd_ms", "cluster_ms"}
-        b.pop("timings_ms")
-        assert a == b
+    cfg = ExperimentConfig(corruption="missing", fraction=0.2, corruption_seed=6, knn_k=6,
+                           sigma2="auto", seed=2, restarts=3, cluster_on="w", epsilon=1e-8)
+    gammas = (0.5, 3.0, 20.0)
+    swept = list(experiment_records(X, labels, replace(cfg, gamma=gammas)))
+    separate = [run_one_gamma(X, labels, cfg, gamma=(g,)) for g in gammas]
+    assert list(swept[0].pop("timings_ms")) == ["import_ms", "corrupt_ms", "standardize_ms",
+                                                "graphs_ms", "cluster_raw_ms", "s_r_ms",
+                                                "solve_ms", "svd_ms", "cluster_ms"]
+    for record in swept[1:]:
+        assert list(record.pop("timings_ms")) == ["solve_ms", "svd_ms", "cluster_ms"]
+    for record in separate:
+        record.pop("timings_ms")
+    assert swept == separate
