@@ -10,7 +10,8 @@ import numpy as np
 
 from . import analysis
 from .config import FORMATS, AutoOrPositive, Floats
-from .graph import _rounding_window, _sq_distances, build_graph, knn_exact, partial_eigs
+from .graph import (_rounding_window, _sparsetools, _sq_distances, build_graph, knn_exact,
+                    partial_eigs)
 from .matrixio import CorruptionSpec, _as_matrix, corrupt, standardize
 from .solver import SolverConfig, fista_solve
 
@@ -269,8 +270,9 @@ def experiment_records(X: np.ndarray, truth, cfg: ExperimentConfig) -> Iterator[
     """The experiment sweep. The call runs the gamma-independent stages at
     once: corrupt (after standardizing if cfg.corrupt_after_standardize) ->
     standardize -> dual graphs -> k-means on raw X (error_raw) -> stationarity
-    ratio s_r of the feature graph. The first stage, import_ms, loads the
-    modules that later stages would otherwise load on first use.
+    ratio s_r of the feature graph. The first stage, import_ms, loads what
+    later stages would otherwise load on first use: numpy.random and the
+    compiled CSR kernel of the Laplacian products (graph._sparsetools).
 
     The iterator it returns runs, for each of cfg.solver_configs(): solve ->
     economic SVD and rank estimate of U -> k-means on U, or on the
@@ -285,7 +287,7 @@ def experiment_records(X: np.ndarray, truth, cfg: ExperimentConfig) -> Iterator[
 
     with _stage(timings, "import_ms"):
         import numpy.random  # noqa: F401
-        import scipy.sparse  # noqa: F401
+        _sparsetools()
     with _stage(timings, "corrupt_ms"):
         if corruption is not None and not cfg.corrupt_after_standardize:
             X, mask = corrupt(X, corruption)

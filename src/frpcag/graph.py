@@ -1,8 +1,11 @@
 """K-NN graph construction, normalized Laplacians and partial eigendecompositions."""
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Union
 
 import numpy as np
@@ -26,9 +29,10 @@ class SparseGraph:
 
     Every vertex has an edge, and L = I - D^{-1/2} A D^{-1/2}, with D the
     degrees (the adjacency's row sums), has its spectrum inside [0, 2].
-    adjacency and laplacian are scipy.sparse CSR matrices, built on first
-    use; only they import scipy.sparse, so a graph that is built and saved
-    (frpcag graph) needs numpy alone.
+    laplacian is L's (indptr, indices, data) triple in canonical CSR, built in
+    numpy on first use, and _csr_matvecs multiplies by it; so no command
+    imports scipy.sparse. adjacency is a scipy.sparse CSR matrix, built (and
+    scipy.sparse imported) on first use.
     """
 
     indptr: np.ndarray
@@ -48,11 +52,61 @@ class SparseGraph:
 
     @cached_property
     def laplacian(self):
-        import scipy.sparse as sp
+        """(indptr, indices, data) of L in canonical CSR, with the index type
+        of _sparse_graph: scipy.sparse's I - D A D, bit for bit. Entry (i, j)
+        off the diagonal is -((s_i a_ij) s_j) with s = 1 / sqrt(degree), as
+        the two products by the diagonal round it, and is dropped when that
+        underflows to 0."""
+        n = self.vertex_count
+        rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        s = 1.0 / np.sqrt(np.add.reduceat(self.data, self.indptr[:-1]))
+        off = -((s[rows] * self.data) * s[self.indices])
+        kept = off != 0
+        keys = np.concatenate([rows[kept] * n + self.indices[kept], np.arange(n) * (n + 1)])
+        order = np.argsort(keys)
+        keys = keys[order]
+        index = _index_type(n, keys.size)
+        return (_row_starts(keys // n, n, index), (keys % n).astype(index),
+                np.concatenate([off[kept], np.ones(n)])[order])
 
-        A = self.adjacency
-        D = sp.diags(1.0 / np.sqrt(np.asarray(A.sum(axis=1)).ravel()))
-        return (sp.eye(A.shape[0], format="csr") - D @ A @ D).tocsr()
+
+# scipy's compiled sparse kernels, relative to scipy's directory, less the
+# extension suffix
+_SPARSETOOLS = os.path.join("sparse", "_sparsetools")
+
+
+@cache
+def _sparsetools():
+    """scipy's compiled sparse kernels, scipy.sparse._sparsetools.
+
+    The extension is loaded from its file in scipy's directory, which
+    find_spec gives without running any scipy __init__, so no scipy module
+    is imported; where no such file is found, it is imported from
+    scipy.sparse: the same kernels, with scipy.sparse's launch cost.
+    """
+    root = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(root, _SPARSETOOLS + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader("scipy.sparse._sparsetools", path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(loader.name, loader))
+            loader.exec_module(module)
+            return module
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools
+
+
+def _csr_matvecs(csr, X: np.ndarray) -> np.ndarray:
+    """A @ X for the (indptr, indices, data) triple of a CSR A with X.shape[0]
+    columns and a C-ordered 2-D X: scipy.sparse's A @ X, bit for bit, as
+    both run csr_matvecs on the same arrays."""
+    indptr, indices, data = csr
+    Y = np.zeros((indptr.size - 1, X.shape[1]))
+    _sparsetools().csr_matvecs(Y.shape[0], X.shape[0], X.shape[1], indptr, indices, data,
+                               X.ravel(), Y.ravel())
+    return Y
 
 
 # float64 elements in one block of candidate scores (4 MB); a block of rows
@@ -186,6 +240,18 @@ def _nearest_candidates(points: np.ndarray, first: int, inside: np.ndarray, K: i
     return c[take], d[take]
 
 
+def _index_type(n: int, nnz: int):
+    """The index type scipy.sparse gives a CSR matrix of n rows and nnz entries."""
+    return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
+def _row_starts(rows: np.ndarray, n: int, index) -> np.ndarray:
+    """indptr of the entries in rows, sorted, of a CSR matrix of n rows."""
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
 def _sparse_graph(rows, cols, weights, n: int) -> SparseGraph:
     """SparseGraph of n vertices from the edges (rows, cols, weights) of a
     symmetric adjacency, sorted by row and then column, with no self-loop,
@@ -196,9 +262,8 @@ def _sparse_graph(rows, cols, weights, n: int) -> SparseGraph:
     each row's weights in column order. The index arrays take the type that
     scipy.sparse would give them, so adjacency uses them without a copy.
     """
-    index = np.int32 if max(n, rows.size) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    index = _index_type(n, rows.size)
+    indptr = _row_starts(rows, n, index)
     isolated = int(np.count_nonzero(np.diff(indptr) == 0))
     if isolated:
         raise ValueError(f"{isolated} of {n} vertices keep no edge")
@@ -285,11 +350,13 @@ def partial_eigs(graph: SparseGraph, k: int):
     n x n Laplacian, in O(n^2) memory and O(n^3) time whatever k is; the
     vectors are copied only when k < n. Raises ValueError unless 1 <= k <= n.
     """
-    L = graph.laplacian
-    n = L.shape[0]
+    n = graph.vertex_count
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    values, vectors = np.linalg.eigh(L.toarray())
+    indptr, indices, data = graph.laplacian
+    dense = np.zeros((n, n))
+    dense[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
+    values, vectors = np.linalg.eigh(dense)
     return values[:k], np.ascontiguousarray(vectors[:, :k])
 
 

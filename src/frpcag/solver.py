@@ -5,7 +5,7 @@ from typing import List
 
 import numpy as np
 
-from .graph import SparseGraph
+from .graph import SparseGraph, _csr_matvecs
 from .matrixio import _as_matrix, _check_same_shape
 
 LOSSES = ("l1", "frobenius_sq")
@@ -30,8 +30,13 @@ class SolverConfig:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if not (0 <= self.gamma1 < np.inf and 0 <= self.gamma2 < np.inf):
             raise ValueError("gamma1 and gamma2 must be finite and >= 0")
-        if not auto_step(self.gamma1, self.gamma2) > 0:
+        step = auto_step(self.gamma1, self.gamma2)
+        if not step > 0:
             raise ValueError("gamma1 + gamma2 overflows: the auto step would be 0")
+        if step == np.inf:
+            raise ValueError(f"gamma1 + gamma2 = {self.gamma1 + self.gamma2:.17g} is too small: "
+                             "the auto step 1/(4 (gamma1 + gamma2)) would be infinite; "
+                             "give 0 or a larger sum")
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
         if self.max_iters < 1:
@@ -70,17 +75,24 @@ _BLOCK_ELEMENTS = 1 << 14
 
 
 def _row_blocks(L2: SparseGraph, n: int):
-    """Row slices of a p x n U, each with its CSR rows of L2; at least 32 rows
-    keep the CSR kernel's inner loop long."""
+    """Row slices of a p x n U, each with its CSR rows of L2 as an (indptr,
+    indices, data) triple; at least 32 rows keep the CSR kernel's inner loop
+    long."""
     p = L2.vertex_count
+    indptr, indices, data = L2.laplacian
     rows = max(32, _BLOCK_ELEMENTS // n)
-    return [(blk, L2.laplacian[blk])
-            for blk in (slice(lo, min(lo + rows, p)) for lo in range(0, p, rows))]
+    blocks = []
+    for lo in range(0, p, rows):
+        hi = min(lo + rows, p)
+        start, stop = indptr[lo], indptr[hi]
+        blocks.append((slice(lo, hi), (indptr[lo:hi + 1] - start, indices[start:stop],
+                                       data[start:stop])))
+    return blocks
 
 
 def _l1_rows(U_blk: np.ndarray, L1: SparseGraph, c1: float, out: np.ndarray) -> None:
     """out = c1 * U_blk L1, taken as the n x b product L1 @ U_blk^T (L1 is symmetric)."""
-    np.multiply((L1.laplacian @ U_blk.T).T, c1, out=out)
+    np.multiply(_csr_matvecs(L1.laplacian, np.ascontiguousarray(U_blk.T)).T, c1, out=out)
 
 
 def _add_l2(U: np.ndarray, c2: float, Q: np.ndarray, blocks) -> float:
@@ -91,7 +103,7 @@ def _add_l2(U: np.ndarray, c2: float, Q: np.ndarray, blocks) -> float:
     """
     value = 0.0
     for blk, L2_rows in blocks:
-        part = L2_rows @ U
+        part = _csr_matvecs(L2_rows, U)
         part *= c2
         Q[blk] += part
         value += float(np.vdot(U[blk], Q[blk]))
@@ -159,7 +171,8 @@ def prox_fidelity(U, X, lam: float, loss: str = "l1") -> np.ndarray:
 def auto_step(gamma1: float, gamma2: float) -> float:
     """1 / beta' for the Lipschitz bound beta' = 2*g1*||L1||_2 + 2*g2*||L2||_2
     at ||L||_2 <= 2, which every normalized Laplacian meets; 0 when
-    4*(g1 + g2) overflows, which SolverConfig refuses."""
+    4*(g1 + g2) overflows and inf when its inverse does (a positive sum
+    below about 1.4e-309), both of which SolverConfig refuses."""
     beta = 4.0 * (gamma1 + gamma2)
     return 1.0 / beta if beta > 0 else 1.0  # zero gammas: gradient vanishes
 

@@ -8,7 +8,9 @@ each line in file order, with the csv module for CSV records. `kmeans` and
 and scipy.optimize.linear_sum_assignment. `build_graph` and the COO reader
 assemble their graphs on scipy.sparse, as the package did before it built
 them in numpy: the union as `W.maximum(W.T)`, the symmetry check on
-`A.T.tocsr()` and the Laplacian as `I - D A D`.
+`A.T.tocsr()` and the Laplacian as `I - D A D`. `dense_laplacian` densifies
+a graph's Laplacian triple, and `csr_bytes` gives the bytes of a graph's
+CSR arrays, for the package's graphs and these alike.
 """
 
 import csv
@@ -35,6 +37,21 @@ def plain_number_text(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+def dense_laplacian(graph) -> np.ndarray:
+    """The n x n Laplacian of a SparseGraph (or of _scipy_graph's namespace)
+    as a dense array, from its (indptr, indices, data) triple by scipy.sparse."""
+    indptr, indices, data = graph.laplacian
+    n = graph.vertex_count
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n)).toarray()
+
+
+def csr_bytes(graph) -> list:
+    """(dtype, bytes) of the CSR arrays of a SparseGraph (or of _scipy_graph's
+    namespace): its adjacency's indptr, indices and data, then its Laplacian's."""
+    return [(a.dtype, a.tobytes())
+            for a in (graph.indptr, graph.indices, graph.data, *graph.laplacian)]
+
+
 def sylvester_solve(X, L1: SparseGraph, L2: SparseGraph, gamma1: float,
                     gamma2: float) -> np.ndarray:
     """Exact minimizer of ||X-U||_F^2 + g1*tr(U L1 U^T) + g2*tr(U^T L2 U).
@@ -45,12 +62,13 @@ def sylvester_solve(X, L1: SparseGraph, L2: SparseGraph, gamma1: float,
     """
     X = _as_matrix(X)
     _check_dims(X, L1, L2)
-    lam, Q = eigh(L1.laplacian.toarray())
-    om, P = eigh(L2.laplacian.toarray())
+    L1, L2 = dense_laplacian(L1), dense_laplacian(L2)
+    lam, Q = eigh(L1)
+    om, P = eigh(L2)
     M = P.T @ X @ Q
     M /= 1.0 + gamma2 * om[:, None] + gamma1 * lam[None, :]
     U = P @ M @ Q.T
-    residual = U + gamma2 * (L2.laplacian @ U) + gamma1 * (L1.laplacian @ U.T).T - X
+    residual = U + gamma2 * (L2 @ U) + gamma1 * (U @ L1) - X
     scale = max(np.linalg.norm(X), 1e-300)
     if np.linalg.norm(residual) > 1e-10 * scale:
         raise RuntimeError("stationarity residual exceeded 1e-10, eigensolve is suspect")
@@ -63,9 +81,9 @@ def sequential_prox(X, L1: SparseGraph, L2: SparseGraph, gamma1: float,
     X = _as_matrix(X)
     _check_dims(X, L1, L2)
     p, n = X.shape
-    A2 = np.eye(p) + gamma2 * L2.laplacian.toarray()
+    A2 = np.eye(p) + gamma2 * dense_laplacian(L2)
     Z = solve(A2, X, assume_a="pos")
-    A1 = np.eye(n) + gamma1 * L1.laplacian.toarray()
+    A1 = np.eye(n) + gamma1 * dense_laplacian(L1)
     return solve(A1, Z.T, assume_a="pos").T
 
 
@@ -216,7 +234,7 @@ def load_labels(path) -> np.ndarray:
 
 def load_graph_coo(path, vertex_count: int) -> SimpleNamespace:
     """load_graph_coo, one line at a time into a dict of edges, on
-    scipy.sparse: the adjacency and Laplacian."""
+    scipy.sparse: the _scipy_graph of its adjacency."""
     edges = {}  # (i, j) -> weight, in file order
     try:
         with open(path, encoding="utf-8") as fh:
@@ -269,9 +287,11 @@ def load_graph_coo(path, vertex_count: int) -> SimpleNamespace:
 
 
 def _scipy_graph(A: sp.csr_matrix) -> SimpleNamespace:
-    """The adjacency and Laplacian of a symmetric CSR adjacency with no
-    self-loops and no stored zeros; ValueError when a vertex keeps no edge
-    or a degree overflows."""
+    """A symmetric CSR adjacency with no self-loops and no stored zeros as
+    SparseGraph holds it: its indptr, indices and data, its vertex_count and
+    its Laplacian I - D A D, computed by scipy.sparse, as the (indptr,
+    indices, data) triple laplacian. ValueError when a vertex keeps no edge or
+    a degree overflows."""
     with np.errstate(over="ignore"):  # an overflowing degree is rejected below
         degrees = np.asarray(A.sum(axis=1)).ravel()
     isolated = int(np.count_nonzero(degrees == 0))
@@ -280,8 +300,9 @@ def _scipy_graph(A: sp.csr_matrix) -> SimpleNamespace:
     if not np.isfinite(degrees).all():
         raise ValueError("edge weights overflow a vertex degree")
     D = sp.diags(1.0 / np.sqrt(degrees))
-    L = sp.eye(A.shape[0], format="csr") - D @ A @ D
-    return SimpleNamespace(adjacency=A, laplacian=L.tocsr())
+    L = (sp.eye(A.shape[0], format="csr") - D @ A @ D).tocsr()
+    return SimpleNamespace(indptr=A.indptr, indices=A.indices, data=A.data,
+                           vertex_count=A.shape[0], laplacian=(L.indptr, L.indices, L.data))
 
 
 def build_graph(neighbors, sigma2: float) -> SimpleNamespace:

@@ -1,17 +1,20 @@
 import re
 from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
 from frpcag import graph
 from frpcag.graph import (GraphFormatError, GraphSizeError, build_graph, knn_exact,
                           load_graph_coo, partial_eigs, resolve_sigma2, save_graph_coo)
+from frpcag.solver import _row_blocks
 import oracles
 from memtrace import traced_peak
 
@@ -263,14 +266,13 @@ def neighbor_lists(draw):
 
 
 def graph_arrays(make):
-    """(dtype, bytes) of the CSR arrays of make()'s adjacency and Laplacian,
-    or the message of the ValueError it raises."""
+    """oracles.csr_bytes of make()'s graph, or the message of the ValueError
+    it raises."""
     try:
         g = make()
     except ValueError as exc:
         return str(exc)
-    return [(a.dtype, a.tobytes()) for m in (g.adjacency, g.laplacian)
-            for a in (m.indptr, m.indices, m.data)]
+    return oracles.csr_bytes(g)
 
 
 def _complete_graph_with_a_faint_vertex():
@@ -290,6 +292,68 @@ def test_build_graph_matches_its_scipy_oracle(neighbors, sigma2):
             == graph_arrays(lambda: oracles.build_graph(neighbors, sigma2)))
 
 
+@st.composite
+def two_clusters(draw):
+    """(points, K, sigma2): two tight clusters of 3-D points, 1 to 15
+    neighbors and a scale from 1e-3 to 1e2. sigma2 is "auto", or puts the
+    longest listed distance at a weight of about the smallest subnormal, so
+    that (s_i a_ij) s_j underflows to 0 for the edges between well connected
+    vertices."""
+    K = draw(st.integers(1, 15))
+    sizes = draw(st.tuples(st.integers(1, 40), st.integers(0, 40)).filter(
+        lambda s: sum(s) > K))
+    scale = 10.0 ** draw(st.floats(-3, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = np.concatenate([0.05 * rng.standard_normal((3, m)) + 3.0 * c
+                             for c, m in enumerate(sizes)], axis=1) * scale
+    ratio = draw(st.sampled_from([None, 744.4, 744.0, 740.0]))
+    if ratio is None:
+        return points, K, "auto"
+    return points, K, float(knn_exact(points, K)[1].max() ** 2 / ratio)
+
+
+def csr(triple, shape):
+    indptr, indices, data = triple
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_clusters(), st.integers(1, 9), st.floats(-5, 5))
+def test_laplacian_and_its_products_match_scipy(case, width, exponent):
+    # the triple against oracles._scipy_graph's I - D A D, and csr_matvecs on it,
+    # whole and by the solver's row blocks, against scipy.sparse's products
+    points, K, sigma2 = case
+    neighbors = knn_exact(points, K)
+    sigma2 = resolve_sigma2(neighbors, sigma2)
+    made = graph_arrays(lambda: build_graph(neighbors, sigma2))
+    assert made == graph_arrays(lambda: oracles.build_graph(neighbors, sigma2))
+    if isinstance(made, str):  # a vertex kept no edge: the same message
+        return
+    g, n = build_graph(neighbors, sigma2), points.shape[1]
+    L = csr(oracles.build_graph(neighbors, sigma2).laplacian, (n, n))
+    U = np.random.default_rng(width).standard_normal((n, width)) * 10.0 ** exponent
+    assert graph._csr_matvecs(g.laplacian, U).tobytes() == (L @ U).tobytes()
+    column = U[:, :1].copy()  # scipy's csr_matvec path
+    assert graph._csr_matvecs(g.laplacian, column).tobytes() == (L @ column).tobytes()
+    with mock.patch("frpcag.solver._BLOCK_ELEMENTS", 1):  # blocks of 32 rows
+        blocks = _row_blocks(g, width)
+    assert [blk.stop - blk.start for blk, _ in blocks][:-1] == [32] * (len(blocks) - 1)
+    for blk, rows in blocks:
+        assert [a.tobytes() for a in rows] == [a.tobytes() for a in
+                                              (L[blk].indptr, L[blk].indices, L[blk].data)]
+        assert graph._csr_matvecs(rows, U).tobytes() == (L[blk] @ U).tobytes()
+
+
+def test_laplacian_drops_products_that_underflow():
+    # the faint vertex's weight, halved from row 0, rounds to 0: that entry is
+    # gone from row 0 but kept in row 5, as in scipy.sparse's I - D A D
+    g = build_graph(_complete_graph_with_a_faint_vertex(), 1.0)
+    indptr, indices, data = g.laplacian
+    assert 5 not in indices[indptr[0]:indptr[1]] and 0 in indices[indptr[5]:indptr[6]]
+    assert oracles.csr_bytes(g) == oracles.csr_bytes(
+        oracles.build_graph(_complete_graph_with_a_faint_vertex(), 1.0))
+
+
 def test_build_graph_weights():
     # single edge of length 1, sigma^2 = 1: weight exp(-1)
     nb = knn_exact(np.array([[0.0, 1.0]]), 1)
@@ -304,8 +368,8 @@ def test_build_graph_weights():
 def test_two_node_laplacian():
     nb = knn_exact(np.array([[0.0, 0.0]]), 1)  # weight-1 edge
     g = build_graph(nb, 1.0)
-    assert np.allclose(g.laplacian.toarray(), [[1.0, -1.0], [-1.0, 1.0]])
-    vals = eigh(g.laplacian.toarray(), eigvals_only=True)
+    assert np.allclose(oracles.dense_laplacian(g), [[1.0, -1.0], [-1.0, 1.0]])
+    vals = eigh(oracles.dense_laplacian(g), eigvals_only=True)
     assert np.allclose(vals, [0.0, 2.0], atol=1e-12)
 
 
@@ -355,7 +419,7 @@ def test_partial_eigs_counts_components():
 def test_partial_eigs_matches_dense_oracle():
     g = random_graph(6, 2, seed=9)
     values, _ = partial_eigs(g, 6)
-    dense_vals = eigh(g.laplacian.toarray(), eigvals_only=True)
+    dense_vals = eigh(oracles.dense_laplacian(g), eigvals_only=True)
     assert np.abs(values - dense_vals).max() < 1e-8
 
 
@@ -363,7 +427,7 @@ def test_partial_eigs_invariants():
     g = random_graph(35, 5, seed=10)
     values, vectors = partial_eigs(g, 8)
     assert values.shape == (8,) and vectors.shape == (35, 8) and vectors.flags.c_contiguous
-    L = g.laplacian
+    L = oracles.dense_laplacian(g)
     for i in range(values.size):
         residual = np.linalg.norm(L @ vectors[:, i] - values[i] * vectors[:, i])
         assert residual <= 1e-8 * 2.0  # ||L|| <= 2
@@ -381,14 +445,14 @@ def test_partial_eigs_k_out_of_range(k):
 def test_partial_eigs_sparse_path():
     g = random_graph(500, 8, seed=11)
     values, _ = partial_eigs(g, 5)
-    dense = eigh(g.laplacian.toarray(), eigvals_only=True)[:5]
+    dense = eigh(oracles.dense_laplacian(g), eigvals_only=True)[:5]
     assert np.abs(values - dense).max() < 1e-8
 
 
 def test_laplacian_psd_quadratic_form():
     g = random_graph(30, 4, seed=12)
     rng = np.random.default_rng(13)
-    L = g.laplacian.toarray()
+    L = oracles.dense_laplacian(g)
     for _ in range(100):
         x = rng.standard_normal(30)
         assert x @ L @ x >= -1e-10
@@ -397,7 +461,7 @@ def test_laplacian_psd_quadratic_form():
 def test_spectrum_within_bounds():
     for seed in range(5):
         g = random_graph(20 + 3 * seed, 3 + seed, seed=seed)
-        vals = eigh(g.laplacian.toarray(), eigvals_only=True)
+        vals = eigh(oracles.dense_laplacian(g), eigvals_only=True)
         assert vals.min() >= -1e-10 and vals.max() <= 2.0 + 1e-10
 
 

@@ -96,8 +96,7 @@ def outcome(reader, path):
     except (MatrixFormatError, GraphFormatError) as exc:
         return "error", type(exc), str(exc)
     if hasattr(value, "laplacian"):
-        return "ok", [(a.dtype, a.tobytes()) for m in (value.adjacency, value.laplacian)
-                      for a in (m.indptr, m.indices, m.data)]
+        return "ok", oracles.csr_bytes(value)
     return "ok", value.dtype, value.shape, value.tobytes()
 
 

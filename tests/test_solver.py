@@ -16,7 +16,7 @@ from frpcag.matrixio import CorruptionSpec, corrupt, save_matrix, standardize
 from frpcag.solver import (LOSSES, DivergedError, LowRankResult, SolverConfig, auto_step,
                            fista_solve, gradient_smooth, objective, prox_fidelity)
 from memtrace import traced_peak
-from oracles import sequential_prox, sylvester_solve
+from oracles import dense_laplacian, sequential_prox, sylvester_solve
 
 
 def make_instance(p, n, k=4, seed=0):
@@ -37,8 +37,8 @@ def chain_instance():
 
 def smooth_part(U, G1, G2, g1, g2):
     """Dense oracle for the Tikhonov terms."""
-    L1 = G1.laplacian.toarray()
-    L2 = G2.laplacian.toarray()
+    L1 = dense_laplacian(G1)
+    L2 = dense_laplacian(G2)
     return g1 * np.trace(U @ L1 @ U.T) + g2 * np.trace(U.T @ L2 @ U)
 
 
@@ -222,7 +222,7 @@ def reference_fista(X, G1, G2, cfg):
     once for the gradient at Y and once for the objective at U, on fresh
     arrays; its prox steps are the residual forms of prox_fidelity's
     docstring. Returns (U, objective trace, iterations)."""
-    L1, L2 = G1.laplacian, G2.laplacian
+    L1, L2 = dense_laplacian(G1), dense_laplacian(G2)
     lam = auto_step(cfg.gamma1, cfg.gamma2)
     Y, U_prev = X.copy(), X.copy()
     t, trace = 1.0, []
@@ -309,7 +309,7 @@ def test_objective_matches_last_trace_value_over_row_blocks(p, n, loss):
 def test_gradient_matches_dense_over_row_blocks(p, n):
     X, G1, G2 = make_instance(p, n, k=5, seed=5)
     U = np.random.default_rng(6).standard_normal((p, n))
-    dense = 2.0 * (1.7 * U @ G1.laplacian.toarray() + 0.3 * G2.laplacian.toarray() @ U)
+    dense = 2.0 * (1.7 * U @ dense_laplacian(G1) + 0.3 * dense_laplacian(G2) @ U)
     got = gradient_smooth(U, G1, G2, 1.7, 0.3)
     assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -376,7 +376,7 @@ GAMMAS = st.one_of(st.floats(0.0, MAX), st.floats(MAX / 16, MAX / 4))
 @settings(max_examples=1000, deadline=None)
 @given(GAMMAS, GAMMAS)
 @example(0.0, 0.0)
-@example(5e-324, 0.0)
+@example(5e-324, 0.0)  # the step overflows to inf, which is refused
 @example(MAX / 8, MAX / 8)  # 4*(g1 + g2) is the largest float
 @example(float(np.nextafter(MAX / 8, np.inf)), MAX / 8)  # the sum rounds up to 2^1022
 def test_auto_step_is_the_bound_rule(gamma1, gamma2):
@@ -386,6 +386,10 @@ def test_auto_step_is_the_bound_rule(gamma1, gamma2):
     assert auto_step(gamma1, gamma2).hex() == want.hex()
     if beta == np.inf:
         with pytest.raises(ValueError, match="auto step would be 0"):
+            SolverConfig(gamma1=gamma1, gamma2=gamma2)
+    elif want == np.inf:  # a positive sum so small that its step overflows
+        with pytest.raises(ValueError, match=f"gamma1 \\+ gamma2 = {gamma1 + gamma2:.17g} "
+                                             "is too small: the auto step"):
             SolverConfig(gamma1=gamma1, gamma2=gamma2)
     else:
         SolverConfig(gamma1=gamma1, gamma2=gamma2)
@@ -402,7 +406,7 @@ def test_sylvester_chain_graph_stationarity():
     rng = np.random.default_rng(20)
     X = rng.standard_normal((3, 3))
     U = sylvester_solve(X, G, G, 1.5, 0.5)
-    L = G.laplacian.toarray()
+    L = dense_laplacian(G)
     residual = U + 0.5 * L @ U + 1.5 * U @ L - X
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(X)
 
@@ -411,8 +415,8 @@ def test_sequential_prox_identity_and_formula():
     X, G1, G2 = make_instance(6, 8, seed=21)
     assert np.abs(sequential_prox(X, G1, G2, 0.0, 0.0) - X).max() < 1e-12
     from scipy.linalg import eigh
-    lam, Q = eigh(G1.laplacian.toarray())
-    om, P = eigh(G2.laplacian.toarray())
+    lam, Q = eigh(dense_laplacian(G1))
+    om, P = eigh(dense_laplacian(G2))
     ref = (P @ np.diag(1 / (1 + 3.0 * om)) @ P.T) @ X @ (Q @ np.diag(1 / (1 + 2.0 * lam)) @ Q.T)
     out = sequential_prox(X, G1, G2, 2.0, 3.0)
     assert np.abs(out - ref).max() < 1e-10
@@ -421,8 +425,8 @@ def test_sequential_prox_identity_and_formula():
 def test_sequential_prox_attenuates_aligned_spectrum():
     X, G1, G2 = make_instance(7, 9, seed=22)
     from scipy.linalg import eigh
-    lam, Q = eigh(G1.laplacian.toarray())
-    om, P = eigh(G2.laplacian.toarray())
+    lam, Q = eigh(dense_laplacian(G1))
+    om, P = eigh(dense_laplacian(G2))
     s = np.array([8.0, 5.0, 3.0, 2.0, 1.0])
     Xa = P[:, :5] @ np.diag(s) @ Q[:, :5].T
     out = sequential_prox(Xa, G1, G2, 2.0, 4.0)
