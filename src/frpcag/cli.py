@@ -4,10 +4,9 @@ Exit codes: 0 success, 1 io/parse, 2 usage, config or a size too large for
 memory, 3 solver divergence, 4 inconsistent data.
 
 Each command imports the modules it runs when it runs, so `--help` and the
-argument checks load neither numpy nor scipy. No command imports a module
-of scipy: `graph` loads numpy alone; solve, background and experiment load
-numpy and, for their Laplacian products, scipy's compiled CSR kernel from
-its file (graph._sparsetools).
+argument checks load neither numpy nor scipy, and no command imports scipy:
+`graph` loads numpy alone; solve, background and experiment load numpy and
+scipy's compiled CSR kernel, from its file (graph._sparsetools).
 """
 
 import argparse

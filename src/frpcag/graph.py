@@ -259,8 +259,10 @@ def _sparse_graph(rows, cols, weights, n: int) -> SparseGraph:
 
     Raises ValueError when a vertex keeps no edge or a degree overflows.
     The degrees are scipy's CSR row sums, bit for bit: np.add.reduceat over
-    each row's weights in column order. The index arrays take the type that
-    scipy.sparse would give them, so adjacency uses them without a copy.
+    each row's weights in column order, as SparseGraph.laplacian takes them.
+    The index arrays take the type that scipy.sparse would give them
+    (_index_type, which the Laplacian's arrays follow too), so adjacency
+    uses them without a copy.
     """
     index = _index_type(n, rows.size)
     indptr = _row_starts(rows, n, index)
