@@ -16,8 +16,8 @@ _EXPORTS = {
     "graph": ("SparseGraph", "build_graph", "knn_exact", "load_graph_coo", "partial_eigs",
               "save_graph_coo"),
     "matrixio": ("CorruptionSpec", "corrupt", "load_matrix", "save_matrix", "standardize"),
-    "solver": ("DivergedError", "LowRankResult", "SolverConfig", "fista_solve",
-               "gradient_smooth", "objective", "prox_fidelity"),
+    "solver": ("LowRankResult", "SolverConfig", "fista_solve", "gradient_smooth", "objective",
+               "prox_fidelity"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = ("config", *_EXPORTS)

@@ -1,7 +1,7 @@
 """Command-line front end: frpcag graph | solve | background | experiment.
 
 Exit codes: 0 success, 1 io/parse, 2 usage, config or a size too large for
-memory, 3 solver divergence, 4 inconsistent data.
+memory, 4 inconsistent data; 3, once solver divergence, is retired.
 
 Each command imports the modules it runs when it runs, so `--help` and the
 argument checks load neither numpy nor scipy, and no command imports scipy:
@@ -20,7 +20,6 @@ from .config import FORMATS, ConfigError, auto_or_positive, number_type, parse_k
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
-EXIT_DIVERGED = 3
 EXIT_DATA = 4
 
 
@@ -179,7 +178,6 @@ def main(argv=None) -> int:
     from .frames import FrameDimensionError, FrameFormatError
     from .graph import GraphFormatError, GraphSizeError
     from .matrixio import MatrixFormatError
-    from .solver import DivergedError
 
     try:
         return args.func(args)
@@ -192,9 +190,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a requested size no machine can hold
         print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DivergedError as exc:
-        print(f"error: solver diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
     except FrameDimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

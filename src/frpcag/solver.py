@@ -1,5 +1,6 @@
 """FISTA solver for l1 (or squared-Frobenius) fidelity plus dual graph-Tikhonov terms."""
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -9,10 +10,6 @@ from .graph import SparseGraph, _csr_matvecs
 from .matrixio import _as_matrix, _check_same_shape
 
 LOSSES = ("l1", "frobenius_sq")
-
-
-class DivergedError(RuntimeError):
-    """Solver produced non-finite values: input values too large for float64."""
 
 
 @dataclass(frozen=True)
@@ -199,13 +196,22 @@ def fista_solve(X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> LowRa
     in cache, so Y and the prox residual exist only per block; L2 U follows
     block by block, each block's CSR rows of L2 (sliced once per call) times
     U. So the loop holds no p x n array beyond X and four buffers. A
-    C-ordered X is used as it is, without a copy. A non-finite objective,
-    from X values whose squares overflow float64, raises DivergedError.
+    C-ordered X is used as it is, without a copy. Every finite X solves: the
+    loop is exactly covariant under power-of-two scaling, so for max|X|
+    outside [2^-256, 2^257) it runs on X / r (one more p x n array), r the
+    power of two at or below max|X|, with the l1 threshold lam / r, and
+    scales U and the trace back. U stays finite; an objective past float64
+    reads inf.
     """
     Xv = np.ascontiguousarray(_as_matrix(X))
     _check_dims(Xv, L1, L2)
     lam = auto_step(cfg.gamma1, cfg.gamma2)
     c1, c2 = -2.0 * lam * cfg.gamma1, -2.0 * lam * cfg.gamma2
+    _, e = math.frexp(max(-Xv.min(), Xv.max()))  # 2^(e-1) <= max|X| < 2^e, or X = 0, e = 0
+    r = 1.0 if -256 <= e - 1 <= 256 else math.ldexp(1.0, e - 1)
+    Xv = Xv if r == 1.0 else Xv / r
+    # phi(U - X) scales as r (l1) or r^2, the smooth terms as r^2, the l1 threshold as r
+    shrink, fidelity_r = (lam / r, 1.0) if cfg.loss == "l1" else (lam, r)
     blocks = _row_blocks(L2, Xv.shape[1])
 
     # Four p x n buffers: U and U_prev swap each iteration, as do Q and Q_prev
@@ -215,47 +221,45 @@ def fista_solve(X, L1: SparseGraph, L2: SparseGraph, cfg: SolverConfig) -> LowRa
     trace: List[float] = []
     converged = False
     iterations = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked explicitly
-        Q, _ = _smooth(Xv, L1, c1, c2, blocks)
-        Q_prev = Q.copy()
-        for _ in range(cfg.max_iters):
-            iterations += 1
-            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            beta_next = (t - 1.0) / t_next
-            fidelity = base = diff = 0.0
-            for blk, _ in blocks:
-                Yb, Rb = Y_buf[:blk.stop - blk.start], R_buf[:blk.stop - blk.start]
-                np.subtract(U[blk], U_prev[blk], out=Yb)  # Y = U + beta*(U - U_prev)
-                Yb *= beta
-                Yb += U[blk]
-                base += float(np.vdot(Yb, Yb))
-                # R = Y - lam*grad(Y) - X, shrunk in place by the fidelity prox;
-                # the new U and its rows of U L1 replace the dead U_prev and Q_prev rows
-                np.subtract(Q[blk], Q_prev[blk], out=Rb)
-                Rb *= beta
-                Rb += Q[blk]
-                Rb += Yb
-                Rb -= Xv[blk]
-                U_new = U_prev[blk]
-                _shrink_residual(Rb, lam, cfg.loss, scratch=U_new)
-                np.add(Xv[blk], Rb, out=U_new)
-                fidelity += _fidelity(Rb, cfg.loss, out=Rb)  # R = U - X up to rounding
-                np.subtract(U_new, U[blk], out=Rb)  # R = Y_next = U + beta*(U - U_prev)
-                Rb *= beta_next
-                Rb += U_new
-                diff += float(np.vdot(np.subtract(Rb, Yb, out=Yb), Yb))
-                _l1_rows(U_new, L1, c1, Q_prev[blk])
-            U, U_prev = U_prev, U
-            Q, Q_prev = Q_prev, Q
-            value = fidelity + _add_l2(U, c2, Q, blocks) / (-2.0 * lam)
-            if not np.isfinite(value):
-                raise DivergedError(f"non-finite values at iteration {iterations}: "
-                                    "input values too large for float64")
-            trace.append(value)
-            t, beta = t_next, beta_next
-            if diff < cfg.epsilon * base or diff == 0.0:
-                converged = True
-                break
+    Q, _ = _smooth(Xv, L1, c1, c2, blocks)
+    Q_prev = Q.copy()
+    for _ in range(cfg.max_iters):
+        iterations += 1
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        beta_next = (t - 1.0) / t_next
+        fidelity = base = diff = 0.0
+        for blk, _ in blocks:
+            Yb, Rb = Y_buf[:blk.stop - blk.start], R_buf[:blk.stop - blk.start]
+            np.subtract(U[blk], U_prev[blk], out=Yb)  # Y = U + beta*(U - U_prev)
+            Yb *= beta
+            Yb += U[blk]
+            base += float(np.vdot(Yb, Yb))
+            # R = Y - lam*grad(Y) - X, shrunk in place by the fidelity prox;
+            # the new U and its rows of U L1 replace the dead U_prev and Q_prev rows
+            np.subtract(Q[blk], Q_prev[blk], out=Rb)
+            Rb *= beta
+            Rb += Q[blk]
+            Rb += Yb
+            Rb -= Xv[blk]
+            U_new = U_prev[blk]
+            _shrink_residual(Rb, shrink, cfg.loss, scratch=U_new)
+            np.add(Xv[blk], Rb, out=U_new)
+            fidelity += _fidelity(Rb, cfg.loss, out=Rb)  # R = U - X up to rounding
+            np.subtract(U_new, U[blk], out=Rb)  # R = Y_next = U + beta*(U - U_prev)
+            Rb *= beta_next
+            Rb += U_new
+            diff += float(np.vdot(np.subtract(Rb, Yb, out=Yb), Yb))
+            _l1_rows(U_new, L1, c1, Q_prev[blk])
+        U, U_prev = U_prev, U
+        Q, Q_prev = Q_prev, Q
+        smooth = _add_l2(U, c2, Q, blocks) / (-2.0 * lam)  # r*r may over- or underflow
+        trace.append(fidelity * r * fidelity_r + smooth * r * r)
+        t, beta = t_next, beta_next
+        if diff < cfg.epsilon * base or diff == 0.0:
+            converged = True
+            break
+    if r != 1.0:
+        U *= r
     return LowRankResult(U=U, objective_trace=trace, iterations=iterations,
                          converged=converged)
 

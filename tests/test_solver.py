@@ -1,4 +1,3 @@
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,7 +12,7 @@ from frpcag.evalcluster import kmeans
 from frpcag.graph import build_graph, knn_exact
 from frpcag.frames import separate_background
 from frpcag.matrixio import CorruptionSpec, corrupt, save_matrix, standardize
-from frpcag.solver import (LOSSES, DivergedError, LowRankResult, SolverConfig, auto_step,
+from frpcag.solver import (LOSSES, LowRankResult, SolverConfig, auto_step,
                            fista_solve, gradient_smooth, objective, prox_fidelity)
 from memtrace import traced_peak
 from oracles import dense_laplacian, sequential_prox, sylvester_solve
@@ -314,12 +313,13 @@ def test_gradient_matches_dense_over_row_blocks(p, n):
     assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-def fista_peak_memory(p, n):
-    """tracemalloc peak of a 10-iteration solve, in units of X.nbytes.
+def fista_peak_memory(p, n, scale=1.0):
+    """tracemalloc peak of a 10-iteration solve of X * scale, in units of X.nbytes.
 
     The graphs are inputs, as X is: their Laplacians, built on first use,
     are built before the solve is traced."""
     X, G1, G2 = make_instance(p, n, k=10, seed=0)
+    X *= scale
     G1.laplacian, G2.laplacian
     cfg = SolverConfig(loss="l1", gamma1=1.0, gamma2=1.0, max_iters=10)
     _, peak = traced_peak(lambda: fista_solve(X, G1, G2, cfg))
@@ -337,27 +337,45 @@ def test_fista_memory_holds_four_buffers_beside_a_c_ordered_x():
     assert fista_peak_memory(4096, 104) <= 4.6
 
 
+def test_fista_memory_holds_one_more_copy_of_a_rescaled_x():
+    # max|X| past 2^257 or below 2^-256: the loop solves X / r, a fifth p x n array
+    assert fista_peak_memory(4096, 104, scale=2.0 ** 300) <= 5.6
+
+
 def test_fista_memory_bounded_wide():
     # shaped like the solve workload: 100 features by 2000 samples
     assert fista_peak_memory(100, 2000) <= 8
 
 
-def test_fista_divergence_detection():
-    # at the bound step the only non-finite values left are squares of input
-    # values too large for float64: on this instance at gamma = 5, X * 1e152
-    # solves, and at X * 1e160 the reference's first objective value
-    # overflows, so the solver stops at iteration 1, naming that cause
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LOSSES), st.integers(-1000, 1000))
+@example("l1", -540)  # the stop rule's sums of squares underflow without the rescale
+@example("frobenius_sq", -540)
+@example("l1", 520)  # the objective overflows without the rescale
+@example("frobenius_sq", 520)
+@example("l1", 1000)
+@example("frobenius_sq", -1000)
+def test_fista_is_covariant_under_power_of_two_scaling(loss, e):
+    # at X 2^e and U = V 2^e the objective is 2^e times the unit-scale one at
+    # gammas 2^e (l1), or 2^2e times it at the same gammas (frobenius_sq): so
+    # X 2^e, with the l1 gammas 2^-e, solves to U 2^e and the trace 2^e or
+    # 2^2e times. U is exact; the two terms of each objective value are
+    # scaled back apart, so where they are subnormal it may be off by two
+    # units of the smallest subnormal.
     X, G1, G2 = make_instance(10, 14, seed=16)
-    for loss in LOSSES:
-        cfg = SolverConfig(loss=loss, gamma1=5.0, gamma2=5.0)
-        assert np.isfinite(fista_solve(X * 1e152, G1, G2, cfg).U).all()
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, trace, _ = reference_fista(X * 1e160, G1, G2, replace(cfg, max_iters=1))
-        assert not np.isfinite(trace[0])
-        with pytest.raises(DivergedError) as raised:
-            fista_solve(X * 1e160, G1, G2, cfg)
-        assert str(raised.value) == ("non-finite values at iteration 1: "
-                                     "input values too large for float64")
+    assert np.array_equal(np.ldexp(np.ldexp(X, e), -e), X)  # X 2^e is exact
+    unit = fista_solve(X, G1, G2, SolverConfig(loss=loss, gamma1=2.5, gamma2=2.5))
+    gamma = np.ldexp(2.5, -e) if loss == "l1" else 2.5
+    res = fista_solve(np.ldexp(X, e), G1, G2, SolverConfig(loss=loss, gamma1=gamma,
+                                                           gamma2=gamma))
+    assert res.iterations == unit.iterations and res.converged == unit.converged
+    assert np.array_equal(res.U, np.ldexp(unit.U, e))
+    with np.errstate(over="ignore"):
+        want = np.ldexp(unit.objective_trace, e if loss == "l1" else 2 * e)
+    got = np.array(res.objective_trace)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert (np.abs(got[finite] - want[finite]) <= np.ldexp(1.0, -1073)).all()
 
 
 def test_fista_hits_iteration_cap():
@@ -506,7 +524,7 @@ SHAPE = r"expected a p x n matrix with p, n >= 1, got shape"
         "standardize", "corrupt", "save_matrix", "kmeans", "separate_background"])
 def test_non_finite_array_is_refused_on_entry(call, one_d, tmp_path):
     # every entry that takes a matrix runs the one check, matrixio._as_matrix,
-    # so a NaN is not reported as divergence or returned in a result
+    # so a NaN is not returned in a result
     X, G1, G2 = make_instance(6, 8, seed=24)
     nan, inf, minus_inf = X.copy(), X.copy(), X.copy()
     nan[2, 3], inf[2, 3], minus_inf[2, 3] = np.nan, np.inf, -np.inf
