@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .config import FORMATS, ConfigError, auto_or_positive, number_type, parse_keyvalue
+from .config import FORMATS, LOSSES, ConfigError, auto_or_positive, number_type, parse_keyvalue
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -99,11 +99,7 @@ def _experiment_data(cfg, source):
         return two_gaussians(n=cfg.n, p=cfg.p, separation=cfg.separation, seed=cfg.data_seed)
     if cfg.labels is None:
         raise ConfigError(f"{source}: file datasets need a 'labels' path")
-    X = load_matrix(cfg.dataset, cfg.format)
-    labels = load_labels(cfg.labels)
-    if labels.size != X.shape[1]:
-        raise ConfigError(f"{source}: {labels.size} labels for {X.shape[1]} samples")
-    return X, labels
+    return load_matrix(cfg.dataset, cfg.format), load_labels(cfg.labels)
 
 
 def cmd_experiment(args) -> int:
@@ -152,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph1", required=True, help="sample graph (n x n) COO file")
     p.add_argument("--graph2", required=True, help="feature graph (p x p) COO file")
     _add_solver_flags(p)
-    p.add_argument("--loss", choices=["l1", "frobenius_sq"])
+    p.add_argument("--loss", choices=LOSSES)
     p.add_argument("--output-u", required=True, help="recovered U (binary-f64)")
     p.add_argument("--output-trace", help="objective trace CSV")
     p.set_defaults(func=cmd_solve)

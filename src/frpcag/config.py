@@ -10,6 +10,7 @@ from typing import Literal, Tuple, Union
 AutoOrPositive = Union[float, Literal["auto"]]  # 'auto' or a positive finite number
 Floats = Tuple[float, ...]  # one finite number or a comma-separated list
 FORMATS = ("csv", "binary-f64")  # the matrix file formats of load_matrix and save_matrix
+LOSSES = ("l1", "frobenius_sq")  # the fidelity terms of SolverConfig.loss
 
 
 class ConfigError(ValueError):

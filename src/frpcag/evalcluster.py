@@ -273,6 +273,7 @@ def experiment_records(X: np.ndarray, truth, cfg: ExperimentConfig) -> Iterator[
     ratio s_r of the feature graph. The first stage, import_ms, loads what
     later stages would otherwise load on first use: numpy.random and the
     compiled CSR kernel of the Laplacian products (graph._sparsetools).
+    ValueError comes first unless truth is 1-d with one label per column of X.
 
     The iterator it returns runs, for each of cfg.solver_configs(): solve ->
     economic SVD and rank estimate of U -> k-means on U, or on the
@@ -280,7 +281,9 @@ def experiment_records(X: np.ndarray, truth, cfg: ExperimentConfig) -> Iterator[
     "w"; it yields the JSON-friendly record of that gamma. timings_ms holds
     the record's stages, and in the first record the sweep's stages before.
     """
-    truth = np.asarray(truth)
+    X, truth = _as_matrix(X), np.asarray(truth)
+    if truth.shape != X.shape[1:]:
+        raise ValueError(f"{truth.size} labels for {X.shape[1]} samples (shape {truth.shape})")
     k = int(np.unique(truth).size)
     corruption = cfg.corruption_spec()
     timings = {}

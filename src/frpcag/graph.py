@@ -24,11 +24,16 @@ class GraphSizeError(GraphFormatError):
 @dataclass(frozen=True)
 class SparseGraph:
     """Symmetric weighted adjacency as the numpy arrays of canonical CSR:
-    row i's neighbours are indices[indptr[i]:indptr[i + 1]], ascending, with
-    their weights in data, none of them 0.
+    row i's neighbours are indices[indptr[i]:indptr[i + 1]], with their
+    weights in data.
 
-    Every vertex has an edge, and L = I - D^{-1/2} A D^{-1/2}, with D the
-    degrees (the adjacency's row sums), has its spectrum inside [0, 2].
+    Construction raises ValueError unless indptr ascends from 0 to the length
+    of indices and data, each row's columns ascend strictly inside [0, n) and
+    off the diagonal, every weight is finite and positive, every vertex has an
+    edge and no degree (row sum) overflows; so L = I - D^{-1/2} A D^{-1/2}
+    has its spectrum inside [0, 2]. Symmetry is the caller's: build_graph
+    makes it, load_graph_coo checks it, and a direct construction must.
+
     laplacian is L's (indptr, indices, data) triple in canonical CSR, built in
     numpy on first use, and _csr_matvecs multiplies by it; so no command
     imports scipy.sparse. adjacency is a scipy.sparse CSR matrix, built (and
@@ -39,9 +44,33 @@ class SparseGraph:
     indices: np.ndarray
     data: np.ndarray
 
+    def __post_init__(self):
+        indptr, indices, n = self.indptr, self.indices, self.vertex_count
+        counts = np.diff(indptr)
+        if not (indptr.ndim == indices.ndim == self.data.ndim == 1 and indptr.size
+                and indptr[0] == 0 and indptr[-1] == indices.size == self.data.size
+                and np.all(counts >= 0)):
+            raise ValueError("indptr must ascend from 0 to the length of indices and of data")
+        rows = np.repeat(np.arange(n), counts)
+        if not (np.all(np.diff(rows * n + indices) > 0) and np.all(indices >= 0)
+                and np.all(indices < n) and np.all(indices != rows)):
+            raise ValueError(f"a row's columns must ascend strictly in [0, {n}) off the diagonal")
+        if not np.all((self.data > 0) & (self.data < np.inf)):  # NaN fails this too
+            raise ValueError("edge weights must be finite and positive")
+        isolated = int(np.count_nonzero(counts == 0))
+        if isolated:
+            raise ValueError(f"{isolated} of {n} vertices keep no edge")
+        if not np.isfinite(self._degrees).all():
+            raise ValueError("edge weights overflow a vertex degree")
+
     @property
     def vertex_count(self) -> int:
         return self.indptr.size - 1
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:  # scipy's CSR row sums, bit for bit
+        with np.errstate(over="ignore"):  # an overflowing degree is refused on construction
+            return np.add.reduceat(self.data, self.indptr[:-1])
 
     @cached_property
     def adjacency(self):
@@ -52,22 +81,29 @@ class SparseGraph:
 
     @cached_property
     def laplacian(self):
-        """(indptr, indices, data) of L in canonical CSR, with the index type
-        of _sparse_graph: scipy.sparse's I - D A D, bit for bit. Entry (i, j)
-        off the diagonal is -((s_i a_ij) s_j) with s = 1 / sqrt(degree), as
-        the two products by the diagonal round it, and is dropped when that
-        underflows to 0."""
+        """(indptr, indices, data) of L in canonical CSR, with _csr's index
+        type: scipy.sparse's I - D A D, bit for bit. Entry (i, j) off the
+        diagonal is -((s_i a_ij) s_j) with s = 1 / sqrt(degree), as the two
+        products by the diagonal round it, and is dropped when that underflows
+        to 0."""
         n = self.vertex_count
         rows = np.repeat(np.arange(n), np.diff(self.indptr))
-        s = 1.0 / np.sqrt(np.add.reduceat(self.data, self.indptr[:-1]))
+        s = 1.0 / np.sqrt(self._degrees)
         off = -((s[rows] * self.data) * s[self.indices])
         kept = off != 0
         keys = np.concatenate([rows[kept] * n + self.indices[kept], np.arange(n) * (n + 1)])
         order = np.argsort(keys)
-        keys = keys[order]
-        index = _index_type(n, keys.size)
-        return (_row_starts(keys // n, n, index), (keys % n).astype(index),
-                np.concatenate([off[kept], np.ones(n)])[order])
+        return (*_csr(keys[order], n), np.concatenate([off[kept], np.ones(n)])[order])
+
+
+def _csr(keys: np.ndarray, n: int):
+    """(indptr, indices) of the CSR matrix of n rows whose entries have the
+    ascending keys row * n + column, in the index type scipy.sparse gives it,
+    so that SparseGraph.adjacency uses them without a copy."""
+    index = np.int32 if max(n, keys.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, (keys % n).astype(index)
 
 
 # scipy's compiled sparse kernels, relative to scipy's directory, less the
@@ -240,42 +276,6 @@ def _nearest_candidates(points: np.ndarray, first: int, inside: np.ndarray, K: i
     return c[take], d[take]
 
 
-def _index_type(n: int, nnz: int):
-    """The index type scipy.sparse gives a CSR matrix of n rows and nnz entries."""
-    return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
-
-
-def _row_starts(rows: np.ndarray, n: int, index) -> np.ndarray:
-    """indptr of the entries in rows, sorted, of a CSR matrix of n rows."""
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr
-
-
-def _sparse_graph(rows, cols, weights, n: int) -> SparseGraph:
-    """SparseGraph of n vertices from the edges (rows, cols, weights) of a
-    symmetric adjacency, sorted by row and then column, with no self-loop,
-    no repeated edge and no zero weight.
-
-    Raises ValueError when a vertex keeps no edge or a degree overflows.
-    The degrees are scipy's CSR row sums, bit for bit: np.add.reduceat over
-    each row's weights in column order, as SparseGraph.laplacian takes them.
-    The index arrays take the type that scipy.sparse would give them
-    (_index_type, which the Laplacian's arrays follow too), so adjacency
-    uses them without a copy.
-    """
-    index = _index_type(n, rows.size)
-    indptr = _row_starts(rows, n, index)
-    isolated = int(np.count_nonzero(np.diff(indptr) == 0))
-    if isolated:
-        raise ValueError(f"{isolated} of {n} vertices keep no edge")
-    with np.errstate(over="ignore"):  # an overflowing degree is rejected below
-        degrees = np.add.reduceat(weights, indptr[:-1])
-    if not np.isfinite(degrees).all():
-        raise ValueError("edge weights overflow a vertex degree")
-    return SparseGraph(indptr=indptr, indices=cols.astype(index), data=weights)
-
-
 def resolve_sigma2(neighbors, sigma2: Union[float, str]) -> float:
     """Numeric kernel width for the (indices, distances) pair of knn_exact:
     "auto" squares the mean neighbor distance.
@@ -335,9 +335,8 @@ def build_graph(neighbors, sigma2: Union[float, str] = 1.0) -> SparseGraph:
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     weights = np.maximum.reduceat(np.tile(weights.ravel(), 2)[order], starts)
     kept = weights != 0  # weights that underflowed to 0 are no edges
-    keys = keys[starts[kept]]
     try:
-        return _sparse_graph(keys // n, keys % n, weights[kept], n)
+        return SparseGraph(*_csr(keys[starts[kept]], n), weights[kept])
     except ValueError as exc:
         raise ValueError(f"{exc} at sigma2={sigma2:.17g} (their weights underflow to 0); "
                          "pass a larger sigma2") from None
@@ -431,6 +430,6 @@ def load_graph_coo(path, vertex_count: int) -> SparseGraph:
             and np.all(abs(w[order] - w[back]) <= 1e-12 * np.maximum(w[order], w[back]))):
         raise GraphFormatError(f"{path}: adjacency must be symmetric")
     try:
-        return _sparse_graph(i[order], j[order], w[order], vertex_count)
+        return SparseGraph(*_csr(i[order] * vertex_count + j[order], vertex_count), w[order])
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc

@@ -6,10 +6,9 @@ from typing import List
 
 import numpy as np
 
+from .config import LOSSES
 from .graph import SparseGraph, _csr_matvecs
 from .matrixio import _as_matrix, _check_same_shape
-
-LOSSES = ("l1", "frobenius_sq")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from frpcag import evalcluster
 from frpcag.evalcluster import (ExperimentConfig, clustering_error, experiment_records, kmeans,
                                 two_gaussians)
 from frpcag.matrixio import standardize
@@ -200,6 +201,22 @@ def test_clustering_error_matches_its_hungarian_oracle_on_500_labels():
 def test_clustering_error_length_mismatch():
     with pytest.raises(ValueError):
         clustering_error([0, 1], [0, 1, 2])
+
+
+@pytest.mark.parametrize("truth, message", [
+    (np.zeros(59, dtype=int), r"^59 labels for 60 samples \(shape \(59,\)\)$"),
+    (np.zeros(61, dtype=int), "^61 labels for 60 samples"),
+    (np.zeros((60, 1), dtype=int), r"^60 labels for 60 samples \(shape \(60, 1\)\)$"),
+    (np.zeros((2, 30), dtype=int), "^60 labels for 60 samples"),
+], ids=["short", "long", "column", "2-d"])
+def test_experiment_refuses_truth_of_another_shape_before_any_stage(monkeypatch, truth, message):
+    def stage(*args, **kwargs):
+        raise AssertionError("a stage ran on a bad truth")
+    for name in ("corrupt", "standardize", "knn_exact", "kmeans"):
+        monkeypatch.setattr(evalcluster, name, stage)
+    X, _ = two_gaussians(n=60, p=4, seed=1)
+    with pytest.raises(ValueError, match=message):
+        experiment_records(X, truth, ExperimentConfig(corruption="missing", fraction=0.1))
 
 
 def run_one_gamma(X, truth, cfg, **solver):

@@ -1,4 +1,6 @@
+import os
 import re
+import tempfile
 from contextlib import nullcontext
 from unittest import mock
 
@@ -12,7 +14,7 @@ from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
 from frpcag import graph
-from frpcag.graph import (GraphFormatError, GraphSizeError, build_graph, knn_exact,
+from frpcag.graph import (GraphFormatError, GraphSizeError, SparseGraph, build_graph, knn_exact,
                           load_graph_coo, partial_eigs, resolve_sigma2, save_graph_coo)
 from frpcag.solver import _row_blocks
 import oracles
@@ -290,6 +292,51 @@ def _complete_graph_with_a_faint_vertex():
 def test_build_graph_matches_its_scipy_oracle(neighbors, sigma2):
     assert (graph_arrays(lambda: build_graph(neighbors, sigma2))
             == graph_arrays(lambda: oracles.build_graph(neighbors, sigma2)))
+
+
+@pytest.mark.parametrize("indptr, indices, data, message", [
+    ([0, 1, 1, 2], [2, 0], [1.0, 1.0], "^1 of 3 vertices keep no edge$"),
+    *(([0, 1, 2], [1, 0], [w, 1.0], "finite and positive")
+      for w in (np.nan, np.inf, -1.0, 0.0)),
+    ([0, 2, 3, 4], [1, 1, 0, 0], [1.0] * 4, "ascend strictly"),
+    ([0, 2, 3, 4], [2, 1, 0, 0], [1.0] * 4, "ascend strictly"),
+    ([0, 2, 3], [0, 1, 0], [1.0] * 3, "off the diagonal"),
+    ([0, 1, 2], [2, 0], [1.0] * 2, r"in \[0, 2\)"),
+    ([0, 1, 2], [-1, 0], [1.0] * 2, r"in \[0, 2\)"),
+    ([0, 2, 3, 4], [1, 2, 0, 0], [1e308] * 4, "^edge weights overflow a vertex degree$"),
+    ([1, 2, 3], [1, 0], [1.0] * 2, "^indptr must ascend"),
+    ([0, 2, 1, 2], [1, 0], [1.0] * 2, "^indptr must ascend"),
+    ([0, 1, 2], [1, 0, 0], [1.0] * 3, "^indptr must ascend"),
+    ([0, 1, 2], [1, 0], [1.0] * 3, "^indptr must ascend"),
+    ([], [], [], "^indptr must ascend"),
+], ids=["isolated-middle-vertex", "nan-weight", "inf-weight", "negative-weight", "zero-weight",
+        "repeated-column", "descending-columns", "diagonal-column", "column-n", "column-minus-1",
+        "degree-overflow", "indptr-not-from-0", "indptr-descends", "indptr-short-of-indices",
+        "indptr-short-of-data", "no-indptr"])
+def test_direct_construction_refuses_what_no_laplacian_comes_from(indptr, indices, data,
+                                                                  message):
+    with pytest.raises(ValueError, match=message):
+        SparseGraph(np.array(indptr, dtype=np.int32), np.array(indices, dtype=np.int32),
+                    np.array(data))
+
+
+@settings(max_examples=200, deadline=None)
+@given(neighbor_lists(), st.sampled_from([0.25, 1.0, 4.0]))
+@example(_complete_graph_with_a_faint_vertex(), 1.0)
+def test_direct_construction_accepts_every_built_and_loaded_graph(neighbors, sigma2):
+    try:
+        built = build_graph(neighbors, sigma2)
+    except ValueError:  # a vertex kept no edge
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.coo")
+        save_graph_coo(built, path)
+        loaded = load_graph_coo(path, built.vertex_count)
+    for g in (built, loaded):
+        parts = g.indptr, g.indices, g.data
+        again = SparseGraph(*parts)
+        assert all(a is b for a, b in zip((again.indptr, again.indices, again.data), parts))
+        assert oracles.csr_bytes(again) == oracles.csr_bytes(g)
 
 
 @st.composite
